@@ -10,7 +10,7 @@ from .errors import DomainError, InvariantViolation, ResourceGuardError
 from .fields import ExtField, FieldSpec
 from .polys import MonicPoly, Place
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "DomainError", "InvariantViolation", "ResourceGuardError",

@@ -4,8 +4,8 @@ Polynomials are tuples of field-element representatives, lowest degree
 first, with no trailing zeros; the empty tuple is the zero polynomial.
 The field object must provide ``zero``, ``one`` and the element operations
 ``add``, ``sub``, ``neg``, ``mul``, ``inv``.  Both :class:`fields.FieldSpec`
-(integer representatives) and :class:`fields.ExtField` (tuple
-representatives) satisfy this.
+(integer codes, table arithmetic for k > 1) and :class:`fields.ExtField`
+(tuples of base-field codes, arithmetic through this module) satisfy this.
 """
 
 from .errors import DomainError

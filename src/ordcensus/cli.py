@@ -4,8 +4,8 @@ Subcommands: constants, census (as|se), classify, oracle, verify-kernel,
 report-table1.  Exit codes: 0 success, 2 usage error, 3 resource guard
 exceeded, 4 invariant violation (oracle disagreement or route mismatch).
 
-Outputs are deterministic for a fixed configuration (including --seed) and
-independent of --threads.  The environment variable ORDCENSUS_OUTDIR, when
+Outputs are deterministic for a fixed configuration (including --seed).
+The environment variable ORDCENSUS_OUTDIR, when
 set, is prepended to relative --output paths.
 """
 
@@ -241,8 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ordcensus",
         description="Censuses and limiting probabilities of ordinary cyclic "
                     "covers of the projective line over small finite fields.")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker count for point-count sweeps (output-independent)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_const = sub.add_parser("constants", help="evaluate the limiting constants")

@@ -18,6 +18,7 @@ from fractions import Fraction
 from mpmath import mp, mpf, exp, log
 
 from .errors import DomainError
+from .fields import is_prime
 from .polys import count_irreducibles
 
 if mp.dps < 30:
@@ -228,7 +229,7 @@ def phi_k_at_1(q: int, k: int, D: int | None = None) -> EulerProductValue:
 
 def l_constant(n: int, q: int, D: int | None = None) -> EulerProductValue:
     """L_{n-2} = prod_{j=1}^{n-2} prod_Q (1 - j/((|Q|+1)(|Q|+j)))."""
-    if not _is_odd_prime(n):
+    if n % 2 == 0 or not is_prime(n):
         raise DomainError("n must be an odd prime")
 
     def local(x):
@@ -243,17 +244,6 @@ def l_constant(n: int, q: int, D: int | None = None) -> EulerProductValue:
 
 def kappa_constant(n: int, q: int) -> mpf:
     """kappa_n(q) = q phi_{n-1}(1) / (log(q) (n-2)!)."""
-    if not _is_odd_prime(n):
+    if n % 2 == 0 or not is_prime(n):
         raise DomainError("n must be an odd prime")
     return mpf(q) * phi_k_at_1(q, n - 1).value / (log(mpf(q)) * math.factorial(n - 2))
-
-
-def _is_odd_prime(n: int) -> bool:
-    if n < 3 or n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True

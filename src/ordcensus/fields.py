@@ -1,13 +1,23 @@
 """Exact arithmetic in F_q (q = p^k) and in relative extensions F_q[t]/(h).
 
 Elements of ``FieldSpec`` are integers in [0, q) whose base-p digits are the
-coordinates in the power basis of the modulus (lowest power first).  Elements
-of ``ExtField`` are fixed-length tuples of base-field representatives.
+coordinates in the power basis of the modulus (lowest power first).  For
+k = 1 the arithmetic is plain integer arithmetic mod p.  For k > 1 it uses
+exp/log tables of a primitive element, built at first use: multiplication,
+inversion and powers are lookups, addition is XOR when p = 2 and a Zech
+logarithm lookup for odd p, and the trace, being F_p-linear, is read from
+a table built from its values on the basis.  ``embedding`` maps a subfield's
+codes into a larger field.
+
+Elements of ``ExtField`` are fixed-length tuples of base-field
+representatives, multiplied as polynomials modulo h; the residue fields of
+:mod:`polys` use it.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 
 from . import _polyarith as pa
 from .errors import DomainError
@@ -68,7 +78,6 @@ class FieldSpec:
         self.modulus = modulus
         self.zero = 0
         self.one = 1
-        self._mul_table = None
 
     # -- hashing / equality ------------------------------------------------
 
@@ -102,17 +111,34 @@ class FieldSpec:
         return range(self.q)
 
     # -- arithmetic --------------------------------------------------------
+    #
+    # Every path starts with k == 1, where plain integer arithmetic mod p is
+    # fastest.  For k > 1, mul, inv and pow are lookups in the exp/log tables;
+    # add and neg are XOR in characteristic 2 and go through the Zech table
+    # for odd p.
 
     def add(self, a: int, b: int) -> int:
         if self.k == 1:
             return (a + b) % self.p
-        return self.undigits((x + y) % self.p
-                             for x, y in zip(self.digits(a), self.digits(b)))
+        if self.p == 2:
+            return a ^ b
+        if not a:
+            return b
+        if not b:
+            return a
+        exp, log, zech = self._tables
+        # a + b = g^la (1 + g^(lb - la)); a negative index wraps mod q - 1
+        la = log[a]
+        z = zech[log[b] - la]
+        return exp[la + z] if z >= 0 else 0
 
     def neg(self, a: int) -> int:
         if self.k == 1:
             return (-a) % self.p
-        return self.undigits((-x) % self.p for x in self.digits(a))
+        if self.p == 2 or not a:
+            return a
+        exp, log, _ = self._tables
+        return exp[log[a] + (self.q - 1) // 2]  # -1 = g^((q-1)/2)
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -120,68 +146,151 @@ class FieldSpec:
     def mul(self, a: int, b: int) -> int:
         if self.k == 1:
             return (a * b) % self.p
-        if self._mul_table is None and self.q <= 4096:
-            self._build_mul_table()
-        if self._mul_table is not None:
-            return self._mul_table[a * self.q + b]
-        return self._mul_slow(a, b)
-
-    def _mul_slow(self, a: int, b: int) -> int:
-        p = self.p
-        da, db = self.digits(a), self.digits(b)
-        prod = [0] * (2 * self.k - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    prod[i + j] = (prod[i + j] + x * y) % p
-        # reduce modulo the monic modulus
-        full_mod = self.modulus + (1,)
-        for i in range(len(prod) - 1, self.k - 1, -1):
-            c = prod[i]
-            if c:
-                prod[i] = 0
-                for j, m in enumerate(full_mod[:-1]):
-                    prod[i - self.k + j] = (prod[i - self.k + j] - c * m) % p
-        return self.undigits(prod[: self.k])
-
-    def _build_mul_table(self):
-        q = self.q
-        table = [0] * (q * q)
-        for a in range(q):
-            for b in range(a, q):
-                v = self._mul_slow(a, b)
-                table[a * q + b] = v
-                table[b * q + a] = v
-        self._mul_table = table
+        if not a or not b:
+            return 0
+        exp, log, _ = self._tables
+        return exp[log[a] + log[b]]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise DomainError("inversion of zero")
         if self.k == 1:
             return pow(a, self.p - 2, self.p)
-        return self.pow(a, self.q - 2)
+        exp, log, _ = self._tables
+        return exp[self.q - 1 - log[a]]
 
     def pow(self, a: int, e: int) -> int:
         if e < 0:
             return self.pow(self.inv(a), -e)
-        result = 1
-        while e:
-            if e & 1:
-                result = self.mul(result, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return result
+        if self.k == 1:
+            return pow(a, e, self.p)
+        if not a:
+            return 0 if e else 1
+        exp, log, _ = self._tables
+        return exp[log[a] * e % (self.q - 1)]
+
+    def log(self, a: int) -> int:
+        """The discrete logarithm of a != 0 to the base of the field's fixed
+        primitive element, in [0, q - 1)."""
+        if a == 0:
+            raise DomainError("logarithm of zero")
+        return self._tables[1][a]
+
+    def exp(self, i: int) -> int:
+        """The i-th power of the field's fixed primitive element."""
+        return self._tables[0][i % (self.q - 1)]
 
     def trace(self, a: int) -> int:
         """Absolute trace to F_p, returned as an integer in [0, p)."""
-        acc = 0
-        x = a
-        for _ in range(self.k):
-            acc = self.add(acc, x)
-            x = self.pow(x, self.p)
-        if acc >= self.p:
-            raise DomainError("trace did not land in the prime field")
-        return acc
+        if self.k == 1:
+            return a
+        return self._trace_table[a]
+
+    # -- tables, built at first use -----------------------------------------
+
+    @cached_property
+    def _tables(self) -> tuple:
+        """(exp, log, zech) for a primitive element g.
+
+        exp[i] = g^i for 0 <= i < 2(q - 1), doubled so that a sum of two logs
+        needs no reduction; log[g^i] = i (log[0] is unused).  For odd p,
+        zech[i] = log(1 + g^i), or -1 where 1 + g^i = 0; for p = 2 it is None.
+        """
+        p, q = self.p, self.q
+        powers = self._powers(self._primitive_element())
+        log = [0] * q
+        for i, a in enumerate(powers):
+            log[a] = i
+        zech = None
+        if p != 2:
+            # 1 + a changes only the lowest digit of a
+            zech = [log[b] if b else -1
+                    for b in (a - a % p + (a + 1) % p for a in powers)]
+        return powers + powers, log, zech
+
+    def _primitive_element(self) -> int:
+        """The smallest code that generates the multiplicative group."""
+        n = self.q - 1
+        fp = FieldSpec(self.p)
+        f = self.modulus + (1,)
+        cofactors = [n // r for r in _prime_factors(n)]
+        for g in range(1, self.q):
+            x = pa.trim(fp, self.digits(g))
+            if all(pa.pow_mod(fp, x, e, f) != (1,) for e in cofactors):
+                return g
+        raise RuntimeError("unreachable: the multiplicative group is cyclic")
+
+    def _powers(self, g: int) -> list:
+        """[g^0, g^1, ..., g^(q-2)], by following the table of x -> x g.
+
+        x -> x g is F_p-linear, so its table is built digit by digit from the
+        images g t^i of the basis: by XOR for p = 2, else one output digit
+        at a time.
+        """
+        p, k, q = self.p, self.k, self.q
+        fp = FieldSpec(p)
+        f = self.modulus + (1,)
+        gx = pa.trim(fp, self.digits(g))
+        rows = [pa.mod(fp, pa.mul(fp, (0,) * i + (1,), gx), f) for i in range(k)]
+        rows = [r + (0,) * (k - len(r)) for r in rows]
+        if p == 2:
+            step = [0]
+            for r in rows:
+                r = self.undigits(r)
+                step += [x ^ r for x in step]
+        else:
+            step = [0] * q
+            for j in range(k):
+                col = [0]  # digit j of x g, for the codes x read so far
+                for r in rows:
+                    col = [(c + d * r[j]) % p for d in range(p) for c in col]
+                w = p ** j
+                step = [s + w * c for s, c in zip(step, col)]
+        out = []
+        x = 1
+        for _ in range(q - 1):
+            out.append(x)
+            x = step[x]
+        return out
+
+    @cached_property
+    def _trace_table(self) -> list:
+        """Tr(a) for every code a.  The trace is F_p-linear, so the table
+        grows digit by digit from the traces of the basis powers t^i, each
+        summed over its Frobenius conjugates."""
+        p = self.p
+        table = [0]
+        for i in range(self.k):
+            x = p ** i  # the code of t^i
+            tau = 0
+            for _ in range(self.k):
+                tau = self.add(tau, x)
+                x = self.pow(x, p)
+            table = [(s + d * tau) % p for d in range(p) for s in table]
+        return table
+
+
+def embedding(sub: FieldSpec, field: FieldSpec) -> tuple:
+    """The images in ``field`` of the elements of its subfield ``sub``.
+
+    The generator t of ``sub`` goes to a root beta of sub's modulus, taken
+    from the subgroup of order |sub| - 1; F_p is fixed.  ``images[a]`` is the
+    image of the element coded a.
+    """
+    if sub.p != field.p or field.k % sub.k:
+        raise DomainError(f"{sub!r} is not a subfield of {field!r}")
+    p = sub.p
+    beta = 0  # only its zeroth power is used when sub is F_p
+    if sub.k > 1:
+        f = sub.modulus + (1,)
+        step = (field.q - 1) // (sub.q - 1)
+        beta = next(b for b in (field.exp(j * step) for j in range(sub.q - 1))
+                    if pa.evaluate(field, f, b) == 0)
+    images = [0]
+    for i in range(sub.k):
+        b_i = field.pow(beta, i)
+        images = [field.add(x, field.mul(d, b_i)) for d in range(p) for x in images]
+    return tuple(images)
 
 
 class ExtField:
@@ -348,7 +457,8 @@ def default_modulus(p: int, k: int) -> tuple:
     if k == 1:
         _DEFAULT_MODULUS_CACHE[key] = (0,)
         return (0,)
-    for coeffs in itertools.product(range(p), repeat=k):
+    # c_0 = 0 means x divides the polynomial, so the search starts at c_0 = 1
+    for coeffs in itertools.product(range(1, p), *[range(p)] * (k - 1)):
         if _is_irreducible_prime_field(p, coeffs):
             _DEFAULT_MODULUS_CACHE[key] = coeffs
             return coeffs

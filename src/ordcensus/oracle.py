@@ -8,19 +8,17 @@ checks except the field arithmetic; disagreement means a real bug.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import _polyarith as pa
 from .errors import DomainError, ResourceGuardError, InvariantViolation
-from .fields import ExtField, FieldSpec
+from ._polyarith import evaluate
+from .fields import MAX_Q, FieldSpec, embedding
 from .artin_schreier import ASCover, genus as genus_as, is_ordinary
-from .polys import factor, irreducible_polys, local_to_global
+from .polys import local_to_global
 from .superelliptic import SECover, a_number, genus_se, is_ordinary_se
 
 MAX_GENUS = 6
-MAX_SWEEP = 2 ** 24
 
 
 @dataclass(frozen=True)
@@ -53,30 +51,36 @@ class LPolynomial:
             raise InvariantViolation("L(1) = #Jac must be positive")
 
 
-_EXT_CACHE: dict = {}
+class Extension(FieldSpec):
+    """F_{q^k} as the absolute field F_{p^(k_q k)}, k_q = log_p q.
+
+    ``embed[c]`` is the image of the base-field element c.  Elements are
+    integer codes, so the sweep over ``range(size)`` needs no decoding.
+    """
+
+    def __init__(self, base: FieldSpec, k: int):
+        super().__init__(base.p, base.k * k)
+        self.size = self.q
+        self.embed = embedding(base, self)
+
+    def from_index(self, n: int) -> int:
+        return n
+
+    def lift(self, raw: tuple) -> tuple:
+        """A base-field coefficient tuple, mapped into this field."""
+        return tuple(self.embed[c] for c in raw)
 
 
-def extension_field(field: FieldSpec, k: int) -> ExtField:
-    """F_{q^k} as an extension of F_q by its first degree-k irreducible."""
-    key = (field, k)
-    if key not in _EXT_CACHE:
-        _EXT_CACHE[key] = ExtField(field, irreducible_polys(field, k)[0].coeffs)
-    return _EXT_CACHE[key]
-
-
-def _eval_raw(E: ExtField, raw: tuple, x):
-    """Evaluate a base-field coefficient tuple at x in the extension."""
-    acc = E.zero
-    for c in reversed(raw):
-        acc = E.add(E.mul(acc, x), E.embed(c))
-    return acc
+def extension_field(field: FieldSpec, k: int) -> Extension:
+    """F_{q^k} with its embedding of F_q."""
+    return Extension(field, k)
 
 
 def _guard(field: FieldSpec, g: int, k: int):
     if g > MAX_GENUS:
         raise ResourceGuardError(f"oracle guarded at genus <= {MAX_GENUS}, got {g}")
-    if field.q ** k > MAX_SWEEP:
-        raise ResourceGuardError(f"point-count sweep q^k = {field.q}^{k} exceeds {MAX_SWEEP}")
+    if field.q ** k > MAX_Q:
+        raise ResourceGuardError(f"point-count sweep q^k = {field.q}^{k} exceeds {MAX_Q}")
 
 
 def count_points_as(c: ASCover, k: int) -> int:
@@ -85,20 +89,20 @@ def count_points_as(c: ASCover, k: int) -> int:
     p = field.p
     _guard(field, genus_as(c), k)
     E = extension_field(field, k)
-    numerators = [local_to_global(pl, coeffs) for pl, coeffs in c.branch]
-    dens = [pl.poly.full for pl, _ in c.branch]
+    # (numerator, denominator, minus the pole order) for each branch place
+    terms = [(E.lift(local_to_global(pl, coeffs)), E.lift(pl.poly.full), -len(coeffs))
+             for pl, coeffs in c.branch]
     inf_poly = ()
     if c.infinity_part is not None:
-        inf_poly = (0,) + c.infinity_part  # sum c_j x^j, no constant term
+        inf_poly = E.lift((0,) + c.infinity_part)  # sum c_j x^j, no constant term
     total = 0
     for x in E.elements():
-        den_vals = [_eval_raw(E, d, x) for d in dens]
-        if any(v == E.zero for v in den_vals):
+        den_vals = [evaluate(E, den, x) for _, den, _ in terms]
+        if 0 in den_vals:
             continue  # pole: handled place by place below
-        fx = _eval_raw(E, inf_poly, x)
-        for num, dv, e in zip(numerators, den_vals,
-                              (len(cs) for _, cs in c.branch)):
-            fx = E.add(fx, E.mul(_eval_raw(E, num, x), E.inv(E.pow(dv, e))))
+        fx = evaluate(E, inf_poly, x)
+        for (num, _, e), dv in zip(terms, den_vals):
+            fx = E.add(fx, E.mul(evaluate(E, num, x), E.pow(dv, e)))
         if E.trace(fx) == 0:
             total += p
     # each pole place is totally ramified: one point per root in F_{q^k}
@@ -115,26 +119,23 @@ def count_points_se(c: SECover, k: int) -> int:
     n = c.n
     _guard(field, genus_se(c), k)
     E = extension_field(field, k)
-    big_q = field.q ** k
-    split = (big_q - 1) % n == 0
-    cofactor = (big_q - 1) // n if split else 0
-    parts_raw = [(f.full, i) for i, f in enumerate(c.parts, start=1) if f.degree > 0]
+    # v = prod f_i(x)^i is an n-th power iff n | log v, when n | q^k - 1
+    split = (E.q - 1) % n == 0
+    parts = [(E.lift(f.full), i) for i, f in enumerate(c.parts, start=1) if f.degree > 0]
     total = 0
     for x in E.elements():
-        v = E.one
-        ramified = False
-        for raw, i in parts_raw:
-            fv = _eval_raw(E, raw, x)
-            if fv == E.zero:
-                ramified = True
+        log_v = 0
+        for raw, i in parts:
+            fv = evaluate(E, raw, x)
+            if fv == 0:
+                total += 1  # totally ramified (gcd(n, i) = 1 for prime n)
                 break
-            v = E.mul(v, E.pow(fv, i))
-        if ramified:
-            total += 1  # totally ramified (gcd(n, i) = 1 for prime n)
-        elif not split:
-            total += 1  # n-th power map is a bijection
-        elif E.pow(v, cofactor) == E.one:
-            total += n
+            log_v += i * E.log(fv)
+        else:
+            if not split:
+                total += 1  # n-th power map is a bijection
+            elif log_v % n == 0:
+                total += n
     if c.epsilon:
         total += 1
     else:
@@ -214,6 +215,7 @@ def cross_validate(c) -> OracleReport:
     assert a_number(c) == 0 iff p_rank == g.
     """
     count, g, ordinary, kind = _count_fn(c)
+    _guard(c.field, g, 2 * g)  # the largest sweep, checked before the first
     p = c.field.p
     counts = PointCounts(c.field.q, g, tuple(count(c, k) for k in range(1, 2 * g + 1)))
     l_poly = l_polynomial(counts)

@@ -12,20 +12,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, ResourceGuardError, InvariantViolation
-from .fields import FieldSpec
+from .fields import FieldSpec, is_prime
 from .polys import (MonicPoly, count_irreducibles, enumerate_monic,
                     gcd_monic, is_squarefree, mul_monic, omega, poly_one)
-
-
-def _is_odd_prime(n: int) -> bool:
-    if n < 3 or n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
 
 
 @dataclass(frozen=True)
@@ -37,7 +26,7 @@ class SECover:
     parts: tuple  # (f_1, ..., f_{n-1}), MonicPoly each (constant 1 allowed)
 
     def __post_init__(self):
-        if not _is_odd_prime(self.n):
+        if self.n % 2 == 0 or not is_prime(self.n):
             raise DomainError("n must be an odd prime")
         if self.field.p == self.n:
             raise DomainError("n must be coprime to the characteristic")
@@ -257,7 +246,7 @@ def verify_kernel_lemma(n: int) -> bool:
     (i) the stated vectors x^(k) are killed by A, (ii) rank(A) = (n+1)/2,
     (iii) every kernel basis vector v satisfies v_k = v_{n-k}.
     """
-    if not _is_odd_prime(n):
+    if n % 2 == 0 or not is_prime(n):
         raise DomainError("n must be an odd prime")
     if n > 101:
         raise ResourceGuardError("kernel verification guarded at n <= 101")
@@ -382,7 +371,7 @@ def census_se(field: FieldSpec, n: int, m_max: int):
     Returns a dict m -> (a_m, b_m).  Raises InvariantViolation if the
     tuple-sum, omega-sum and Euler-product routes disagree.
     """
-    if not _is_odd_prime(n):
+    if n % 2 == 0 or not is_prime(n):
         raise DomainError("n must be an odd prime")
     euler = census_a_euler(field, n, m_max)
     rows = {}

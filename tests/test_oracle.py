@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from ordcensus import artin_schreier as asc
@@ -137,3 +139,38 @@ def test_extension_field_sizes():
     for k in (1, 2, 3, 4):
         E = orc.extension_field(F2, k)
         assert E.size == 2 ** k
+
+
+def test_guard_fires_before_any_sweep(monkeypatch):
+    def no_sweep(c, k):
+        raise AssertionError("swept before the guard")
+    monkeypatch.setattr(orc, "count_points_as", no_sweep)
+    monkeypatch.setattr(orc, "count_points_se", no_sweep)
+    F5 = FieldSpec(5)
+    # y^5 - y = x^4: genus 6 <= MAX_GENUS, but q^(2g) = 5^12 > MAX_Q
+    wide = asc.ASCover(F5, (), (0, 0, 0, 1))
+    assert asc.genus(wide) == 6
+    with pytest.raises(ResourceGuardError):
+        orc.cross_validate(wide)
+    # y^2 - y = x^15 over F_2: genus 7 > MAX_GENUS, although 2^14 <= MAX_Q
+    deep = asc.ASCover(F2, (), (1,) + (0,) * 13 + (1,))
+    assert asc.genus(deep) == 7
+    with pytest.raises(ResourceGuardError):
+        orc.cross_validate(deep)
+
+
+def test_oracle_agreement_beyond_f2():
+    """assert_agreement on a seeded sample of AS covers over F_3, F_4 and F_9
+    and of n = 3 superelliptic covers over F_4."""
+    rng = random.Random(20241)
+    F3, F9 = FieldSpec(3), FieldSpec(3, 2)
+    covers = []
+    for field, ms, per_m in [(F3, (3, 4, 5, 6), 4), (F4, (4, 6), 5), (F9, (3, 4), 4)]:
+        for m in ms:
+            pool = list(asc.enumerate_covers(field, m, include_infinity=True))
+            covers += rng.sample(pool, per_m)
+    pool = [c for d in range(6) for c in se.enumerate_se_covers(F4, 3, d)
+            if 2 <= c.branch_count <= 5]
+    covers += rng.sample(pool, 10)
+    for c in covers:
+        assert orc.assert_agreement(c).agree
