@@ -3,9 +3,9 @@
 Polynomials are tuples of field-element representatives, lowest degree
 first, with no trailing zeros; the empty tuple is the zero polynomial.
 The field object must provide ``zero``, ``one`` and the element operations
-``add``, ``sub``, ``neg``, ``mul``, ``inv``.  Both :class:`fields.FieldSpec`
-(integer codes, table arithmetic for k > 1) and :class:`fields.ExtField`
-(tuples of base-field codes, arithmetic through this module) satisfy this.
+``add``, ``sub``, ``neg``, ``mul``, ``inv``.  Every field of the package
+is a :class:`fields.FieldSpec` (its subclass :class:`fields.ExtField`
+included), whose elements are integer codes with zero coded 0.
 """
 
 from .errors import DomainError

@@ -5,9 +5,9 @@ extraction from the Euler product of local zeta factors.
 Branch data is stored per irreducible place, never per geometric root: the
 local part at a place Q of degree d is the tuple (c_1, ..., c_{d_Q}) of
 coefficients of f_alpha in x_alpha = 1/(x - alpha), alpha a fixed root of
-Q, each an element of the residue field F_{q^d} (a tuple over the base
-field).  Normal form: no constant term, c_j = 0 whenever p | j, and the
-top coefficient nonzero (so d_Q is never a multiple of p).
+Q, each an element of the residue field F_{q^d} (an ExtField code).
+Normal form: no constant term, c_j = 0 whenever p | j, and the top
+coefficient nonzero (so d_Q is never a multiple of p).
 """
 
 from __future__ import annotations
@@ -35,9 +35,9 @@ class ASCover:
         if not self.branch and self.infinity_part is None:
             raise DomainError("branch data must be nonempty when infinity is unramified")
         for place, coeffs in self.branch:
-            _check_local_part(p, coeffs, lambda c: all(x == 0 for x in c))
+            _check_local_part(p, coeffs)
         if self.infinity_part is not None:
-            _check_local_part(p, self.infinity_part, lambda c: c == 0)
+            _check_local_part(p, self.infinity_part)
 
     def multiplicity(self, place: Place) -> int:
         for pl, coeffs in self.branch:
@@ -46,16 +46,16 @@ class ASCover:
         return 0
 
 
-def _check_local_part(p: int, coeffs, is_zero):
+def _check_local_part(p: int, coeffs):
     d = len(coeffs)
     if d == 0:
         raise DomainError("empty local part")
     if d % p == 0:
         raise DomainError("pole order must not be a multiple of p")
-    if is_zero(coeffs[-1]):
+    if coeffs[-1] == 0:
         raise DomainError("top local coefficient must be nonzero")
     for j in range(p, d + 1, p):
-        if not is_zero(coeffs[j - 1]):
+        if coeffs[j - 1] != 0:
             raise DomainError(f"coefficient of index {j} must vanish (index divisible by p)")
 
 
@@ -101,31 +101,18 @@ def count_local_parts(norm: int, d_q: int, p: int) -> int:
     return (norm - 1) * norm ** (free - 1)
 
 
-def _local_part_choices(place: Place, d_q: int):
-    E = ext_field_for(place)
-    p = place.field.p
+def _local_part_choices(p: int, elems, d_q: int):
+    """Normal-form local parts of pole order d_q with coefficients in
+    ``elems``, a residue field's elements in index order (zero first)."""
     per_index = []
     for j in range(1, d_q + 1):
         if j % p == 0:
-            per_index.append([E.zero])
-        elif j == d_q:
-            per_index.append([E.from_index(i) for i in range(1, E.size)])
-        else:
-            per_index.append([E.from_index(i) for i in range(E.size)])
-    yield from itertools.product(*per_index)
-
-
-def _infinity_part_choices(field: FieldSpec, d_inf: int):
-    p = field.p
-    per_index = []
-    for j in range(1, d_inf + 1):
-        if j % p == 0:
             per_index.append([0])
-        elif j == d_inf:
-            per_index.append(list(range(1, field.q)))
+        elif j == d_q:
+            per_index.append(elems[1:])
         else:
-            per_index.append(list(range(field.q)))
-    yield from itertools.product(*per_index)
+            per_index.append(elems)
+    return itertools.product(*per_index)
 
 
 def _branch_assignments(field: FieldSpec, m: int):
@@ -167,8 +154,10 @@ def enumerate_covers(field: FieldSpec, m: int, include_infinity: bool = False):
             if not assignment and k_inf is None:
                 continue
             assignment = tuple(sorted(assignment, key=lambda pk: pk[0]))
-            local_pools = [list(_local_part_choices(pl, k - 1)) for pl, k in assignment]
-            inf_iter = [None] if k_inf is None else _infinity_part_choices(field, k_inf - 1)
+            local_pools = [list(_local_part_choices(p, ext_field_for(pl).elements(), k - 1))
+                           for pl, k in assignment]
+            inf_iter = ([None] if k_inf is None
+                        else _local_part_choices(p, field.elements(), k_inf - 1))
             for inf_part in inf_iter:
                 for locals_ in itertools.product(*local_pools):
                     branch = tuple((pl, lc) for (pl, _), lc in zip(assignment, locals_))

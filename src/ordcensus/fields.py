@@ -1,23 +1,26 @@
-"""Exact arithmetic in F_q (q = p^k) and in relative extensions F_q[t]/(h).
+"""Exact arithmetic in F_q (q = p^k) and in extensions F_q[t]/(h).
 
-Elements of ``FieldSpec`` are integers in [0, q) whose base-p digits are the
-coordinates in the power basis of the modulus (lowest power first).  For
-k = 1 the arithmetic is plain integer arithmetic mod p.  For k > 1 it uses
-exp/log tables of a primitive element, built at first use: multiplication,
-inversion and powers are lookups, addition is XOR when p = 2 and a Zech
-logarithm lookup for odd p, and the trace, being F_p-linear, is read from
-a table built from its values on the basis.  ``embedding`` maps a subfield's
-codes into a larger field.
+Every field element is an integer code.  Elements of ``FieldSpec`` are
+integers in [0, q) whose base-p digits are the coordinates in the power
+basis of the modulus (lowest power first).  For k = 1 the arithmetic is
+plain integer arithmetic mod p.  For k > 1 it uses exp/log tables of a
+primitive element, built at first use: multiplication, inversion and powers
+are lookups, addition is XOR when p = 2 and a Zech logarithm lookup for
+odd p, and the trace, being F_p-linear, is read from a table built from its
+values on the basis.  ``embedding`` maps a subfield's codes into a larger
+field.
 
-Elements of ``ExtField`` are fixed-length tuples of base-field
-representatives, multiplied as polynomials modulo h; the residue fields of
-:mod:`polys` use it.
+``ExtField`` is F_q[t]/(h) realised as the absolute field F_{p^(k deg h)}:
+its codes and arithmetic are those of the FieldSpec of that order, whose
+tables all such fields share, and it carries the embedding of F_q and a
+root of h.  The residue fields of :mod:`polys` and the oracle's F_{q^k}
+are ExtFields.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import cached_property
+from functools import cache, cached_property
 
 from . import _polyarith as pa
 from .errors import DomainError
@@ -279,6 +282,8 @@ def embedding(sub: FieldSpec, field: FieldSpec) -> tuple:
     """
     if sub.p != field.p or field.k % sub.k:
         raise DomainError(f"{sub!r} is not a subfield of {field!r}")
+    if (sub.k, sub.modulus) == (field.k, field.modulus):
+        return tuple(range(field.q))
     p = sub.p
     beta = 0  # only its zeroth power is used when sub is F_p
     if sub.k > 1:
@@ -286,143 +291,141 @@ def embedding(sub: FieldSpec, field: FieldSpec) -> tuple:
         step = (field.q - 1) // (sub.q - 1)
         beta = next(b for b in (field.exp(j * step) for j in range(sub.q - 1))
                     if pa.evaluate(field, f, b) == 0)
-    images = [0]
-    for i in range(sub.k):
-        b_i = field.pow(beta, i)
-        images = [field.add(x, field.mul(d, b_i)) for d in range(p) for x in images]
-    return tuple(images)
+    return tuple(_span(field, range(p), [field.pow(beta, i) for i in range(sub.k)]))
 
 
-class ExtField:
-    """Relative extension F_q[t]/(h) of a FieldSpec, h monic irreducible.
+def _span(field: FieldSpec, coords, basis: list) -> list:
+    """sum_i coords[c_i] basis[i] for every digit vector (c_0, c_1, ...),
+    listed in the order of the number with those digits, c_0 lowest."""
+    out = [0]
+    for b in basis:
+        out = [field.add(x, field.mul(c, b)) for c in coords for x in out]
+    return out
 
-    ``modulus`` is the tuple of the k lower coefficients of h over the base
-    field (leading 1 implicit).  Elements are tuples of length deg(h) of
-    base-field representatives, lowest power of t first.
+
+class ExtField(FieldSpec):
+    """F_q[t]/(h) for a FieldSpec F_q and a monic irreducible h of degree d.
+
+    It is the absolute field F_{p^(k d)}, with the tables of the shared
+    FieldSpec of that order, the embedding of F_q and a fixed root alpha of h
+    as the class of t.  ``h`` is the tuple of the d lower coefficients of h
+    over the base field (leading 1 implicit).  ``index`` and ``from_index``
+    read the coordinates over F_q in the power basis of alpha as base-q
+    digits, lowest power first.
     """
 
-    def __init__(self, base: FieldSpec, modulus: tuple):
-        self.base = base
-        self.modulus = tuple(modulus)
-        self.d = len(self.modulus)
-        if self.d < 1:
+    def __init__(self, base: FieldSpec, h: tuple):
+        if len(h) < 1:
             raise DomainError("extension degree must be >= 1")
-        self.p = base.p
-        self.size = base.q ** self.d
-        self.zero = (0,) * self.d
-        self.one = self._pad((1,))
-        self._mod_poly = tuple(self.modulus) + (1,)
-
-    def _pad(self, c) -> tuple:
-        c = tuple(c)
-        return c + (0,) * (self.d - len(c))
+        super().__init__(base.p, base.k * len(h))
+        self.base = base
+        self.h = tuple(h)
+        self.d = len(h)
+        self.size = self.q
+        self._embed, self._preimage = _base_embedding(base, self.k)
+        self._alpha = self._root()
 
     def __eq__(self, other):
         return (isinstance(other, ExtField)
-                and self.base == other.base and self.modulus == other.modulus)
+                and (self.base, self.h) == (other.base, other.h))
 
     def __hash__(self):
-        return hash((self.base, self.modulus))
+        return hash((self.base, self.h))
 
     def __repr__(self):
         return f"ExtField(base={self.base!r}, d={self.d})"
 
-    def embed(self, a: int) -> tuple:
-        """Embed a base-field element as a constant."""
-        return self._pad((a,))
+    @cached_property
+    def _tables(self) -> tuple:
+        return _absolute(self.p, self.k)._tables
 
-    def gen(self) -> tuple:
-        """The class of t, a root of the modulus."""
+    @cached_property
+    def _trace_table(self) -> list:
+        return _absolute(self.p, self.k)._trace_table
+
+    def _root(self) -> int:
+        """The first of g, g^2, ... (g the primitive element of the tables)
+        that is a root of h of degree d over F_q; only an irreducible h has
+        one."""
+        h = self.lift(self.h + (1,))
         if self.d == 1:
-            return self.embed(self.base.neg(self.modulus[0]))
-        return self._pad((0, 1))
-
-    def elements(self):
+            return self.neg(h[0])
         qb = self.base.q
-        for idx in range(self.size):
-            ds = []
-            n = idx
-            for _ in range(self.d):
-                ds.append(n % qb)
-                n //= qb
-            yield tuple(ds)
+        for j in range(1, self.q - 1):
+            a = self.exp(j)
+            if (pa.evaluate(self, h, a) == 0
+                    and all(self.pow(a, qb ** i) != a for i in range(1, self.d))):
+                return a
+        raise DomainError("modulus is not irreducible over the base field")
 
-    def index(self, z: tuple) -> int:
-        n = 0
-        for c in reversed(z):
-            n = n * self.base.q + c
-        return n
+    def embed(self, a: int) -> int:
+        """The image of a base-field element."""
+        return self._embed[a]
 
-    def from_index(self, n: int) -> tuple:
-        ds = []
-        for _ in range(self.d):
-            ds.append(n % self.base.q)
-            n //= self.base.q
-        return tuple(ds)
+    def lift(self, raw: tuple) -> tuple:
+        """A base-field coefficient tuple, mapped into this field."""
+        return tuple(self._embed[c] for c in raw)
 
-    # -- arithmetic --------------------------------------------------------
+    def in_base(self, a: int) -> int:
+        """Coerce an element known to lie in the base field; error otherwise."""
+        c = self._preimage.get(a)
+        if c is None:
+            raise DomainError("element does not lie in the base field")
+        return c
 
-    def add(self, a, b):
-        K = self.base
-        return tuple(K.add(x, y) for x, y in zip(a, b))
+    def gen(self) -> int:
+        """alpha, the class of t."""
+        return self._alpha
 
-    def neg(self, a):
-        K = self.base
-        return tuple(K.neg(x) for x in a)
-
-    def sub(self, a, b):
-        K = self.base
-        return tuple(K.sub(x, y) for x, y in zip(a, b))
-
-    def mul(self, a, b):
-        K = self.base
-        prod = pa.mul(K, pa.trim(K, a), pa.trim(K, b))
-        return self._pad(pa.mod(K, prod, self._mod_poly))
-
-    def inv(self, a):
-        K = self.base
-        at = pa.trim(K, a)
-        if not at:
-            raise DomainError("inversion of zero")
-        return self._pad(pa.inv_mod(K, at, self._mod_poly))
-
-    def pow(self, a, e: int):
-        if e < 0:
-            return self.pow(self.inv(a), -e)
-        result = self.one
-        while e:
-            if e & 1:
-                result = self.mul(result, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return result
-
-    def frobenius(self, a):
+    def frobenius(self, a: int) -> int:
         """The base-field Frobenius z -> z^(q_base)."""
         return self.pow(a, self.base.q)
 
-    def trace(self, a) -> int:
-        """Absolute trace to F_p as an integer in [0, p)."""
-        total_deg = self.base.k * self.d
-        acc = self.zero
-        x = a
-        for _ in range(total_deg):
-            acc = self.add(acc, x)
-            x = self.pow(x, self.p)
-        for c in acc[1:]:
-            if c != 0:
-                raise DomainError("trace did not land in the prime field")
-        c0 = acc[0]
-        if c0 >= self.p:
-            raise DomainError("trace did not land in the prime field")
-        return c0
+    def elements(self) -> list:
+        """All elements in index order: the F_q-span of 1, alpha, ...,
+        alpha^(d - 1)."""
+        return _span(self, self._embed, [self.pow(self._alpha, i) for i in range(self.d)])
 
-    def in_base(self, a) -> int:
-        """Coerce an element known to lie in the base field; error otherwise."""
-        for c in a[1:]:
-            if c != 0:
-                raise DomainError("element does not lie in the base field")
-        return a[0]
+    def from_index(self, n: int) -> int:
+        qb = self.base.q
+        z = 0
+        for i in range(self.d - 1, -1, -1):
+            z = self.add(self.mul(z, self._alpha), self._embed[n // qb ** i % qb])
+        return z
+
+    def index(self, z: int) -> int:
+        return self._index_of[z]
+
+    @cached_property
+    def _index_of(self) -> dict:
+        return {z: n for n, z in enumerate(self.elements())}
+
+
+@cache
+def _absolute(p: int, n: int) -> FieldSpec:
+    """The FieldSpec(p, n) whose tables every ExtField of order p^n shares."""
+    return FieldSpec(p, n)
+
+
+@cache
+def _base_embedding(base: FieldSpec, n: int) -> tuple:
+    """The embedding of ``base`` into F_{p^n}, and its inverse as a dict."""
+    images = embedding(base, _absolute(base.p, n))
+    return images, {z: c for c, z in enumerate(images)}
+
+
+def primitive_modulus(base: FieldSpec, d: int) -> tuple:
+    """The minimal polynomial over ``base`` of the primitive element g of
+    F_{q^d}, prod_i (x - g^(q^i)), as the lower coefficients for ExtField.
+
+    g is the first root that ExtField tries, so its root search ends at once.
+    """
+    A = _absolute(base.p, base.k * d)
+    h = (1,)
+    for i in range(d):
+        h = pa.mul(A, h, (A.neg(A.exp(base.q ** i)), 1))
+    preimage = _base_embedding(base, A.k)[1]
+    return tuple(preimage[c] for c in h[:-1])
 
 
 def _is_irreducible_prime_field(p: int, modulus_low: tuple) -> bool:

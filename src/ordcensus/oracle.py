@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .errors import DomainError, ResourceGuardError, InvariantViolation
 from ._polyarith import evaluate
-from .fields import MAX_Q, FieldSpec, embedding
+from .fields import MAX_Q, ExtField, FieldSpec, primitive_modulus
 from .artin_schreier import ASCover, genus as genus_as, is_ordinary
 from .polys import local_to_global
 from .superelliptic import SECover, a_number, genus_se, is_ordinary_se
@@ -51,29 +51,9 @@ class LPolynomial:
             raise InvariantViolation("L(1) = #Jac must be positive")
 
 
-class Extension(FieldSpec):
-    """F_{q^k} as the absolute field F_{p^(k_q k)}, k_q = log_p q.
-
-    ``embed[c]`` is the image of the base-field element c.  Elements are
-    integer codes, so the sweep over ``range(size)`` needs no decoding.
-    """
-
-    def __init__(self, base: FieldSpec, k: int):
-        super().__init__(base.p, base.k * k)
-        self.size = self.q
-        self.embed = embedding(base, self)
-
-    def from_index(self, n: int) -> int:
-        return n
-
-    def lift(self, raw: tuple) -> tuple:
-        """A base-field coefficient tuple, mapped into this field."""
-        return tuple(self.embed[c] for c in raw)
-
-
-def extension_field(field: FieldSpec, k: int) -> Extension:
-    """F_{q^k} with its embedding of F_q."""
-    return Extension(field, k)
+def extension_field(field: FieldSpec, k: int) -> ExtField:
+    """F_{q^k} with its embedding of F_q, as an ExtField."""
+    return ExtField(field, primitive_modulus(field, k))
 
 
 def _guard(field: FieldSpec, g: int, k: int):
@@ -96,7 +76,7 @@ def count_points_as(c: ASCover, k: int) -> int:
     if c.infinity_part is not None:
         inf_poly = E.lift((0,) + c.infinity_part)  # sum c_j x^j, no constant term
     total = 0
-    for x in E.elements():
+    for x in range(E.q):
         den_vals = [evaluate(E, den, x) for _, den, _ in terms]
         if 0 in den_vals:
             continue  # pole: handled place by place below
@@ -123,7 +103,7 @@ def count_points_se(c: SECover, k: int) -> int:
     split = (E.q - 1) % n == 0
     parts = [(E.lift(f.full), i) for i, f in enumerate(c.parts, start=1) if f.degree > 0]
     total = 0
-    for x in E.elements():
+    for x in range(E.q):
         log_v = 0
         for raw, i in parts:
             fv = evaluate(E, raw, x)

@@ -273,8 +273,8 @@ class PartialFraction:
 
     ``parts`` maps each Place to the tuple (c_1, ..., c_e) of coefficients
     of the local part in the variable x_alpha = 1/(x - alpha), alpha a fixed
-    root of the place; entries are elements of the place's residue field
-    (tuples over the base field).  c_e is nonzero.
+    root of the place; entries are codes of the place's residue field
+    ``ext_field_for(place)``.  c_e is nonzero.
     """
 
     field: FieldSpec
@@ -283,10 +283,6 @@ class PartialFraction:
 
     def parts_dict(self) -> dict:
         return dict(self.parts)
-
-
-def _lift(E: ExtField, raw: tuple) -> tuple:
-    return tuple(E.embed(c) for c in raw)
 
 
 def _shift_by_root(E: ExtField, poly_E: tuple, alpha) -> tuple:
@@ -328,8 +324,8 @@ def local_expansion(place: Place, e: int, numerator: tuple) -> tuple:
     E = ext_field_for(place)
     alpha = E.gen()
     q_full = place.poly.full
-    q_E = _lift(E, q_full)
-    a_E = _lift(E, numerator)
+    q_E = E.lift(q_full)
+    a_E = E.lift(numerator)
     # place = (x - alpha) * R(x) over E
     r_E, rem = pa.divmod_(E, q_E, (E.neg(alpha), E.one))
     if pa.trim(E, rem) != ():

@@ -314,6 +314,17 @@ def count_tuple_family(field: FieldSpec, e: tuple) -> int:
     return _TUPLE_FAMILY_CACHE[key]
 
 
+_NONEMPTY_FAMILY_CACHE: dict = {}
+
+
+def _has_tuple_family(field: FieldSpec, e: tuple) -> bool:
+    """Whether F_{e_1, ..., e_r} is nonempty; stops at the first tuple."""
+    key = (field, tuple(e))
+    if key not in _NONEMPTY_FAMILY_CACHE:
+        _NONEMPTY_FAMILY_CACHE[key] = any(True for _ in enumerate_tuple_family(field, key[1]))
+    return _NONEMPTY_FAMILY_CACHE[key]
+
+
 def degree_tuples(n: int, m: int):
     """All (e_1, ..., e_{n-1}) of non-negative integers with sum m."""
     def rec(slots, total):
@@ -373,6 +384,9 @@ def census_se(field: FieldSpec, n: int, m_max: int):
     """
     if n % 2 == 0 or not is_prime(n):
         raise DomainError("n must be an odd prime")
+    if m_max > MAX_TUPLE_DEGREE:
+        raise ResourceGuardError(
+            f"census_se guarded at m <= {MAX_TUPLE_DEGREE} (tuple-family route), got {m_max}")
     euler = census_a_euler(field, n, m_max)
     rows = {}
     for m in range(0, m_max + 1):
@@ -406,7 +420,7 @@ def random_se_cover(field: FieldSpec, n: int, m: int, rng) -> SECover:
     squarefree pairwise-coprime monic parts of those degrees."""
     if m > MAX_TUPLE_DEGREE:
         raise ResourceGuardError(f"random cover guarded at total degree {MAX_TUPLE_DEGREE}")
-    tuples = [e for e in degree_tuples(n, m) if count_tuple_family(field, e) > 0]
+    tuples = [e for e in degree_tuples(n, m) if _has_tuple_family(field, e)]
     if not tuples:
         raise DomainError(f"no admissible degree tuples with sum {m}")
     e = rng.choice(tuples)

@@ -113,3 +113,32 @@ def test_ext_field_in_base():
     assert E.in_base(E.embed(1)) == 1
     with pytest.raises(DomainError):
         E.in_base(E.gen())
+
+
+def test_from_index_is_a_ring_isomorphism():
+    # from_index maps F_q[t]/(h), coordinates read as base-q digits, onto the
+    # ExtField; so the serialized "local" indices keep their meaning
+    from ordcensus import _polyarith as pa
+    from ordcensus.polys import ext_field_for, places_of_degree
+    rng = random.Random(11)
+    for K in (FieldSpec(2), FieldSpec(3), FieldSpec(2, 2), FieldSpec(3, 2)):
+        for d in (1, 2, 3):
+            for place in places_of_degree(K, d)[:2]:
+                E = ext_field_for(place)
+
+                def index(c):  # of a polynomial in t over K, reduced mod h
+                    return sum(x * K.q ** i for i, x in enumerate(c))
+
+                assert E.size == K.q ** d
+                for c in range(K.q):
+                    assert E.in_base(E.embed(c)) == c
+                if d >= 2:
+                    assert E.index(E.gen()) == K.q
+                for _ in range(60):
+                    a = pa.trim(K, [rng.randrange(K.q) for _ in range(d)])
+                    b = pa.trim(K, [rng.randrange(K.q) for _ in range(d)])
+                    za, zb = E.from_index(index(a)), E.from_index(index(b))
+                    assert E.index(za) == index(a)
+                    assert E.add(za, zb) == E.from_index(index(pa.add(K, a, b)))
+                    ab = pa.mod(K, pa.mul(K, a, b), place.poly.full)
+                    assert E.mul(za, zb) == E.from_index(index(ab))

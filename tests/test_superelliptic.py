@@ -210,3 +210,21 @@ def test_random_cover_determinism():
     a = se.random_se_cover(F2, 3, 4, random.Random(7))
     b = se.random_se_cover(F2, 3, 4, random.Random(7))
     assert a == b
+
+
+def test_census_se_guard_fires_before_any_route(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("census route ran before the guard")
+    monkeypatch.setattr(se, "census_a_euler", no_work)
+    monkeypatch.setattr(se, "count_tuple_family", no_work)
+    monkeypatch.setattr(se, "census_a_omega", no_work)
+    with pytest.raises(ResourceGuardError):
+        se.census_se(F2, 3, se.MAX_TUPLE_DEGREE + 1)
+
+
+def test_nonempty_family_check_matches_count():
+    for field in (F2, F4):
+        for n in (3, 5):
+            for m in range(5):
+                for e in se.degree_tuples(n, m):
+                    assert se._has_tuple_family(field, e) == (se.count_tuple_family(field, e) > 0)
