@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .dirichlet import CoeffSeries, series_multiply, series_one, series_pow
+from .dirichlet import cumulative_ratios, euler_coefficients, series_multiply
 from .errors import DomainError, ResourceGuardError
 from .fields import FieldSpec
-from .polys import Place, count_irreducibles, ext_field_for, places_of_degree
+from .polys import Place, ext_field_for, places_of_degree
 
 
 @dataclass(frozen=True)
@@ -182,11 +181,10 @@ class CensusTable:
                 raise DomainError(f"census row m={m} violates 0 <= b <= a")
 
     def cumulative_ratio(self, m_max: int) -> float:
-        a_total = sum(a for m, (a, _) in self.rows.items() if m <= m_max)
-        b_total = sum(b for m, (_, b) in self.rows.items() if m <= m_max)
-        if a_total == 0:
+        steps = list(cumulative_ratios(self.rows, sorted(m for m in self.rows if m <= m_max)))
+        if not steps:
             raise DomainError("empty census: zero denominator")
-        return b_total / a_total
+        return steps[-1][3]
 
 
 MAX_ENUM = 2 ** 22
@@ -208,47 +206,29 @@ def census_enumerated(field: FieldSpec, m_max: int,
     return CensusTable(field.q, field.p, rows, "enumerated")
 
 
-def local_factor_series(q: int, p: int, d: int, M: int) -> CoeffSeries:
-    """Z_Q as a series in u = q^{-s} for a place of degree d, order M."""
-    norm = q ** d
-    coeffs = [Fraction(0)] * (M + 1)
-    coeffs[0] = Fraction(1)
-    for k in admissible_pole_orders(p, M // d if d else 0):
-        if d * k <= M:
-            coeffs[d * k] = Fraction(count_local_parts(norm, k - 1, p))
-    return CoeffSeries(q, tuple(coeffs), M)
-
-
-def ordinary_local_factor_series(q: int, d: int, M: int) -> CoeffSeries:
-    """Z_{0,Q} = 1 + (|Q|-1)|Q|^{-2s} as a series in u = q^{-s}."""
-    norm = q ** d
-    coeffs = [Fraction(0)] * (M + 1)
-    coeffs[0] = Fraction(1)
-    if 2 * d <= M:
-        coeffs[2 * d] = Fraction(norm - 1)
-    return CoeffSeries(q, tuple(coeffs), M)
-
-
 def census_analytic(field: FieldSpec, m_max: int,
                     include_infinity: bool = False) -> CensusTable:
+    """Coefficients of prod_Q Z_Q (all covers) and prod_Q Z_{0,Q} (ordinary
+    covers) in u = q^{-s}, where Z_Q sums the admissible local parts of a
+    place by pole order and Z_{0,Q} = 1 + (|Q|-1)|Q|^{-2s}."""
     q, p = field.q, field.p
-    M = m_max
-    a_series = series_one(q, M)
-    b_series = series_one(q, M)
-    for d in range(1, M + 1):
-        i_d = count_irreducibles(q, d)
-        a_series = series_multiply(a_series, series_pow(local_factor_series(q, p, d, M), i_d), M)
-        b_series = series_multiply(b_series, series_pow(ordinary_local_factor_series(q, d, M), i_d), M)
+
+    def local(d):
+        coeffs = [1] + [0] * (m_max // d)
+        for k in admissible_pole_orders(p, m_max // d):
+            coeffs[k] = count_local_parts(q ** d, k - 1, p)
+        return coeffs
+
+    def ordinary_local(d):
+        return [1, 0, q ** d - 1]
+
+    a_series = euler_coefficients(q, local, m_max)
+    b_series = euler_coefficients(q, ordinary_local, m_max)
     if include_infinity:
         # the infinity factor coincides with a degree-1 local factor
-        a_series = series_multiply(a_series, local_factor_series(q, p, 1, M), M)
-        b_series = series_multiply(b_series, ordinary_local_factor_series(q, 1, M), M)
-    rows = {}
-    for m in range(2, m_max + 1):
-        a = a_series.coeff(m)
-        b = b_series.coeff(m)
-        assert a.denominator == 1 and b.denominator == 1
-        rows[m] = (int(a), int(b))
+        a_series = series_multiply(local(1), a_series, m_max)
+        b_series = series_multiply(ordinary_local(1), b_series, m_max)
+    rows = {m: (a_series[m], b_series[m]) for m in range(2, m_max + 1)}
     return CensusTable(q, p, rows, "analytic")
 
 

@@ -60,27 +60,16 @@ def emit_json(data, output: str | None):
     emit(json.dumps(data, indent=2), output)
 
 
-def _cumulative_rows(rows: dict, m_values):
-    """(m, a_m, b_m, sum b / sum a over m' <= m) for each m; the ratio is
-    0.0 while the sum of a is 0."""
-    a_total = b_total = 0
-    for m in m_values:
-        a, b = rows[m]
-        a_total += a
-        b_total += b
-        yield m, a, b, (b_total / a_total if a_total else 0.0)
-
-
 def census_csv(rows: dict, m_values) -> str:
     lines = ["m,a_m,b_m,cumulative_ratio"]
-    for m, a, b, ratio in _cumulative_rows(rows, m_values):
+    for m, a, b, ratio in dirichlet.cumulative_ratios(rows, m_values):
         lines.append(f"{m},{a},{b},{ratio:.6f}")
     return "\n".join(lines)
 
 
 def census_json(rows: dict, m_values) -> list:
     return [{"m": m, "a_m": a, "b_m": b, "cumulative_ratio": round(ratio, 6)}
-            for m, a, b, ratio in _cumulative_rows(rows, m_values)]
+            for m, a, b, ratio in dirichlet.cumulative_ratios(rows, m_values)]
 
 
 def _m_max_from_args(args) -> int:

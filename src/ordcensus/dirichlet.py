@@ -1,8 +1,9 @@
-"""Dirichlet series in q^{-s} with exact rational coefficients, and
+"""Dirichlet series in u = q^{-s} with integer coefficients, and
 truncated Euler products over places with rigorous tail bounds.
 
 All the limiting constants (phi(1), psi_p(1), the modified-family
-probability, the CEZB product, Phi_k/phi_k, L_{n-2}, kappa_n) live here.
+probability, the CEZB product, Phi_k/phi_k, L_{n-2}, kappa_n) live here,
+as does the one integer Euler-coefficient engine behind the exact censuses.
 
 Products over places are always grouped by degree: the degree-d local
 factor is raised to the number of monic irreducibles of degree d, so the
@@ -13,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from mpmath import mp, mpf, exp, log
 
@@ -26,64 +26,61 @@ if mp.dps < 30:
 
 
 # ---------------------------------------------------------------------------
-# Exact coefficient series
+# Integer coefficient series
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CoeffSeries:
-    """sum_{m=0}^{M} c_m q^{-ms}, coefficients exact rationals."""
+def series_multiply(a: list, b: list, N: int) -> list:
+    """Cauchy product of two int coefficient lists, truncated at degree N.
 
-    q: int
-    coeffs: tuple  # Fractions, c_0 .. c_M
-    M: int
-
-    def __post_init__(self):
-        if len(self.coeffs) != self.M + 1:
-            raise DomainError("coefficient list must have length M+1")
-
-    def coeff(self, m: int) -> Fraction:
-        return self.coeffs[m]
+    Zero coefficients of ``a`` are skipped, so pass the sparser factor first.
+    """
+    out = [0] * (N + 1)
+    for i, x in enumerate(a[: N + 1]):
+        if x:
+            for j, y in enumerate(b[: N + 1 - i], start=i):
+                out[j] += x * y
+    return out
 
 
-def series_from_list(q: int, coeffs, M: int) -> CoeffSeries:
-    cs = [Fraction(c) for c in coeffs[: M + 1]]
-    cs += [Fraction(0)] * (M + 1 - len(cs))
-    return CoeffSeries(q, tuple(cs), M)
-
-
-def series_one(q: int, M: int) -> CoeffSeries:
-    return series_from_list(q, [1], M)
-
-
-def series_multiply(a: CoeffSeries, b: CoeffSeries, M: int | None = None) -> CoeffSeries:
-    """Cauchy product truncated at order M (default: min of the inputs)."""
-    if a.q != b.q:
-        raise DomainError("cannot multiply series over different q")
-    if M is None:
-        M = min(a.M, b.M)
-    out = [Fraction(0)] * (M + 1)
-    for i, ca in enumerate(a.coeffs):
-        if i > M or ca == 0:
-            continue
-        for j, cb in enumerate(b.coeffs):
-            if i + j > M:
-                break
-            out[i + j] += ca * cb
-    return CoeffSeries(a.q, tuple(out), M)
-
-
-def series_pow(a: CoeffSeries, e: int, M: int | None = None) -> CoeffSeries:
-    if M is None:
-        M = a.M
-    result = series_one(a.q, M)
-    base = a
+def series_pow(a: list, e: int, N: int) -> list:
+    """a^e truncated at degree N, by binary powering."""
+    result = [1] + [0] * N
     while e:
         if e & 1:
-            result = series_multiply(result, base, M)
-        base = series_multiply(base, base, M)
+            result = series_multiply(result, a, N)
         e >>= 1
+        if e:
+            a = series_multiply(a, a, N)
     return result
+
+
+def euler_coefficients(q: int, local, M: int) -> list:
+    """c_0..c_M of prod over places Q of F_q[x] of the local factors.
+
+    ``local(d)`` is the degree-d local factor as an int list in v = u^d.
+    It is raised to I_d, the number of places of degree d, in v, truncated
+    at M // d, then spread onto u^d.
+    """
+    coeffs = [1] + [0] * M
+    for d in range(1, M + 1):
+        spread = [0] * (M + 1)
+        spread[::d] = series_pow(local(d), count_irreducibles(q, d), M // d)
+        coeffs = series_multiply(spread, coeffs, M)
+    return coeffs
+
+
+def cumulative_ratios(rows: dict, m_values):
+    """(m, a_m, b_m, sum b / sum a over the m' up to m) for each m in
+    ``m_values``, where rows maps m -> (a_m, b_m)."""
+    a_total = b_total = 0
+    for m in m_values:
+        a, b = rows[m]
+        a_total += a
+        b_total += b
+        if a_total == 0:
+            raise DomainError(f"zero denominator in cumulative ratio at m={m}")
+        yield m, a, b, b_total / a_total
 
 
 # ---------------------------------------------------------------------------
@@ -156,12 +153,18 @@ def phi_at_1(q: int, D: int | None = None) -> EulerProductValue:
     return euler_product(q, lambda x: 1 - 2 / x ** 2 + 1 / x ** 3, lead=3, D=D)
 
 
-def _poly_mul_int(a: list, b: list) -> list:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
+def _local_polynomial_product(q: int, poly: list, D: int | None) -> EulerProductValue:
+    """prod over places of sum_j poly[j] |Q|^{-j}, whose 1/|Q| term cancels."""
+    assert poly[0] == 1 and poly[1] == 0  # the 1/|Q| term cancels exactly
+    lead = sum(abs(c) for c in poly[2:])
+
+    def local(x):
+        acc = mpf(0)
+        for c in reversed(poly):
+            acc = acc / x + c
+        return acc
+
+    return euler_product(q, local, lead=lead, D=D)
 
 
 def psi_p_at_1(p: int, q: int, D: int | None = None) -> EulerProductValue:
@@ -171,19 +174,8 @@ def psi_p_at_1(p: int, q: int, D: int | None = None) -> EulerProductValue:
     if p == 2:
         return EulerProductValue(1 - 1 / mpf(q), 0, mpf(0))
     # local factor (1 + (p-2)x - (p-1)x^2) (1-x)^{p-2} with x = 1/|Q|
-    poly = [1, p - 2, -(p - 1)]
-    for _ in range(p - 2):
-        poly = _poly_mul_int(poly, [1, -1])
-    assert poly[0] == 1 and poly[1] == 0  # the 1/|Q| term cancels exactly
-    lead = sum(abs(c) for c in poly[2:])
-
-    def local(x):
-        acc = mpf(0)
-        for j in range(len(poly) - 1, -1, -1):
-            acc = acc / x + poly[j]
-        return acc
-
-    return euler_product(q, local, lead=lead, D=D)
+    poly = series_multiply([1, p - 2, -(p - 1)], series_pow([1, -1], p - 2, p), p)
+    return _local_polynomial_product(q, poly, D)
 
 
 def ordinary_probability_as(q: int, p: int, include_infinity: bool) -> mpf:
@@ -212,19 +204,8 @@ def phi_k_at_1(q: int, k: int, D: int | None = None) -> EulerProductValue:
         raise DomainError("k must be >= 0")
     if k == 0:
         return EulerProductValue(mpf(1), 0, mpf(0))
-    poly = [1, k]
-    for _ in range(k):
-        poly = _poly_mul_int(poly, [1, -1])
-    assert poly[0] == 1 and poly[1] == 0
-    lead = sum(abs(c) for c in poly[2:])
-
-    def local(x):
-        acc = mpf(0)
-        for j in range(len(poly) - 1, -1, -1):
-            acc = acc / x + poly[j]
-        return acc
-
-    return euler_product(q, local, lead=lead, D=D)
+    poly = series_multiply([1, k], series_pow([1, -1], k, k + 1), k + 1)
+    return _local_polynomial_product(q, poly, D)
 
 
 def l_constant(n: int, q: int, D: int | None = None) -> EulerProductValue:

@@ -11,10 +11,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .dirichlet import cumulative_ratios, euler_coefficients, l_constant, zeta_affine
 from .errors import DomainError, ResourceGuardError, InvariantViolation
 from .fields import FieldSpec, is_prime
-from .polys import (MonicPoly, count_irreducibles, enumerate_monic,
-                    gcd_monic, is_squarefree, mul_monic, omega, poly_one)
+from .polys import (MonicPoly, enumerate_monic, gcd_monic, is_squarefree,
+                    mul_monic, omega, poly_one)
 
 
 @dataclass(frozen=True)
@@ -358,16 +359,7 @@ def census_a_omega(field: FieldSpec, n: int, m: int) -> int:
 
 def census_a_euler(field: FieldSpec, n: int, m_max: int) -> list:
     """Route (iii): coefficients of prod_Q (1 + (n-1)|Q|^{-s}) up to order m_max."""
-    q = field.q
-    coeffs = [0] * (m_max + 1)
-    coeffs[0] = 1
-    for d in range(1, m_max + 1):
-        i_d = count_irreducibles(q, d)
-        # multiply by (1 + (n-1) u^d)^{I_d}
-        for _ in range(i_d):
-            for m in range(m_max, d - 1, -1):
-                coeffs[m] += (n - 1) * coeffs[m - d]
-    return coeffs
+    return euler_coefficients(field.q, lambda d: [1, n - 1], m_max)
 
 
 def census_b_tuples(field: FieldSpec, n: int, m: int) -> int:
@@ -384,9 +376,10 @@ def census_se(field: FieldSpec, n: int, m_max: int):
     """
     if n % 2 == 0 or not is_prime(n):
         raise DomainError("n must be an odd prime")
-    if m_max > MAX_TUPLE_DEGREE:
+    if field.q ** m_max > 2 ** MAX_TUPLE_DEGREE:
         raise ResourceGuardError(
-            f"census_se guarded at m <= {MAX_TUPLE_DEGREE} (tuple-family route), got {m_max}")
+            f"census_se guarded at q^m <= 2^{MAX_TUPLE_DEGREE} (tuple-family route), "
+            f"got {field.q}^{m_max}")
     euler = census_a_euler(field, n, m_max)
     rows = {}
     for m in range(0, m_max + 1):
@@ -403,16 +396,8 @@ def census_se(field: FieldSpec, n: int, m_max: int):
 def ordinary_ratio_se(field: FieldSpec, n: int, m_max: int) -> list:
     """Cumulative ordinary proportion [(m, sum b / sum a)] for m = 2..m_max."""
     rows = census_se(field, n, m_max)
-    out = []
-    a_total = b_total = 0
-    for m in range(0, m_max + 1):
-        a_total += rows[m][0]
-        b_total += rows[m][1]
-        if m >= 2:
-            if a_total == 0:
-                raise DomainError("zero denominator in ordinary ratio")
-            out.append((m, b_total / a_total))
-    return out
+    return [(m, ratio) for m, _, _, ratio in cumulative_ratios(rows, range(m_max + 1))
+            if m >= 2]
 
 
 def random_se_cover(field: FieldSpec, n: int, m: int, rng) -> SECover:
@@ -437,7 +422,6 @@ def random_se_cover(field: FieldSpec, n: int, m: int, rng) -> SECover:
 
 def bdfl_ratio_report(field: FieldSpec, e1: int, e2: int) -> float:
     """|F_{e1,e2}| zeta(2)^2 / (L_1 q^{e1+e2}): near 1 for large q (report only)."""
-    from .dirichlet import l_constant, zeta_affine
     q = field.q
     count = count_tuple_family(field, (e1, e2))
     z2 = zeta_affine(q, 2)

@@ -127,24 +127,20 @@ def test_empirical_probability_converges():
 
 def test_p2_zeta_quotient_identity():
     # p = 2: the full generating product equals zeta(2s-1)/zeta(2s), i.e.
-    # (1 - q u^2)/(1 - q^2 u^2) in u = q^{-s} -- exact rational coefficients
-    from fractions import Fraction
-
-    from ordcensus.dirichlet import series_multiply, series_one, series_pow
-    from ordcensus.polys import count_irreducibles
-    q, M = 2, 20
-    prod = series_one(q, M)
-    for d in range(1, M + 1):
-        prod = series_multiply(
-            prod,
-            series_pow(asc.local_factor_series(q, 2, d, M),
-                       count_irreducibles(q, d)),
-            M)
-    expected = [Fraction(0)] * (M + 1)
-    expected[0] = Fraction(1)
-    for k in range(1, M // 2 + 1):
-        expected[2 * k] = Fraction(q ** (2 * k) - q ** (2 * k - 1))
-    assert list(prod.coeffs) == expected
+    # (1 - q u^2)/(1 - q^2 u^2) in u = q^{-s}.  The local factor of a place
+    # of norm N has (N - 1) N^{k/2 - 1} parts of even pole order k.
+    from ordcensus.dirichlet import euler_coefficients
+    q = 2
+    for M in (20, 40):
+        def local(d):
+            norm = q ** d
+            return [1, 0] + [(norm - 1) * norm ** (k // 2 - 1) if k % 2 == 0 else 0
+                             for k in range(2, M // d + 1)]
+        expected = [0] * (M + 1)
+        expected[0] = 1
+        for k in range(1, M // 2 + 1):
+            expected[2 * k] = q ** (2 * k) - q ** (2 * k - 1)
+        assert euler_coefficients(q, local, M) == expected
 
 
 def test_m_invariant_genus_relation():

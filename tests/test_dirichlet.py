@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 from mpmath import mpf
 
@@ -12,19 +10,28 @@ TABLE1_CEZB = {2: 0.419422, 4: 0.737512, 8: 0.873264, 16: 0.937270, 32: 0.968720
 
 
 def test_series_multiply_and_pow():
-    a = dd.series_from_list(2, [1, 1], 4)       # 1 + u
-    sq = dd.series_multiply(a, a)
-    assert sq.coeffs[:3] == (Fraction(1), Fraction(2), Fraction(1))
-    cube = dd.series_pow(a, 3)
-    assert cube.coeffs[:4] == (Fraction(1), Fraction(3), Fraction(3), Fraction(1))
-    assert dd.series_pow(a, 0).coeffs[0] == 1
+    a = [1, 1]                                  # 1 + u
+    assert dd.series_multiply(a, a, 4) == [1, 2, 1, 0, 0]
+    assert dd.series_pow(a, 3, 4) == [1, 3, 3, 1, 0]
+    assert dd.series_pow(a, 3, 2) == [1, 3, 3]  # truncated at degree 2
+    assert dd.series_pow(a, 0, 4) == [1, 0, 0, 0, 0]
 
 
-def test_series_q_mismatch():
-    a = dd.series_one(2, 3)
-    b = dd.series_one(3, 3)
+def test_euler_coefficients_closed_form():
+    # prod_Q (1 + u^{deg Q}) = zeta(s)/zeta(2s) = (1 - q u^2)/(1 - q u)
+    M = 60
+    for q in (2, 3, 4):
+        c = dd.euler_coefficients(q, lambda d: [1, 1], M)
+        assert c[:2] == [1, q]
+        assert c[2:] == [q ** m - q ** (m - 1) for m in range(2, M + 1)]
+
+
+def test_cumulative_ratios():
+    rows = {0: (1, 1), 1: (2, 0), 2: (1, 1)}
+    assert list(dd.cumulative_ratios(rows, range(3))) == [
+        (0, 1, 1, 1.0), (1, 2, 0, 1 / 3), (2, 1, 1, 0.5)]
     with pytest.raises(DomainError):
-        dd.series_multiply(a, b)
+        list(dd.cumulative_ratios({2: (0, 0)}, [2]))
 
 
 def test_zeta_affine():

@@ -218,8 +218,9 @@ def test_census_se_guard_fires_before_any_route(monkeypatch):
     monkeypatch.setattr(se, "census_a_euler", no_work)
     monkeypatch.setattr(se, "count_tuple_family", no_work)
     monkeypatch.setattr(se, "census_a_omega", no_work)
-    with pytest.raises(ResourceGuardError):
-        se.census_se(F2, 3, se.MAX_TUPLE_DEGREE + 1)
+    for field, m_max in ((F2, se.MAX_TUPLE_DEGREE + 1), (F4, 9)):
+        with pytest.raises(ResourceGuardError):
+            se.census_se(field, 3, m_max)
 
 
 def test_nonempty_family_check_matches_count():
