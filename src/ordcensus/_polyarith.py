@@ -5,7 +5,10 @@ first, with no trailing zeros; the empty tuple is the zero polynomial.
 The field object must provide ``zero``, ``one`` and the element operations
 ``add``, ``sub``, ``neg``, ``mul``, ``inv``.  Every field of the package
 is a :class:`fields.FieldSpec` (its subclass :class:`fields.ExtField`
-included), whose elements are integer codes with zero coded 0.
+included), whose elements are integer codes with zero coded 0.  Over a
+prime field (``K.k == 1``) the codes are the residues mod p, and ``mul``,
+``divmod_`` and ``derivative`` do that arithmetic inline instead of calling
+the field's methods once per coefficient; the results are the same.
 """
 
 from .errors import DomainError
@@ -51,6 +54,13 @@ def mul(K, a, b):
     if not a or not b:
         return ()
     out = [K.zero] * (len(a) + len(b) - 1)
+    if K.k == 1:
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        p = K.p
+        return trim(K, [c % p for c in out])
     for i, x in enumerate(a):
         if x == K.zero:
             continue
@@ -66,6 +76,15 @@ def divmod_(K, a, b):
     r = list(a)
     q = [K.zero] * max(len(a) - len(b) + 1, 0)
     db = deg(b)
+    if K.k == 1:
+        p = K.p
+        for i in range(len(a) - len(b), -1, -1):
+            c = r[i + db] * binv % p
+            if c:
+                q[i] = c
+                for j, y in enumerate(b, i):
+                    r[j] = (r[j] - c * y) % p
+        return trim(K, q), trim(K, r)
     for i in range(len(a) - len(b), -1, -1):
         c = K.mul(r[i + db], binv)
         if c == K.zero:
@@ -96,6 +115,9 @@ def gcd(K, a, b):
 
 
 def derivative(K, a):
+    if K.k == 1:
+        p = K.p
+        return trim(K, [i * a[i] % p for i in range(1, len(a))])
     out = []
     for i in range(1, len(a)):
         c = K.zero

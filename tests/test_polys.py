@@ -206,3 +206,25 @@ def test_poly_helpers():
     x = poly_x(F2)
     assert mul_monic(x, x).to_text() == "0,0,1"
     assert gcd_monic(MonicPoly.from_text(F2, "0,1,1"), x) == x
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_prime_field_arithmetic_matches_galoistools(p):
+    """mul, divmod_ and derivative over F_p (the inline residue paths)
+    against sympy's galoistools, which shares no code with them."""
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_diff, gf_div, gf_mul
+
+    def gf(c):  # lowest degree first -> sympy's highest first
+        return list(reversed(c))
+
+    K = FieldSpec(p)
+    rng = random.Random(p)
+    for _ in range(200):
+        a = pa.trim(K, [rng.randrange(p) for _ in range(rng.randrange(12))])
+        b = pa.trim(K, [rng.randrange(p) for _ in range(rng.randrange(1, 8))])
+        assert gf(pa.mul(K, a, b)) == gf_mul(gf(a), gf(b), p, ZZ)
+        assert gf(pa.derivative(K, a)) == gf_diff(gf(a), p, ZZ)
+        if b:
+            q, r = pa.divmod_(K, a, b)
+            assert [gf(q), gf(r)] == list(gf_div(gf(a), gf(b), p, ZZ))
