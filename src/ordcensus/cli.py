@@ -84,6 +84,8 @@ def _m_max_from_args(args) -> int:
         return m
     if args.max_m is None:
         raise DomainError("one of --max-m / --x-bound is required")
+    if args.max_m < 0:
+        raise DomainError("--max-m must be >= 0")
     return args.max_m
 
 
@@ -149,6 +151,8 @@ def cmd_classify(args) -> int:
     else:
         if args.sample is None:
             raise DomainError("classify requires --cover or --sample")
+        if args.sample < 0:
+            raise DomainError("--sample must be >= 0")
         import random
         rng = random.Random(args.seed)
         field = field_from_qp(args.q, 2)

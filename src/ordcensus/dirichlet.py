@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from mpmath import mp, mpf, exp, log
 
 from .errors import DomainError
-from .fields import is_prime
+from .fields import require_odd_prime
 from .polys import count_irreducibles
 
 if mp.dps < 30:
@@ -210,8 +210,7 @@ def phi_k_at_1(q: int, k: int, D: int | None = None) -> EulerProductValue:
 
 def l_constant(n: int, q: int, D: int | None = None) -> EulerProductValue:
     """L_{n-2} = prod_{j=1}^{n-2} prod_Q (1 - j/((|Q|+1)(|Q|+j)))."""
-    if n % 2 == 0 or not is_prime(n):
-        raise DomainError("n must be an odd prime")
+    require_odd_prime(n)
 
     def local(x):
         acc = mpf(1)
@@ -225,6 +224,5 @@ def l_constant(n: int, q: int, D: int | None = None) -> EulerProductValue:
 
 def kappa_constant(n: int, q: int) -> mpf:
     """kappa_n(q) = q phi_{n-1}(1) / (log(q) (n-2)!)."""
-    if n % 2 == 0 or not is_prime(n):
-        raise DomainError("n must be an odd prime")
+    require_odd_prime(n)
     return mpf(q) * phi_k_at_1(q, n - 1).value / (log(mpf(q)) * math.factorial(n - 2))

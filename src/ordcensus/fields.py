@@ -43,7 +43,13 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _prime_factors(n: int):
+def require_odd_prime(n: int) -> None:
+    if n % 2 == 0 or not is_prime(n):
+        raise DomainError("n must be an odd prime")
+
+
+def prime_factors(n: int):
+    """The distinct primes dividing n, increasing."""
     out = []
     f = 2
     while f * f <= n:
@@ -216,7 +222,7 @@ class FieldSpec:
         n = self.q - 1
         fp = FieldSpec(self.p)
         f = self.modulus + (1,)
-        cofactors = [n // r for r in _prime_factors(n)]
+        cofactors = [n // r for r in prime_factors(n)]
         for g in range(1, self.q):
             x = pa.trim(fp, self.digits(g))
             if all(pa.pow_mod(fp, x, e, f) != (1,) for e in cofactors):
@@ -437,7 +443,7 @@ def _is_irreducible_prime_field(p: int, modulus_low: tuple) -> bool:
     xq = pa.pow_mod(K, x, p ** k, f)
     if pa.trim(K, pa.sub(K, xq, x)) != ():
         return False
-    for ell in _prime_factors(k):
+    for ell in prime_factors(k):
         xe = pa.pow_mod(K, x, p ** (k // ell), f)
         g = pa.gcd(K, pa.sub(K, xe, x), f)
         if pa.deg(g) != 0:

@@ -7,6 +7,14 @@ zero polynomial is the constant 1.  The zero polynomial is never a
 MonicPoly; raw coefficient tuples (see :mod:`_polyarith`) are used wherever
 general polynomials are needed.
 
+Places (monic irreducibles) come from one trial-division sieve:
+``_factors`` divides by the places of each degree up to half of what
+remains, ``factor`` and ``is_irreducible`` read its output, and
+``places_of_degree`` keeps, once per (field, degree), the polynomials that
+``is_irreducible`` accepts.  Places these routines have proved irreducible
+are built without a second test; ``Place(poly)`` called from outside
+validates its polynomial and raises ``DomainError`` on a reducible one.
+
 Text format (used by the CLI): comma-separated coefficient representatives,
 lowest degree first, with the leading 1 written explicitly.  Over F_2,
 ``"0,1,1"`` is x^2 + x.
@@ -15,12 +23,13 @@ lowest degree first, with the leading 1 written explicitly.  Over F_2,
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import total_ordering
 
 from . import _polyarith as pa
 from .errors import DomainError, ResourceGuardError
-from .fields import ExtField, FieldSpec
+from .fields import ExtField, FieldSpec, prime_factors
 
 
 @total_ordering
@@ -85,11 +94,6 @@ def gcd_monic(a: MonicPoly, b: MonicPoly) -> MonicPoly:
     return MonicPoly(a.field, g[:-1])
 
 
-def divmod_monic(a: MonicPoly, b: MonicPoly):
-    q, r = pa.divmod_(a.field, a.full, b.full)
-    return q, r
-
-
 @total_ordering
 @dataclass(frozen=True)
 class Place:
@@ -128,18 +132,8 @@ def enumerate_monic(field: FieldSpec, d: int):
 def mobius(n: int) -> int:
     if n < 1:
         raise DomainError("mobius is defined for n >= 1")
-    result = 1
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            n //= f
-            if n % f == 0:
-                return 0
-            result = -result
-        f += 1
-    if n > 1:
-        result = -result
-    return result
+    primes = prime_factors(n)
+    return (-1) ** len(primes) if math.prod(primes) == n else 0
 
 
 def count_irreducibles(q: int, d: int) -> int:
@@ -153,82 +147,65 @@ def count_irreducibles(q: int, d: int) -> int:
     return total // d
 
 
-_IRRED_CACHE: dict = {}
-
-
-def irreducible_polys(field: FieldSpec, d: int) -> tuple:
-    """All monic irreducibles of degree d, sorted, via trial-division sieve."""
-    key = (field, d)
-    if key in _IRRED_CACHE:
-        return _IRRED_CACHE[key]
-    if field.q ** d > 2 ** 22:
-        raise ResourceGuardError(f"enumerating irreducibles of degree {d} over F_{field.q}")
-    out = []
-    for f in enumerate_monic(field, d):
-        if _trial_irreducible(f):
-            out.append(f)
-    result = tuple(out)
-    _IRRED_CACHE[key] = result
-    return result
-
-
-_IRRED_TEST_CACHE: dict = {}
-
-
-def _trial_irreducible(f: MonicPoly) -> bool:
-    if f in _IRRED_TEST_CACHE:
-        return _IRRED_TEST_CACHE[f]
-    d = f.degree
-    result = d > 0
-    K = f.field
-    for e in range(1, d // 2 + 1):
-        if not result:
-            break
-        for g in irreducible_polys(K, e):
-            if pa.mod(K, f.full, g.full) == ():
-                result = False
-                break
-    _IRRED_TEST_CACHE[f] = result
-    return result
-
-
-def is_irreducible(f: MonicPoly) -> bool:
-    return _trial_irreducible(f)
-
-
 _PLACES_CACHE: dict = {}
 
 
+def _place(poly: MonicPoly) -> Place:
+    """A Place built without the irreducibility test of ``__post_init__``.
+
+    Precondition: ``poly`` is monic irreducible, proved so by the caller (the
+    sieve of ``places_of_degree`` or the trial division of ``_factors``).
+    """
+    place = object.__new__(Place)
+    object.__setattr__(place, "poly", poly)
+    return place
+
+
 def places_of_degree(field: FieldSpec, d: int) -> tuple:
+    """All places of degree d, sorted: the monic f of degree d that no place
+    of degree <= d/2 divides."""
     key = (field, d)
     if key not in _PLACES_CACHE:
-        _PLACES_CACHE[key] = tuple(Place(g) for g in irreducible_polys(field, d))
+        if field.q ** d > 2 ** 22:
+            raise ResourceGuardError(f"enumerating irreducibles of degree {d} over F_{field.q}")
+        _PLACES_CACHE[key] = tuple(_place(f) for f in enumerate_monic(field, d)
+                                   if is_irreducible(f))
     return _PLACES_CACHE[key]
 
 
-def factor(f: MonicPoly) -> tuple:
-    """Factorization into (Place, multiplicity), sorted by place."""
+def _factors(f: MonicPoly):
+    """Trial division: yields (Place, multiplicity), lowest degree first.
+
+    f is divided by the places of degree d while 2d <= the degree of what
+    remains; the cofactor left then has no factor of degree <= half its own,
+    so it is irreducible, and it comes last.
+    """
     K = f.field
     rem = f.full
-    out = []
     d = 1
-    while pa.deg(rem) > 0:
-        if 2 * d > pa.deg(rem):
-            out.append((Place(MonicPoly(K, rem[:-1])), 1))
-            break
-        for g in irreducible_polys(K, d):
+    while 2 * d <= pa.deg(rem):
+        for place in places_of_degree(K, d):
             mult = 0
             while True:
-                q, r = pa.divmod_(K, rem, g.full)
+                q, r = pa.divmod_(K, rem, place.poly.full)
                 if r != ():
                     break
                 rem = q
                 mult += 1
             if mult:
-                out.append((Place(g), mult))
+                yield place, mult
         d += 1
-    out.sort(key=lambda pm: pm[0])
-    return tuple(out)
+    if pa.deg(rem) > 0:
+        yield _place(MonicPoly(K, rem[:-1])), 1
+
+
+def is_irreducible(f: MonicPoly) -> bool:
+    return f.degree > 0 and next(_factors(f))[0].poly == f
+
+
+def factor(f: MonicPoly) -> tuple:
+    """Factorization into (Place, multiplicity), sorted by place."""
+    return tuple(sorted(_factors(f)))
 
 
 def omega(f: MonicPoly) -> int:
@@ -294,14 +271,6 @@ def _shift_by_root(E: ExtField, poly_E: tuple, alpha) -> tuple:
     return res
 
 
-def _series_trunc(c: tuple, e: int) -> tuple:
-    return tuple(c[:e])
-
-
-def _series_mul(E: ExtField, a: tuple, b: tuple, e: int) -> tuple:
-    return _series_trunc(pa.mul(E, a, b), e)
-
-
 def _series_inv(E: ExtField, b: tuple, e: int) -> tuple:
     """Inverse of a power series with nonzero constant term, mod t^e."""
     b = tuple(b) + (E.zero,) * max(0, e - len(b))
@@ -330,12 +299,12 @@ def local_expansion(place: Place, e: int, numerator: tuple) -> tuple:
     r_E, rem = pa.divmod_(E, q_E, (E.neg(alpha), E.one))
     if pa.trim(E, rem) != ():
         raise DomainError("internal: generator is not a root of its place")
-    a_shift = _series_trunc(_shift_by_root(E, a_E, alpha), e)
-    r_shift = _series_trunc(_shift_by_root(E, r_E, alpha), e)
+    a_shift = _shift_by_root(E, a_E, alpha)[:e]
+    r_shift = _shift_by_root(E, r_E, alpha)[:e]
     r_pow = (E.one,)
     for _ in range(e):
-        r_pow = _series_mul(E, r_pow, r_shift, e)
-    s = _series_mul(E, a_shift, _series_inv(E, r_pow, e), e)
+        r_pow = pa.mul(E, r_pow, r_shift)[:e]
+    s = pa.mul(E, a_shift, _series_inv(E, r_pow, e))[:e]
     s = tuple(s) + (E.zero,) * max(0, e - len(s))
     coeffs = tuple(s[e - j] for j in range(1, e + 1))
     if coeffs[-1] == E.zero:

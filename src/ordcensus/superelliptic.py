@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .dirichlet import cumulative_ratios, euler_coefficients, l_constant, zeta_affine
 from .errors import DomainError, ResourceGuardError, InvariantViolation
-from .fields import FieldSpec, is_prime
+from .fields import FieldSpec, require_odd_prime
 from .polys import (MonicPoly, enumerate_monic, gcd_monic, is_squarefree,
                     mul_monic, omega, poly_one)
 
@@ -27,8 +27,7 @@ class SECover:
     parts: tuple  # (f_1, ..., f_{n-1}), MonicPoly each (constant 1 allowed)
 
     def __post_init__(self):
-        if self.n % 2 == 0 or not is_prime(self.n):
-            raise DomainError("n must be an odd prime")
+        require_odd_prime(self.n)
         if self.field.p == self.n:
             raise DomainError("n must be coprime to the characteristic")
         if len(self.parts) != self.n - 1:
@@ -61,13 +60,6 @@ class SECover:
     def branch_count(self) -> int:
         """Number of branch points of the cover (the census invariant m)."""
         return sum(self.degrees) + self.epsilon
-
-    def product_poly(self) -> MonicPoly:
-        f = poly_one(self.field)
-        for i, part in enumerate(self.parts, start=1):
-            for _ in range(i):
-                f = mul_monic(f, part)
-        return f
 
 
 def genus_se(c: SECover) -> int:
@@ -247,8 +239,7 @@ def verify_kernel_lemma(n: int) -> bool:
     (i) the stated vectors x^(k) are killed by A, (ii) rank(A) = (n+1)/2,
     (iii) every kernel basis vector v satisfies v_k = v_{n-k}.
     """
-    if n % 2 == 0 or not is_prime(n):
-        raise DomainError("n must be an odd prime")
+    require_odd_prime(n)
     if n > 101:
         raise ResourceGuardError("kernel verification guarded at n <= 101")
     a = fractional_part_matrix(n)
@@ -374,8 +365,7 @@ def census_se(field: FieldSpec, n: int, m_max: int):
     Returns a dict m -> (a_m, b_m).  Raises InvariantViolation if the
     tuple-sum, omega-sum and Euler-product routes disagree.
     """
-    if n % 2 == 0 or not is_prime(n):
-        raise DomainError("n must be an odd prime")
+    require_odd_prime(n)
     if field.q ** m_max > 2 ** MAX_TUPLE_DEGREE:
         raise ResourceGuardError(
             f"census_se guarded at q^m <= 2^{MAX_TUPLE_DEGREE} (tuple-family route), "

@@ -72,6 +72,18 @@ def test_census_x_bound(capsys):
     assert last.startswith("4,")
 
 
+@pytest.mark.parametrize("argv", [
+    ("census", "as", "--q", "2", "--max-m", "-1"),
+    ("census", "se", "--q", "2", "--max-m", "-1"),
+    ("classify", "--sample", "-1", "--q", "2", "--n", "3", "--max-m", "3"),
+])
+def test_negative_counts_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "must be >= 0" in err
+
+
 def test_census_determinism(capsys):
     args = ("census", "se", "--q", "2", "--n", "3", "--max-m", "5",
             "--format", "json")

@@ -6,7 +6,7 @@ from ordcensus import _polyarith as pa
 from ordcensus.errors import DomainError, ResourceGuardError
 from ordcensus.fields import FieldSpec
 from ordcensus.polys import (MonicPoly, Place, count_irreducibles, enumerate_monic,
-                             factor, gcd_monic, irreducible_polys, is_irreducible,
+                             factor, gcd_monic, is_irreducible,
                              is_nth_power_free, is_squarefree, local_expansion,
                              local_to_global, mobius, mul_monic, omega,
                              partial_fractions, places_of_degree, poly_one, poly_x,
@@ -52,7 +52,7 @@ def test_count_irreducibles(q, expected):
 def test_irreducibles_match_count():
     for field in (F2, F3, F4):
         for d in range(1, 5):
-            polys = irreducible_polys(field, d)
+            polys = [place.poly for place in places_of_degree(field, d)]
             assert len(polys) == count_irreducibles(field.q, d)
             assert list(polys) == sorted(polys)
 
@@ -98,7 +98,7 @@ def test_factor_roundtrip_random():
 
 def test_enumeration_guard():
     with pytest.raises(ResourceGuardError):
-        irreducible_polys(FieldSpec(2, 12), 2)  # 4096^2 > 2^22
+        places_of_degree(FieldSpec(2, 12), 2)  # 4096^2 > 2^22
 
 
 def test_local_expansion_inverse():
@@ -228,3 +228,51 @@ def test_prime_field_arithmetic_matches_galoistools(p):
         if b:
             q, r = pa.divmod_(K, a, b)
             assert [gf(q), gf(r)] == list(gf_div(gf(a), gf(b), p, ZZ))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_polys_layer_matches_galoistools(p):
+    """is_irreducible, factor, is_squarefree, gcd_monic and places_of_degree
+    over F_p against sympy's galoistools, which shares no code with them."""
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import (gf_factor, gf_gcd, gf_irreducible_p,
+                                         gf_sqf_p)
+
+    def gf(f):  # MonicPoly -> dense list, highest degree first
+        return list(reversed(f.full))
+
+    K = FieldSpec(p)
+    rng = random.Random(100 + p)
+    for _ in range(60):
+        f, g = (MonicPoly(K, tuple(rng.randrange(p) for _ in range(rng.randint(1, 10))))
+                for _ in range(2))
+        assert is_irreducible(f) == gf_irreducible_p(gf(f), p, ZZ)
+        assert is_squarefree(f) == gf_sqf_p(gf(f), p, ZZ)
+        expected = sorted(((h[::-1], m) for h, m in gf_factor(gf(f), p, ZZ)[1]),
+                          key=lambda hm: (len(hm[0]), hm[0]))
+        assert [(list(pl.poly.full), m) for pl, m in factor(f)] == expected
+        assert gf(gcd_monic(f, g)) == gf_gcd(gf(f), gf(g), p, ZZ)
+    d = 1
+    while p ** d <= 2 ** 10:
+        expected = [f for f in enumerate_monic(K, d) if gf_irreducible_p(gf(f), p, ZZ)]
+        assert [place.poly for place in places_of_degree(K, d)] == expected
+        d += 1
+
+
+def test_factor_runs_no_irreducibility_test(monkeypatch):
+    import ordcensus.polys as polys
+
+    for d in range(1, 7):
+        places_of_degree(F2, d)
+
+    def refuse(f):
+        raise AssertionError(f"irreducibility of {f} tested again")
+
+    monkeypatch.setattr(polys, "is_irreducible", refuse)
+    f = MonicPoly.from_text(F2, "1,0,0,1,0,0,0,0,0,0,0,0,1")  # x^12 + x^3 + 1
+    assert [(place.poly, m) for place, m in factor(f)] == [(f, 1)]
+    places = [places_of_degree(F2, d)[-1] for d in (1, 2, 3, 6)]
+    prod = poly_one(F2)
+    for place in places + places[:2]:
+        prod = mul_monic(prod, place.poly)
+    assert factor(prod) == ((places[0], 2), (places[1], 2), (places[2], 1), (places[3], 1))
