@@ -1,6 +1,12 @@
 """Artin-Schreier covers y^p - y = f(x): representation, genus, ordinarity,
-and the exact census by brute-force enumeration and by coefficient
-extraction from the Euler product of local zeta factors.
+and the exact census by enumeration and by coefficient extraction from the
+Euler product of local zeta factors.
+
+The enumeration route counts whole families: the covers sharing a branch
+assignment (places and pole orders) are the products of per-place pools of
+local parts, and ordinarity reads only the pole orders, so each family adds
+the product of its pool sizes.  ``enumerate_covers`` expands the same
+families cover by cover.
 
 Branch data is stored per irreducible place, never per geometric root: the
 local part at a place Q of degree d is the tuple (c_1, ..., c_{d_Q}) of
@@ -13,6 +19,7 @@ coefficient nonzero (so d_Q is never a multiple of p).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .dirichlet import cumulative_ratios, euler_coefficients, series_multiply
@@ -135,32 +142,56 @@ def _branch_assignments(field: FieldSpec, m: int):
     yield from rec(0, m)
 
 
-def enumerate_covers(field: FieldSpec, m: int, include_infinity: bool = False):
-    """All Artin-Schreier covers with invariant m, each exactly once."""
+def _cover_families(field: FieldSpec, m: int, include_infinity: bool):
+    """The covers with invariant m, grouped by branch assignment.
+
+    Yields (assignment, inf_pool, local_pools): the (Place, k_Q) pairs
+    sorted by place, the choices of the infinity part (``[None]`` when
+    infinity is unramified) and, per assigned place, its local parts of pole
+    order k_Q - 1.  The covers of a family are the products of the pools.
+    Every local part is checked once, when its pool is built.  Local pools
+    are built afresh for each family (only each place's element list is
+    kept); the infinity pool is shared by the families of one pole order.
+    """
     if m < 2:
         return
     p = field.p
+    elements = {}
+
+    def pool(elems, d_q):
+        parts = list(_local_part_choices(p, elems, d_q))
+        for coeffs in parts:
+            _check_local_part(p, coeffs)
+        return parts
+
+    def place_elements(pl):
+        if pl not in elements:
+            elements[pl] = ext_field_for(pl).elements()
+        return elements[pl]
+
     inf_orders = [None]
     if include_infinity:
-        inf_orders += [k for k in admissible_pole_orders(p, m)]
+        inf_orders += admissible_pole_orders(p, m)
     for k_inf in inf_orders:
-        rem = m - (k_inf if k_inf is not None else 0)
-        if rem < 0:
-            continue
+        rem = m - (k_inf or 0)
         if k_inf is None and rem == 0:
             continue
+        inf_pool = [None] if k_inf is None else pool(field.elements(), k_inf - 1)
         for assignment in _branch_assignments(field, rem):
             if not assignment and k_inf is None:
                 continue
             assignment = tuple(sorted(assignment, key=lambda pk: pk[0]))
-            local_pools = [list(_local_part_choices(p, ext_field_for(pl).elements(), k - 1))
-                           for pl, k in assignment]
-            inf_iter = ([None] if k_inf is None
-                        else _local_part_choices(p, field.elements(), k_inf - 1))
-            for inf_part in inf_iter:
-                for locals_ in itertools.product(*local_pools):
-                    branch = tuple((pl, lc) for (pl, _), lc in zip(assignment, locals_))
-                    yield ASCover(field, branch, inf_part)
+            local_pools = [pool(place_elements(pl), k - 1) for pl, k in assignment]
+            yield assignment, inf_pool, local_pools
+
+
+def enumerate_covers(field: FieldSpec, m: int, include_infinity: bool = False):
+    """All Artin-Schreier covers with invariant m, each exactly once."""
+    for assignment, inf_pool, local_pools in _cover_families(field, m, include_infinity):
+        for inf_part in inf_pool:
+            for locals_ in itertools.product(*local_pools):
+                branch = tuple((pl, lc) for (pl, _), lc in zip(assignment, locals_))
+                yield ASCover(field, branch, inf_part)
 
 
 # ---------------------------------------------------------------------------
@@ -198,10 +229,13 @@ def census_enumerated(field: FieldSpec, m_max: int,
     rows = {}
     for m in range(2, m_max + 1):
         a = b = 0
-        for cover in enumerate_covers(field, m, include_infinity):
-            a += 1
-            if is_ordinary(cover):
-                b += 1
+        for assignment, inf_pool, local_pools in _cover_families(field, m, include_infinity):
+            size = len(inf_pool) * math.prod(len(pool) for pool in local_pools)
+            a += size
+            # ordinarity reads only the pole orders, which the family shares
+            branch = tuple((pl, pool[0]) for (pl, _), pool in zip(assignment, local_pools))
+            if is_ordinary(ASCover(field, branch, inf_pool[0])):
+                b += size
         rows[m] = (a, b)
     return CensusTable(field.q, field.p, rows, "enumerated")
 

@@ -73,6 +73,8 @@ def census_json(rows: dict, m_values) -> list:
 
 
 def _m_max_from_args(args) -> int:
+    if args.x_bound is not None and args.max_m is not None:
+        raise DomainError("give one of --max-m / --x-bound, not both")
     if args.x_bound is not None:
         # largest m with q^m < X
         x = args.x_bound
@@ -119,12 +121,15 @@ def cmd_census(args) -> int:
             tables.append(asc.census_analytic(field, m_max, args.include_infinity))
         if args.mode in ("enumerate", "both"):
             tables.append(asc.census_enumerated(field, m_max, args.include_infinity))
-        if len(tables) == 2 and tables[0].rows != tables[1].rows:
-            raise InvariantViolation(
-                f"analytic and enumerated censuses disagree: "
-                f"{tables[0].rows} vs {tables[1].rows}")
         rows = tables[0].rows
         m_values = range(2, m_max + 1)
+        if len(tables) == 2:
+            other = tables[1].rows
+            m = next((m for m in m_values if rows[m] != other[m]), None)
+            if m is not None:
+                raise InvariantViolation(
+                    f"analytic and enumerated censuses first disagree at m={m}: "
+                    f"(a_m, b_m) = {rows[m]} analytic vs {other[m]} enumerated")
     else:
         field = field_from_qp(args.q, 2)
         rows = superelliptic.census_se(field, args.n, m_max)

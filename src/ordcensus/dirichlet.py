@@ -8,21 +8,27 @@ as does the one integer Euler-coefficient engine behind the exact censuses.
 Products over places are always grouped by degree: the degree-d local
 factor is raised to the number of monic irreducibles of degree d, so the
 truncation degree D can be large even for q = 32.
+
+mpmath is imported only by the functions that evaluate constants, and each
+evaluation runs under ``mp.workdps(WORKING_DPS)``: importing this module
+neither loads mpmath nor changes the global ``mp.dps``, so the censuses
+never pay for it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from mpmath import mp, mpf, exp, log
+from typing import TYPE_CHECKING
 
 from .errors import DomainError
 from .fields import require_odd_prime
 from .polys import count_irreducibles
 
-if mp.dps < 30:
-    mp.dps = 30  # products are quoted to 6 digits; keep ample headroom
+if TYPE_CHECKING:
+    from mpmath import mpf
+
+WORKING_DPS = 30  # products are quoted to 6 digits; keep ample headroom
 
 
 # ---------------------------------------------------------------------------
@@ -102,50 +108,59 @@ def _tail_bound(q: int, D: int, lead, decay: int) -> mpf:
     <= 1/2 at degree D+1, so |log local| <= 2 lead |Q|^{-decay}.  Uses
     I_d <= q^d / d and sums the geometric tail.
     """
-    qm = mpf(q)
-    if lead * qm ** (-decay * (D + 1)) > mpf("0.5"):
-        raise DomainError("truncation degree too small for the tail bound")
-    x = qm ** (-(decay - 1) * (D + 1))
-    return (2 * mpf(lead) / (D + 1)) * x / (1 - qm ** (-(decay - 1)))
+    from mpmath import mp, mpf
+    with mp.workdps(WORKING_DPS):
+        qm = mpf(q)
+        if lead * qm ** (-decay * (D + 1)) > mpf("0.5"):
+            raise DomainError("truncation degree too small for the tail bound")
+        x = qm ** (-(decay - 1) * (D + 1))
+        return (2 * mpf(lead) / (D + 1)) * x / (1 - qm ** (-(decay - 1)))
 
 
 def euler_product(q: int, local, lead, decay: int = 2,
-                  D: int | None = None, target=mpf("1e-8")) -> EulerProductValue:
+                  D: int | None = None, target="1e-8") -> EulerProductValue:
     """Evaluate prod over places of local(|Q|), grouped by degree.
 
     ``local`` maps the norm |Q| to the local factor.  ``lead`` and ``decay``
     give the bound |local(x) - 1| <= lead * x^{-decay} used for the tail.
     """
-    if D is None:
-        D = 8
-        while _tail_bound(q, D, lead, decay) > target:
-            D += 4
-    value = mpf(1)
-    for d in range(1, D + 1):
-        value *= local(mpf(q) ** d) ** count_irreducibles(q, d)
-    tail = _tail_bound(q, D, lead, decay)
-    return EulerProductValue(value, D, abs(value) * (exp(tail) - 1))
+    from mpmath import exp, mp, mpf
+    with mp.workdps(WORKING_DPS):
+        target = mpf(target)
+        if D is None:
+            D = 8
+            while _tail_bound(q, D, lead, decay) > target:
+                D += 4
+        value = mpf(1)
+        for d in range(1, D + 1):
+            value *= local(mpf(q) ** d) ** count_irreducibles(q, d)
+        tail = _tail_bound(q, D, lead, decay)
+        return EulerProductValue(value, D, abs(value) * (exp(tail) - 1))
 
 
 def zeta_affine(q: int, s) -> mpf:
     """zeta of the affine line: 1/(1 - q^{1-s}), for real s > 1."""
-    s = mpf(s)
-    if s <= 1:
-        raise DomainError("zeta_affine has a pole at s = 1 and diverges for s < 1")
-    return 1 / (1 - mpf(q) ** (1 - s))
+    from mpmath import mp, mpf
+    with mp.workdps(WORKING_DPS):
+        s = mpf(s)
+        if s <= 1:
+            raise DomainError("zeta_affine has a pole at s = 1 and diverges for s < 1")
+        return 1 / (1 - mpf(q) ** (1 - s))
 
 
 def zeta_affine_truncated(q: int, s, D: int) -> EulerProductValue:
     """Truncated Euler product for zeta_affine, with its tail bound."""
-    s = mpf(s)
-    if s <= 1:
-        raise DomainError("zeta_affine has a pole at s = 1 and diverges for s < 1")
-    value = mpf(1)
-    for d in range(1, D + 1):
-        value *= (1 - mpf(q) ** (-d * s)) ** (-count_irreducibles(q, d))
-    # |log local| <= 2 q^{-ds} for q^{-ds} <= 1/2; sum I_d <= q^d/d over d > D
-    tail = (2 / mpf(D + 1)) * mpf(q) ** (-(s - 1) * (D + 1)) / (1 - mpf(q) ** (-(s - 1)))
-    return EulerProductValue(value, D, abs(value) * (exp(tail) - 1))
+    from mpmath import exp, mp, mpf
+    with mp.workdps(WORKING_DPS):
+        s = mpf(s)
+        if s <= 1:
+            raise DomainError("zeta_affine has a pole at s = 1 and diverges for s < 1")
+        value = mpf(1)
+        for d in range(1, D + 1):
+            value *= (1 - mpf(q) ** (-d * s)) ** (-count_irreducibles(q, d))
+        # |log local| <= 2 q^{-ds} for q^{-ds} <= 1/2; sum I_d <= q^d/d over d > D
+        tail = (2 / mpf(D + 1)) * mpf(q) ** (-(s - 1) * (D + 1)) / (1 - mpf(q) ** (-(s - 1)))
+        return EulerProductValue(value, D, abs(value) * (exp(tail) - 1))
 
 
 def phi_at_1(q: int, D: int | None = None) -> EulerProductValue:
@@ -155,6 +170,7 @@ def phi_at_1(q: int, D: int | None = None) -> EulerProductValue:
 
 def _local_polynomial_product(q: int, poly: list, D: int | None) -> EulerProductValue:
     """prod over places of sum_j poly[j] |Q|^{-j}, whose 1/|Q| term cancels."""
+    from mpmath import mpf
     assert poly[0] == 1 and poly[1] == 0  # the 1/|Q| term cancels exactly
     lead = sum(abs(c) for c in poly[2:])
 
@@ -169,10 +185,12 @@ def _local_polynomial_product(q: int, poly: list, D: int | None) -> EulerProduct
 
 def psi_p_at_1(p: int, q: int, D: int | None = None) -> EulerProductValue:
     """psi_p(1).  For p=2 this is 1/zeta(2) = 1 - 1/q exactly."""
+    from mpmath import mp, mpf
     if q % p != 0:
         raise DomainError("q must be a power of p")
     if p == 2:
-        return EulerProductValue(1 - 1 / mpf(q), 0, mpf(0))
+        with mp.workdps(WORKING_DPS):
+            return EulerProductValue(1 - 1 / mpf(q), 0, mpf(0))
     # local factor (1 + (p-2)x - (p-1)x^2) (1-x)^{p-2} with x = 1/|Q|
     poly = series_multiply([1, p - 2, -(p - 1)], series_pow([1, -1], p - 2, p), p)
     return _local_polynomial_product(q, poly, D)
@@ -180,26 +198,31 @@ def psi_p_at_1(p: int, q: int, D: int | None = None) -> EulerProductValue:
 
 def ordinary_probability_as(q: int, p: int, include_infinity: bool) -> mpf:
     """Limiting probability that an Artin-Schreier cover is ordinary."""
+    from mpmath import mp, mpf
     if p >= 3:
         return mpf(0)
-    zeta2 = zeta_affine(q, 2)
-    base = phi_at_1(q).value * zeta2
-    if not include_infinity:
-        return base
-    qi = 1 / mpf(q)
-    return (1 - qi + qi ** 2) / (1 + qi) * base
+    with mp.workdps(WORKING_DPS):
+        zeta2 = zeta_affine(q, 2)
+        base = phi_at_1(q).value * zeta2
+        if not include_infinity:
+            return base
+        qi = 1 / mpf(q)
+        return (1 - qi + qi ** 2) / (1 + qi) * base
 
 
 def cezb_constant(q: int, D: int = 120) -> mpf:
     """prod_{i>=1} (1 + q^{-i})^{-1}, the random-Dieudonne-module prediction."""
-    value = mpf(1)
-    for i in range(1, D + 1):
-        value /= 1 + mpf(q) ** (-i)
-    return value  # tail < q^{-120}, far below any quoted precision
+    from mpmath import mp, mpf
+    with mp.workdps(WORKING_DPS):
+        value = mpf(1)
+        for i in range(1, D + 1):
+            value /= 1 + mpf(q) ** (-i)
+        return value  # tail < q^{-120}, far below any quoted precision
 
 
 def phi_k_at_1(q: int, k: int, D: int | None = None) -> EulerProductValue:
     """phi_k(1) = prod over places of (1 + k|Q|^{-1}) (1 - |Q|^{-1})^k."""
+    from mpmath import mpf
     if k < 0:
         raise DomainError("k must be >= 0")
     if k == 0:
@@ -210,6 +233,7 @@ def phi_k_at_1(q: int, k: int, D: int | None = None) -> EulerProductValue:
 
 def l_constant(n: int, q: int, D: int | None = None) -> EulerProductValue:
     """L_{n-2} = prod_{j=1}^{n-2} prod_Q (1 - j/((|Q|+1)(|Q|+j)))."""
+    from mpmath import mpf
     require_odd_prime(n)
 
     def local(x):
@@ -224,5 +248,7 @@ def l_constant(n: int, q: int, D: int | None = None) -> EulerProductValue:
 
 def kappa_constant(n: int, q: int) -> mpf:
     """kappa_n(q) = q phi_{n-1}(1) / (log(q) (n-2)!)."""
+    from mpmath import log, mp, mpf
     require_odd_prime(n)
-    return mpf(q) * phi_k_at_1(q, n - 1).value / (log(mpf(q)) * math.factorial(n - 2))
+    with mp.workdps(WORKING_DPS):
+        return mpf(q) * phi_k_at_1(q, n - 1).value / (log(mpf(q)) * math.factorial(n - 2))

@@ -11,7 +11,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dirichlet import cumulative_ratios, euler_coefficients, l_constant, zeta_affine
+from .dirichlet import (WORKING_DPS, cumulative_ratios, euler_coefficients, l_constant,
+                        zeta_affine)
 from .errors import DomainError, ResourceGuardError, InvariantViolation
 from .fields import FieldSpec, require_odd_prime
 from .polys import (MonicPoly, enumerate_monic, gcd_monic, is_squarefree,
@@ -291,10 +292,11 @@ def enumerate_tuple_family(field: FieldSpec, e: tuple):
         if idx == len(e):
             yield tuple(chosen)
             return
+        last = idx == len(e) - 1  # the product after the last part is never read
         for f in squarefree_monic(field, e[idx]):
             if f.degree > 0 and prod.degree > 0 and gcd_monic(f, prod).degree > 0:
                 continue
-            yield from rec(idx + 1, chosen + [f], mul_monic(prod, f))
+            yield from rec(idx + 1, chosen + [f], prod if last else mul_monic(prod, f))
     yield from rec(0, [], poly_one(field))
 
 
@@ -412,11 +414,13 @@ def random_se_cover(field: FieldSpec, n: int, m: int, rng) -> SECover:
 
 def bdfl_ratio_report(field: FieldSpec, e1: int, e2: int) -> float:
     """|F_{e1,e2}| zeta(2)^2 / (L_1 q^{e1+e2}): near 1 for large q (report only)."""
+    from mpmath import mp
     q = field.q
     count = count_tuple_family(field, (e1, e2))
-    z2 = zeta_affine(q, 2)
-    l1 = l_constant(3, q).value
-    return float(count * z2 ** 2 / (l1 * q ** (e1 + e2)))
+    with mp.workdps(WORKING_DPS):
+        z2 = zeta_affine(q, 2)
+        l1 = l_constant(3, q).value
+        return float(count * z2 ** 2 / (l1 * q ** (e1 + e2)))
 
 
 def tuple_weight_sum(q: int, r: int, m_max: int) -> int:

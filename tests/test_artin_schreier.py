@@ -86,6 +86,45 @@ def test_census_enum_matches_analytic_small():
             assert en.rows == an.rows
 
 
+def test_census_enumerated_counts_every_cover():
+    # the family count equals a cover-by-cover count over enumerate_covers
+    for field, m_max in ((F2, 8), (F3, 6), (FieldSpec(2, 2), 6), (FieldSpec(3, 2), 3)):
+        for include_inf in (False, True):
+            rows = {}
+            for m in range(2, m_max + 1):
+                covers = list(asc.enumerate_covers(field, m, include_inf))
+                rows[m] = (len(covers), sum(map(asc.is_ordinary, covers)))
+            assert asc.census_enumerated(field, m_max, include_inf).rows == rows
+
+
+def test_census_enumerated_builds_one_cover_per_family(monkeypatch):
+    field, m_max = FieldSpec(2, 2), 6
+    families = sum(1 for m in range(2, m_max + 1)
+                   for _ in asc._cover_families(field, m, True))
+    built = []
+
+    class CountingCover(asc.ASCover):
+        def __post_init__(self):
+            built.append(self)
+            super().__post_init__()
+
+    monkeypatch.setattr(asc, "ASCover", CountingCover)
+    asc.census_enumerated(field, m_max, include_infinity=True)
+    assert 0 < len(built) <= families
+
+
+def test_census_enumerated_checks_every_local_part(monkeypatch):
+    choices = asc._local_part_choices
+
+    def with_zero_top(p, elems, d_q):
+        yield from choices(p, elems, d_q)
+        yield (0,) * d_q  # malformed: top coefficient zero
+
+    monkeypatch.setattr(asc, "_local_part_choices", with_zero_top)
+    with pytest.raises(DomainError):
+        asc.census_enumerated(F2, 4)
+
+
 def test_census_closed_forms():
     # q=2: a(2t) = q^{2t} - q^{2t-1} = 2^{2t-1} for the unramified family
     table = asc.census_analytic(F2, 12)

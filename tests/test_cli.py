@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -70,6 +74,63 @@ def test_census_x_bound(capsys):
     assert code == 0
     last = out.strip().splitlines()[-1]
     assert last.startswith("4,")
+
+
+def test_census_max_m_with_x_bound_is_usage_error(capsys):
+    code, out, err = run(capsys, "census", "as", "--q", "2", "--p", "2",
+                         "--max-m", "3", "--x-bound", "8")
+    assert code == 2
+    assert out == ""
+    assert "--max-m" in err and "--x-bound" in err
+
+
+def test_census_both_names_first_differing_row(capsys, monkeypatch):
+    from ordcensus import artin_schreier as asc
+    enumerated = asc.census_enumerated
+
+    def off_by_one_at_6(field, m_max, include_infinity=False):
+        table = enumerated(field, m_max, include_infinity)
+        a, b = table.rows[6]
+        return asc.CensusTable(table.q, table.p, {**table.rows, 6: (a + 1, b)}, table.source)
+
+    monkeypatch.setattr(asc, "census_enumerated", off_by_one_at_6)
+    code, out, err = run(capsys, "census", "as", "--q", "2", "--p", "2",
+                         "--max-m", "8", "--mode", "both")
+    assert code == 4
+    assert out == ""
+    assert "m=6" in err and "(32, 20)" in err and "(33, 20)" in err
+    assert "m=8" not in err and "(128," not in err  # one row, not both tables
+
+
+def test_only_constants_load_mpmath(tmp_path):
+    # a fresh process: tests/test_dirichlet.py imports mpmath into this one
+    cover = tmp_path / "cover.json"
+    cover.write_text(json.dumps({"q": 2, "p": 2,
+                                 "branch": [{"place": "0,1", "local": [0, 0, 1]}],
+                                 "infinity": None}))
+    script = f"""
+import contextlib, io, sys
+from ordcensus.cli import main
+def quiet(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(list(argv)) == 0, argv
+quiet("census", "as", "--q", "2", "--max-m", "6", "--mode", "both")
+quiet("census", "se", "--q", "2", "--n", "3", "--max-m", "4")
+quiet("classify", "--sample", "3", "--q", "2", "--n", "3", "--max-m", "3")
+quiet("oracle", "--cover", {str(cover)!r})
+assert "mpmath" not in sys.modules
+import mpmath
+dps = mpmath.mp.dps
+quiet("constants", "--q", "3", "--p", "3")
+quiet("report-table1")
+assert mpmath.mp.dps == dps, mpmath.mp.dps
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("argv", [
