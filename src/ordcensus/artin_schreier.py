@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .dirichlet import cumulative_ratios, euler_coefficients, series_multiply
@@ -126,7 +127,7 @@ def _branch_assignments(field: FieldSpec, m: int):
     places = []
     for d in range(1, m // 2 + 1):
         places.extend(places_of_degree(field, d))
-    p = field.p
+    orders = admissible_pole_orders(field.p, m)  # increasing; each node takes a prefix
 
     def rec(idx, remaining):
         if remaining == 0:
@@ -136,7 +137,7 @@ def _branch_assignments(field: FieldSpec, m: int):
             return
         yield from rec(idx + 1, remaining)
         pl = places[idx]
-        for k in admissible_pole_orders(p, remaining // pl.degree):
+        for k in orders[:bisect_right(orders, remaining // pl.degree)]:
             for rest in rec(idx + 1, remaining - pl.degree * k):
                 yield ((pl, k),) + rest
     yield from rec(0, m)

@@ -15,6 +15,11 @@ remains, ``factor`` and ``is_irreducible`` read its output, and
 are built without a second test; ``Place(poly)`` called from outside
 validates its polynomial and raises ``DomainError`` on a reducible one.
 
+Squarefreeness and omega of every monic of one degree come from one
+multiplicative sieve, ``place_sieve``: it multiplies each place P into the
+cofactors whose smallest place is at least P, so each reducible polynomial
+is reached once, from its smallest place, with no division or gcd.
+
 Text format (used by the CLI): comma-separated coefficient representatives,
 lowest degree first, with the leading 1 written explicitly.  Over F_2,
 ``"0,1,1"`` is x^2 + x.
@@ -24,11 +29,12 @@ from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from dataclasses import dataclass
 from functools import total_ordering
 
 from . import _polyarith as pa
-from .errors import DomainError, ResourceGuardError
+from .errors import DomainError, InvariantViolation, ResourceGuardError
 from .fields import ExtField, FieldSpec, prime_factors
 
 
@@ -222,6 +228,79 @@ def is_squarefree(f: MonicPoly) -> bool:
     if not df:
         return False
     return pa.deg(pa.gcd(f.field, f.full, df)) == 0
+
+
+_SIEVE_CACHE: dict = {}
+
+
+def _position(coeffs, q: int) -> int:
+    """Position in ``enumerate_monic`` order: the base-q number c_0 ... c_{d-1}."""
+    pos = 0
+    for c in coeffs:
+        pos = pos * q + c
+    return pos
+
+
+def monic_rank(f: MonicPoly) -> int:
+    """Number of monic polynomials below f in the MonicPoly order: the
+    (q^d - 1)/(q - 1) of lower degree d, then f's position among its degree."""
+    q = f.field.q
+    return (q ** f.degree - 1) // (q - 1) + _position(f.coeffs, q)
+
+
+def place_sieve(field: FieldSpec, d: int) -> tuple:
+    """(least, omegas) for the monic polynomials of degree d >= 1, each a flat
+    array indexed by position in ``enumerate_monic`` order.
+
+    ``least[i]`` is the ``monic_rank`` of the i-th polynomial's smallest
+    place; ``omegas[i]`` is its number of distinct places if it is
+    squarefree, else 0.  A reducible f is P*C for exactly one place P and
+    cofactor C whose smallest place is at least P: P is f's smallest place,
+    and f is squarefree iff C is and C's smallest place is not P, when
+    omega(f) = omega(C) + 1.  The entries no product reaches are the places.
+    """
+    key = (field, d)
+    if key in _SIEVE_CACHE:
+        return _SIEVE_CACHE[key]
+    if d < 1:
+        raise DomainError("the place sieve needs degree >= 1")
+    q = field.q
+    if q ** d > 2 ** 22:
+        raise ResourceGuardError(f"sieving monic polynomials of degree {d} over F_{q}")
+    if field.elements() != range(q):
+        raise DomainError("the place sieve needs coefficient codes 0..q-1")
+    least = array("q", [-1]) * q ** d
+    omegas = array("B", bytes(q ** d))
+    for e in range(1, d // 2 + 1):
+        c_least, c_omegas = place_sieve(field, d - e)
+        for place in places_of_degree(field, e):
+            rank = monic_rank(place.poly)
+            p_full = place.poly.full
+            for j, cs in enumerate(itertools.product(range(q), repeat=d - e)):
+                c_rank = c_least[j]
+                if c_rank < rank:
+                    continue
+                prod = pa.mul(field, p_full, cs + (1,))
+                i = _position(prod[:d], q)
+                if least[i] >= 0:
+                    raise InvariantViolation(
+                        f"place sieve reached {MonicPoly(field, prod[:d])} twice")
+                least[i] = rank
+                w = c_omegas[j]
+                omegas[i] = w + 1 if w and c_rank != rank else 0
+    first = (q ** d - 1) // (q - 1)
+    unhit = 0
+    for i, r in enumerate(least):
+        if r < 0:
+            least[i] = first + i
+            omegas[i] = 1
+            unhit += 1
+    if unhit != count_irreducibles(q, d):
+        raise InvariantViolation(
+            f"place sieve left {unhit} monic polynomials of degree {d} over F_{q} "
+            f"unreached, expected {count_irreducibles(q, d)} places")
+    _SIEVE_CACHE[key] = least, omegas
+    return least, omegas
 
 
 def is_nth_power_free(f: MonicPoly, n: int) -> bool:

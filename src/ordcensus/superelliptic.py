@@ -16,7 +16,7 @@ from .dirichlet import (WORKING_DPS, cumulative_ratios, euler_coefficients, l_co
 from .errors import DomainError, ResourceGuardError, InvariantViolation
 from .fields import FieldSpec, require_odd_prime
 from .polys import (MonicPoly, enumerate_monic, gcd_monic, is_squarefree,
-                    mul_monic, omega, poly_one)
+                    mul_monic, place_sieve, poly_one)
 
 
 @dataclass(frozen=True)
@@ -269,13 +269,28 @@ def verify_kernel_lemma(n: int) -> bool:
 
 MAX_TUPLE_DEGREE = 16
 
+
+def _guard_monic_count(field: FieldSpec, m: int, what: str):
+    """Raise ResourceGuardError, before any enumeration, unless the q^m monic
+    polynomials of degree m number at most 2^MAX_TUPLE_DEGREE."""
+    if field.q ** m > 2 ** MAX_TUPLE_DEGREE:
+        raise ResourceGuardError(
+            f"{what} guarded at q^m <= 2^{MAX_TUPLE_DEGREE}, got {field.q}^{m}")
+
+
 _SQF_CACHE: dict = {}
 
 
 def squarefree_monic(field: FieldSpec, d: int) -> tuple:
+    """The squarefree monic polynomials of degree d, in enumeration order,
+    read from the place sieve."""
     key = (field, d)
     if key not in _SQF_CACHE:
-        _SQF_CACHE[key] = tuple(f for f in enumerate_monic(field, d) if is_squarefree(f))
+        if d == 0:
+            _SQF_CACHE[key] = (poly_one(field),)
+        else:
+            omegas = place_sieve(field, d)[1]
+            _SQF_CACHE[key] = tuple(f for f, w in zip(enumerate_monic(field, d), omegas) if w)
     return _SQF_CACHE[key]
 
 
@@ -283,10 +298,9 @@ _TUPLE_FAMILY_CACHE: dict = {}
 
 
 def enumerate_tuple_family(field: FieldSpec, e: tuple):
-    """All tuples of monic squarefree pairwise-coprime polys of degrees e."""
-    if sum(e) > MAX_TUPLE_DEGREE:
-        raise ResourceGuardError(
-            f"tuple family enumeration guarded at total degree {MAX_TUPLE_DEGREE}")
+    """All tuples of monic squarefree pairwise-coprime polys of degrees e,
+    parts in the order of e; coprimality is tested by gcd."""
+    _guard_monic_count(field, sum(e), "tuple family enumeration")
 
     def rec(idx, chosen, prod):
         if idx == len(e):
@@ -301,10 +315,14 @@ def enumerate_tuple_family(field: FieldSpec, e: tuple):
 
 
 def count_tuple_family(field: FieldSpec, e: tuple) -> int:
-    """|F_{e_1, ..., e_r}|: squarefree pairwise-coprime tuples of given degrees."""
-    key = (field, tuple(e))
+    """|F_{e_1, ..., e_r}|: squarefree pairwise-coprime tuples of given degrees.
+
+    Permuting the parts maps F_e onto F_{sigma e}, so one enumeration of the
+    sorted degree tuple serves every order of e.
+    """
+    key = (field, tuple(sorted(e)))
     if key not in _TUPLE_FAMILY_CACHE:
-        _TUPLE_FAMILY_CACHE[key] = sum(1 for _ in enumerate_tuple_family(field, tuple(e)))
+        _TUPLE_FAMILY_CACHE[key] = sum(1 for _ in enumerate_tuple_family(field, key[1]))
     return _TUPLE_FAMILY_CACHE[key]
 
 
@@ -313,7 +331,7 @@ _NONEMPTY_FAMILY_CACHE: dict = {}
 
 def _has_tuple_family(field: FieldSpec, e: tuple) -> bool:
     """Whether F_{e_1, ..., e_r} is nonempty; stops at the first tuple."""
-    key = (field, tuple(e))
+    key = (field, tuple(sorted(e)))
     if key not in _NONEMPTY_FAMILY_CACHE:
         _NONEMPTY_FAMILY_CACHE[key] = any(True for _ in enumerate_tuple_family(field, key[1]))
     return _NONEMPTY_FAMILY_CACHE[key]
@@ -339,19 +357,22 @@ def enumerate_se_covers(field: FieldSpec, n: int, m: int):
 
 
 def census_a_tuples(field: FieldSpec, n: int, m: int) -> int:
-    """Route (i): a(m) as the sum of |F_e| over degree tuples with sum m."""
+    """Route (i): a(m) as the sum of |F_e| over degree tuples with sum m,
+    each family enumerated part by part with gcd coprimality tests."""
     return sum(count_tuple_family(field, e) for e in degree_tuples(n, m))
 
 
 def census_a_omega(field: FieldSpec, n: int, m: int) -> int:
-    """Route (ii): a(m) = sum over squarefree monic H of degree m of (n-1)^omega(H)."""
+    """Route (ii): a(m) = sum over squarefree monic H of degree m of
+    (n-1)^omega(H), with omega read from the place sieve."""
     if m == 0:
         return 1
-    return sum((n - 1) ** omega(h) for h in squarefree_monic(field, m))
+    return sum((n - 1) ** w for w in place_sieve(field, m)[1] if w)
 
 
 def census_a_euler(field: FieldSpec, n: int, m_max: int) -> list:
-    """Route (iii): coefficients of prod_Q (1 + (n-1)|Q|^{-s}) up to order m_max."""
+    """Route (iii): coefficients of prod_Q (1 + (n-1)|Q|^{-s}) up to order
+    m_max, from the place counts ``count_irreducibles`` alone."""
     return euler_coefficients(field.q, lambda d: [1, n - 1], m_max)
 
 
@@ -364,14 +385,14 @@ def census_b_tuples(field: FieldSpec, n: int, m: int) -> int:
 def census_se(field: FieldSpec, n: int, m_max: int):
     """Exact (a(m), b(m)) for m <= m_max, with the three a-routes compared.
 
-    Returns a dict m -> (a_m, b_m).  Raises InvariantViolation if the
-    tuple-sum, omega-sum and Euler-product routes disagree.
+    Returns a dict m -> (a_m, b_m).  a(m) comes from the tuple families
+    (route i), the omega sum over squarefree H (route ii) and the Euler
+    product (route iii); InvariantViolation if they disagree.  b(m) is the
+    tuple-family sum over the ordinary degree tuples.  Routes (i) and (ii)
+    enumerate all q^m monic polynomials, so q^m_max is guarded first.
     """
     require_odd_prime(n)
-    if field.q ** m_max > 2 ** MAX_TUPLE_DEGREE:
-        raise ResourceGuardError(
-            f"census_se guarded at q^m <= 2^{MAX_TUPLE_DEGREE} (tuple-family route), "
-            f"got {field.q}^{m_max}")
+    _guard_monic_count(field, m_max, "census_se")
     euler = census_a_euler(field, n, m_max)
     rows = {}
     for m in range(0, m_max + 1):
@@ -395,8 +416,7 @@ def ordinary_ratio_se(field: FieldSpec, n: int, m_max: int) -> list:
 def random_se_cover(field: FieldSpec, n: int, m: int, rng) -> SECover:
     """A uniformly-chosen degree tuple with sum m, then rejection-sampled
     squarefree pairwise-coprime monic parts of those degrees."""
-    if m > MAX_TUPLE_DEGREE:
-        raise ResourceGuardError(f"random cover guarded at total degree {MAX_TUPLE_DEGREE}")
+    _guard_monic_count(field, m, "random cover")
     tuples = [e for e in degree_tuples(n, m) if _has_tuple_family(field, e)]
     if not tuples:
         raise DomainError(f"no admissible degree tuples with sum {m}")

@@ -208,3 +208,24 @@ def test_component_count():
     assert asc.component_count(7, 5) == 3   # 2+5, 3+4, 2+2+3
     with pytest.raises(DomainError):
         asc.component_count(4, 2)
+
+
+def test_branch_assignments_same_as_per_node_orders():
+    def reference(field, m):
+        places = [pl for d in range(1, m // 2 + 1) for pl in places_of_degree(field, d)]
+
+        def rec(idx, remaining):
+            if remaining == 0:
+                yield ()
+                return
+            if idx == len(places):
+                return
+            yield from rec(idx + 1, remaining)
+            pl = places[idx]
+            for k in asc.admissible_pole_orders(field.p, remaining // pl.degree):
+                for rest in rec(idx + 1, remaining - pl.degree * k):
+                    yield ((pl, k),) + rest
+        return list(rec(0, m))
+    for field, m_max in ((F2, 10), (F3, 7), (FieldSpec(2, 2), 6)):
+        for m in range(m_max + 1):
+            assert list(asc._branch_assignments(field, m)) == reference(field, m)

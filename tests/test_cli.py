@@ -67,6 +67,18 @@ def test_census_se(capsys):
     assert lines[2].startswith("1,4,4")
 
 
+def test_census_se_sieve_check_exits_4(capsys, monkeypatch):
+    from ordcensus import polys, superelliptic
+    count = polys.count_irreducibles
+    monkeypatch.setattr(polys, "count_irreducibles", lambda q, d: count(q, d) + 1)
+    monkeypatch.setattr(polys, "_SIEVE_CACHE", {})
+    monkeypatch.setattr(superelliptic, "_SQF_CACHE", {})
+    code, out, err = run(capsys, "census", "se", "--q", "2", "--n", "3", "--max-m", "4")
+    assert code == 4
+    assert "place sieve" in err
+    assert out == ""
+
+
 def test_census_x_bound(capsys):
     # q^m < 32 with q=2 means m <= 4
     code, out, _ = run(capsys, "census", "as", "--q", "2", "--p", "2",
@@ -187,6 +199,20 @@ def test_classify_sample_deterministic(capsys):
     _, out2, _ = run(capsys, *args)
     assert out1 == out2
     assert len(json.loads(out1)) == 5
+
+
+@pytest.mark.parametrize("q,max_m", [(4, 9), (8, 6), (2, 17)])
+def test_classify_sample_guard_fires_before_enumeration(capsys, monkeypatch, q, max_m):
+    from ordcensus import polys, superelliptic
+
+    def no_work(*args):
+        raise AssertionError("monic polynomials enumerated before the guard")
+    monkeypatch.setattr(polys, "enumerate_monic", no_work)
+    monkeypatch.setattr(superelliptic, "enumerate_monic", no_work)
+    code, _, err = run(capsys, "classify", "--sample", "1", "--q", str(q),
+                       "--max-m", str(max_m))
+    assert code == 3
+    assert "guard" in err
 
 
 def test_oracle_command(tmp_path, capsys):

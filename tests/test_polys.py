@@ -3,14 +3,15 @@ import random
 import pytest
 
 from ordcensus import _polyarith as pa
+from ordcensus import polys
 from ordcensus.errors import DomainError, ResourceGuardError
 from ordcensus.fields import FieldSpec
 from ordcensus.polys import (MonicPoly, Place, count_irreducibles, enumerate_monic,
                              factor, gcd_monic, is_irreducible,
                              is_nth_power_free, is_squarefree, local_expansion,
-                             local_to_global, mobius, mul_monic, omega,
-                             partial_fractions, places_of_degree, poly_one, poly_x,
-                             pow_monic, reconstruct)
+                             local_to_global, mobius, monic_rank, mul_monic, omega,
+                             partial_fractions, place_sieve, places_of_degree, poly_one,
+                             poly_x, pow_monic, reconstruct)
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -159,6 +160,27 @@ def test_squarefree_matches_factorization():
         for d in range(0, 5):
             for f in enumerate_monic(field, d):
                 assert is_squarefree(f) == all(m == 1 for _, m in factor(f))
+
+
+@pytest.mark.parametrize("field,d_max", [(F2, 10), (F3, 6), (F4, 5), (FieldSpec(3, 2), 3)])
+def test_place_sieve_matches_factor(monkeypatch, field, d_max):
+    # entry by entry: smallest place as factor's first, omega as factor's
+    # length on squarefree polynomials and 0 off them
+    monkeypatch.setattr(polys, "_SIEVE_CACHE", {})
+    for d in range(1, d_max + 1):
+        least, omegas = place_sieve(field, d)
+        monics = list(enumerate_monic(field, d))
+        assert len(least) == len(omegas) == len(monics)
+        for f, r, w in zip(monics, least, omegas):
+            places = factor(f)
+            assert r == monic_rank(places[0][0].poly), f
+            assert w == (len(places) if is_squarefree(f) else 0), f
+
+
+def test_monic_rank_counts_smaller_monics():
+    monics = [f for d in range(4) for f in enumerate_monic(F3, d)]
+    assert [monic_rank(f) for f in monics] == list(range(len(monics)))
+    assert monics == sorted(monics)
 
 
 def test_squarefree_proportion():

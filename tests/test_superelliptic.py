@@ -229,3 +229,34 @@ def test_nonempty_family_check_matches_count():
             for m in range(5):
                 for e in se.degree_tuples(n, m):
                     assert se._has_tuple_family(field, e) == (se.count_tuple_family(field, e) > 0)
+
+
+def test_tuple_families_enumerated_once_per_sorted_degree_tuple(monkeypatch):
+    monkeypatch.setattr(se, "_TUPLE_FAMILY_CACHE", {})
+    calls = []
+    enumerate_family = se.enumerate_tuple_family
+
+    def recording(field, e):
+        calls.append(tuple(e))
+        return enumerate_family(field, e)
+    monkeypatch.setattr(se, "enumerate_tuple_family", recording)
+    se.census_se(F2, 5, 7)
+    expected = {tuple(sorted(e)) for m in range(8) for e in se.degree_tuples(5, m)}
+    assert len(calls) == len(set(calls))
+    assert set(calls) == expected
+
+
+def test_tuple_family_count_is_symmetric():
+    for e in ((3, 1), (2, 0, 1, 1), (0, 4)):
+        count = sum(1 for _ in se.enumerate_tuple_family(F2, e))
+        assert se.count_tuple_family(F2, e) == count
+        assert se.count_tuple_family(F2, tuple(reversed(e))) == count
+
+
+def test_sampler_guards_on_number_of_monics():
+    F8 = FieldSpec(2, 3)
+    for field, m in ((F4, 9), (F8, 6), (F2, se.MAX_TUPLE_DEGREE + 1)):
+        with pytest.raises(ResourceGuardError):
+            se.random_se_cover(field, 3, m, random.Random(0))
+        with pytest.raises(ResourceGuardError):
+            next(se.enumerate_tuple_family(field, (m - 1, 1)))
