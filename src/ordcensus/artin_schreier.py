@@ -5,8 +5,9 @@ Euler product of local zeta factors.
 The enumeration route counts whole families: the covers sharing a branch
 assignment (places and pole orders) are the products of per-place pools of
 local parts, and ordinarity reads only the pole orders, so each family adds
-the product of its pool sizes.  ``enumerate_covers`` expands the same
-families cover by cover.
+the product of its pool sizes.  A pool, listed in residue-field indices,
+depends only on |Q| and the pole order, so no residue field is built.
+``enumerate_covers`` expands the families cover by cover, indices to codes.
 
 Branch data is stored per irreducible place, never per geometric root: the
 local part at a place Q of degree d is the tuple (c_1, ..., c_{d_Q}) of
@@ -150,25 +151,22 @@ def _cover_families(field: FieldSpec, m: int, include_infinity: bool):
     sorted by place, the choices of the infinity part (``[None]`` when
     infinity is unramified) and, per assigned place, its local parts of pole
     order k_Q - 1.  The covers of a family are the products of the pools.
-    Every local part is checked once, when its pool is built.  Local pools
-    are built afresh for each family (only each place's element list is
-    kept); the infinity pool is shared by the families of one pole order.
+    Local parts are tuples of residue-field indices (0 is zero, as in
+    ``ExtField.index``; over F_q the codes are the indices), so one pool,
+    built and checked once per (residue-field size, pole order), serves
+    every place and infinity that share it.
     """
     if m < 2:
         return
-    p = field.p
-    elements = {}
+    p, q = field.p, field.q
+    pools = {}
 
-    def pool(elems, d_q):
-        parts = list(_local_part_choices(p, elems, d_q))
-        for coeffs in parts:
-            _check_local_part(p, coeffs)
-        return parts
-
-    def place_elements(pl):
-        if pl not in elements:
-            elements[pl] = ext_field_for(pl).elements()
-        return elements[pl]
+    def pool(norm, d_q):
+        if (norm, d_q) not in pools:
+            pools[norm, d_q] = list(_local_part_choices(p, range(norm), d_q))
+            for coeffs in pools[norm, d_q]:
+                _check_local_part(p, coeffs)
+        return pools[norm, d_q]
 
     inf_orders = [None]
     if include_infinity:
@@ -177,20 +175,23 @@ def _cover_families(field: FieldSpec, m: int, include_infinity: bool):
         rem = m - (k_inf or 0)
         if k_inf is None and rem == 0:
             continue
-        inf_pool = [None] if k_inf is None else pool(field.elements(), k_inf - 1)
+        inf_pool = [None] if k_inf is None else pool(q, k_inf - 1)
         for assignment in _branch_assignments(field, rem):
             if not assignment and k_inf is None:
                 continue
             assignment = tuple(sorted(assignment, key=lambda pk: pk[0]))
-            local_pools = [pool(place_elements(pl), k - 1) for pl, k in assignment]
+            local_pools = [pool(pl.norm, k - 1) for pl, k in assignment]
             yield assignment, inf_pool, local_pools
 
 
 def enumerate_covers(field: FieldSpec, m: int, include_infinity: bool = False):
     """All Artin-Schreier covers with invariant m, each exactly once."""
     for assignment, inf_pool, local_pools in _cover_families(field, m, include_infinity):
+        codes = [ext_field_for(pl).elements() for pl, _ in assignment]
+        code_pools = [[tuple(cs[i] for i in lc) for lc in pool]
+                      for cs, pool in zip(codes, local_pools)]
         for inf_part in inf_pool:
-            for locals_ in itertools.product(*local_pools):
+            for locals_ in itertools.product(*code_pools):
                 branch = tuple((pl, lc) for (pl, _), lc in zip(assignment, locals_))
                 yield ASCover(field, branch, inf_part)
 
@@ -234,6 +235,7 @@ def census_enumerated(field: FieldSpec, m_max: int,
             size = len(inf_pool) * math.prod(len(pool) for pool in local_pools)
             a += size
             # ordinarity reads only the pole orders, which the family shares
+            # (index tuples stand in for codes: both have zero at 0)
             branch = tuple((pl, pool[0]) for (pl, _), pool in zip(assignment, local_pools))
             if is_ordinary(ASCover(field, branch, inf_pool[0])):
                 b += size

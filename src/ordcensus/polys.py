@@ -15,7 +15,7 @@ remains, ``factor`` and ``is_irreducible`` read its output, and
 are built without a second test; ``Place(poly)`` called from outside
 validates its polynomial and raises ``DomainError`` on a reducible one.
 
-Squarefreeness and omega of every monic of one degree come from one
+The places of every squarefree monic of one degree come from one
 multiplicative sieve, ``place_sieve``: it multiplies each place P into the
 cofactors whose smallest place is at least P, so each reducible polynomial
 is reached once, from its smallest place, with no division or gcd.
@@ -249,15 +249,15 @@ def monic_rank(f: MonicPoly) -> int:
 
 
 def place_sieve(field: FieldSpec, d: int) -> tuple:
-    """(least, omegas) for the monic polynomials of degree d >= 1, each a flat
-    array indexed by position in ``enumerate_monic`` order.
+    """(least, places) for the monic polynomials of degree d >= 1, each
+    indexed by position in ``enumerate_monic`` order.
 
     ``least[i]`` is the ``monic_rank`` of the i-th polynomial's smallest
-    place; ``omegas[i]`` is its number of distinct places if it is
-    squarefree, else 0.  A reducible f is P*C for exactly one place P and
-    cofactor C whose smallest place is at least P: P is f's smallest place,
-    and f is squarefree iff C is and C's smallest place is not P, when
-    omega(f) = omega(C) + 1.  The entries no product reaches are the places.
+    place; ``places[i]`` is the increasing tuple of the ranks of its places
+    if it is squarefree, else ().  A reducible f is P*C for exactly one place
+    P and cofactor C whose smallest place is at least P: P is f's smallest
+    place, and f is squarefree iff C is and C's smallest place is not P,
+    when places(f) = (rank P,) + places(C).  Unreached entries are places.
     """
     key = (field, d)
     if key in _SIEVE_CACHE:
@@ -270,9 +270,9 @@ def place_sieve(field: FieldSpec, d: int) -> tuple:
     if field.elements() != range(q):
         raise DomainError("the place sieve needs coefficient codes 0..q-1")
     least = array("q", [-1]) * q ** d
-    omegas = array("B", bytes(q ** d))
+    places = [()] * q ** d
     for e in range(1, d // 2 + 1):
-        c_least, c_omegas = place_sieve(field, d - e)
+        c_least, c_places = place_sieve(field, d - e)
         for place in places_of_degree(field, e):
             rank = monic_rank(place.poly)
             p_full = place.poly.full
@@ -286,21 +286,21 @@ def place_sieve(field: FieldSpec, d: int) -> tuple:
                     raise InvariantViolation(
                         f"place sieve reached {MonicPoly(field, prod[:d])} twice")
                 least[i] = rank
-                w = c_omegas[j]
-                omegas[i] = w + 1 if w and c_rank != rank else 0
+                if c_places[j] and c_rank != rank:
+                    places[i] = (rank,) + c_places[j]
     first = (q ** d - 1) // (q - 1)
     unhit = 0
     for i, r in enumerate(least):
         if r < 0:
             least[i] = first + i
-            omegas[i] = 1
+            places[i] = (first + i,)
             unhit += 1
     if unhit != count_irreducibles(q, d):
         raise InvariantViolation(
             f"place sieve left {unhit} monic polynomials of degree {d} over F_{q} "
             f"unreached, expected {count_irreducibles(q, d)} places")
-    _SIEVE_CACHE[key] = least, omegas
-    return least, omegas
+    _SIEVE_CACHE[key] = least, places
+    return least, places
 
 
 def is_nth_power_free(f: MonicPoly, n: int) -> bool:

@@ -15,8 +15,7 @@ from .dirichlet import (WORKING_DPS, cumulative_ratios, euler_coefficients, l_co
                         zeta_affine)
 from .errors import DomainError, ResourceGuardError, InvariantViolation
 from .fields import FieldSpec, require_odd_prime
-from .polys import (MonicPoly, enumerate_monic, gcd_monic, is_squarefree,
-                    mul_monic, place_sieve, poly_one)
+from .polys import MonicPoly, enumerate_monic, gcd_monic, is_squarefree, place_sieve
 
 
 @dataclass(frozen=True)
@@ -101,16 +100,14 @@ def eigen_degrees(c: SECover) -> EigenDegrees:
     n_inf = c.n_infinity
     out = []
     for i in range(1, n):
-        val = Fraction(0)
-        for j in range(1, n):
-            val += degs[j - 1] * Fraction((i * j) % n, n)
-        val += Fraction((i * n_inf) % n, n)
-        val -= 1
-        if val.denominator != 1:
-            raise InvariantViolation(f"eigenspace dimension is not an integer: {val}")
-        if val < 0:
-            raise InvariantViolation(f"negative eigenspace dimension: {val}")
-        out.append(int(val))
+        # n * d_i = sum_j deg(f_j) ((i j) mod n) + ((i n_inf) mod n) - n
+        total = sum(degs[j - 1] * ((i * j) % n) for j in range(1, n))
+        total += (i * n_inf) % n - n
+        if total % n:
+            raise InvariantViolation(f"eigenspace dimension is not an integer: {total}/{n}")
+        if total < 0:
+            raise InvariantViolation(f"negative eigenspace dimension: {total // n}")
+        out.append(total // n)
     ed = EigenDegrees(tuple(out))
     if sum(out) != genus_se(c):
         raise InvariantViolation("eigenspace dimensions do not sum to the genus")
@@ -150,10 +147,8 @@ def ordinary_degree_tuple(n: int, degs: tuple) -> bool:
     """
     n_inf = (-sum(i * d for i, d in enumerate(degs, start=1))) % n
     x = [degs[j - 1] + (1 if j == n_inf else 0) for j in range(1, n)]
-    d = []
-    for i in range(1, n):
-        val = sum(xj * Fraction((i * j) % n, n) for j, xj in enumerate(x, start=1)) - 1
-        d.append(val)
+    # compare n * (d_i + 1) = sum_j x_j ((i j) mod n), an integer
+    d = [sum(xj * ((i * j) % n) for j, xj in enumerate(x, start=1)) for i in range(1, n)]
     sigma = sigma_permutation(n, 2)
     return all(d[i - 1] == d[sigma[i] - 1] for i in range(1, n))
 
@@ -278,40 +273,35 @@ def _guard_monic_count(field: FieldSpec, m: int, what: str):
             f"{what} guarded at q^m <= 2^{MAX_TUPLE_DEGREE}, got {field.q}^{m}")
 
 
-_SQF_CACHE: dict = {}
+def _tuple_family_positions(field: FieldSpec, e: tuple):
+    """The tuples of F_e (e nonempty) as sieve positions, parts in the order
+    of e: squarefree parts whose place sets are pairwise disjoint, i.e. which
+    are pairwise coprime."""
+    _guard_monic_count(field, sum(e), "tuple family enumeration")
+    pools = [[(i, s) for i, s in enumerate(place_sieve(field, d)[1]) if s] if d else [(0, ())]
+             for d in e]
+    last = len(e) - 1
 
-
-def squarefree_monic(field: FieldSpec, d: int) -> tuple:
-    """The squarefree monic polynomials of degree d, in enumeration order,
-    read from the place sieve."""
-    key = (field, d)
-    if key not in _SQF_CACHE:
-        if d == 0:
-            _SQF_CACHE[key] = (poly_one(field),)
-        else:
-            omegas = place_sieve(field, d)[1]
-            _SQF_CACHE[key] = tuple(f for f, w in zip(enumerate_monic(field, d), omegas) if w)
-    return _SQF_CACHE[key]
-
-
-_TUPLE_FAMILY_CACHE: dict = {}
+    def rec(idx, used, chosen):
+        for i, s in pools[idx]:
+            if used.isdisjoint(s):
+                if idx == last:
+                    yield chosen + (i,)
+                else:
+                    yield from rec(idx + 1, used.union(s), chosen + (i,))
+    yield from rec(0, frozenset(), ())
 
 
 def enumerate_tuple_family(field: FieldSpec, e: tuple):
     """All tuples of monic squarefree pairwise-coprime polys of degrees e,
-    parts in the order of e; coprimality is tested by gcd."""
+    parts in the order of e."""
     _guard_monic_count(field, sum(e), "tuple family enumeration")
+    monics = {d: tuple(enumerate_monic(field, d)) for d in set(e)}
+    for positions in _tuple_family_positions(field, e):
+        yield tuple(monics[d][i] for d, i in zip(e, positions))
 
-    def rec(idx, chosen, prod):
-        if idx == len(e):
-            yield tuple(chosen)
-            return
-        last = idx == len(e) - 1  # the product after the last part is never read
-        for f in squarefree_monic(field, e[idx]):
-            if f.degree > 0 and prod.degree > 0 and gcd_monic(f, prod).degree > 0:
-                continue
-            yield from rec(idx + 1, chosen + [f], prod if last else mul_monic(prod, f))
-    yield from rec(0, [], poly_one(field))
+
+_TUPLE_FAMILY_CACHE: dict = {}
 
 
 def count_tuple_family(field: FieldSpec, e: tuple) -> int:
@@ -322,7 +312,7 @@ def count_tuple_family(field: FieldSpec, e: tuple) -> int:
     """
     key = (field, tuple(sorted(e)))
     if key not in _TUPLE_FAMILY_CACHE:
-        _TUPLE_FAMILY_CACHE[key] = sum(1 for _ in enumerate_tuple_family(field, key[1]))
+        _TUPLE_FAMILY_CACHE[key] = sum(1 for _ in _tuple_family_positions(field, key[1]))
     return _TUPLE_FAMILY_CACHE[key]
 
 
@@ -333,7 +323,7 @@ def _has_tuple_family(field: FieldSpec, e: tuple) -> bool:
     """Whether F_{e_1, ..., e_r} is nonempty; stops at the first tuple."""
     key = (field, tuple(sorted(e)))
     if key not in _NONEMPTY_FAMILY_CACHE:
-        _NONEMPTY_FAMILY_CACHE[key] = any(True for _ in enumerate_tuple_family(field, key[1]))
+        _NONEMPTY_FAMILY_CACHE[key] = any(True for _ in _tuple_family_positions(field, key[1]))
     return _NONEMPTY_FAMILY_CACHE[key]
 
 
@@ -358,7 +348,8 @@ def enumerate_se_covers(field: FieldSpec, n: int, m: int):
 
 def census_a_tuples(field: FieldSpec, n: int, m: int) -> int:
     """Route (i): a(m) as the sum of |F_e| over degree tuples with sum m,
-    each family enumerated part by part with gcd coprimality tests."""
+    each family enumerated part by part, coprimality read from the place
+    sieve as disjoint place sets."""
     return sum(count_tuple_family(field, e) for e in degree_tuples(n, m))
 
 
@@ -367,7 +358,7 @@ def census_a_omega(field: FieldSpec, n: int, m: int) -> int:
     (n-1)^omega(H), with omega read from the place sieve."""
     if m == 0:
         return 1
-    return sum((n - 1) ** w for w in place_sieve(field, m)[1] if w)
+    return sum((n - 1) ** len(s) for s in place_sieve(field, m)[1] if s)
 
 
 def census_a_euler(field: FieldSpec, n: int, m_max: int) -> list:

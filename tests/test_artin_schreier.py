@@ -229,3 +229,20 @@ def test_branch_assignments_same_as_per_node_orders():
     for field, m_max in ((F2, 10), (F3, 7), (FieldSpec(2, 2), 6)):
         for m in range(m_max + 1):
             assert list(asc._branch_assignments(field, m)) == reference(field, m)
+
+
+def test_census_enumerated_builds_no_residue_field(monkeypatch):
+    def no_field(place):
+        raise AssertionError(f"residue field of {place.poly} built")
+    monkeypatch.setattr(asc, "ext_field_for", no_field)
+    for field, m_max, include_inf in ((FieldSpec(2, 3), 5, False), (FieldSpec(3, 2), 4, True)):
+        en = asc.census_enumerated(field, m_max, include_inf)
+        assert en.rows == asc.census_analytic(field, m_max, include_inf).rows
+
+
+def test_enumerated_covers_round_trip_through_json():
+    from ordcensus.serialize import cover_from_dict, cover_to_dict
+    for field, m_max in ((FieldSpec(2, 2), 5), (FieldSpec(3, 2), 4)):
+        for m in range(2, m_max + 1):
+            for c in asc.enumerate_covers(field, m, include_infinity=True):
+                assert cover_from_dict(cover_to_dict(c)) == c

@@ -68,11 +68,10 @@ def test_census_se(capsys):
 
 
 def test_census_se_sieve_check_exits_4(capsys, monkeypatch):
-    from ordcensus import polys, superelliptic
+    from ordcensus import polys
     count = polys.count_irreducibles
     monkeypatch.setattr(polys, "count_irreducibles", lambda q, d: count(q, d) + 1)
     monkeypatch.setattr(polys, "_SIEVE_CACHE", {})
-    monkeypatch.setattr(superelliptic, "_SQF_CACHE", {})
     code, out, err = run(capsys, "census", "se", "--q", "2", "--n", "3", "--max-m", "4")
     assert code == 4
     assert "place sieve" in err

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -164,17 +165,29 @@ def test_squarefree_matches_factorization():
 
 @pytest.mark.parametrize("field,d_max", [(F2, 10), (F3, 6), (F4, 5), (FieldSpec(3, 2), 3)])
 def test_place_sieve_matches_factor(monkeypatch, field, d_max):
-    # entry by entry: smallest place as factor's first, omega as factor's
-    # length on squarefree polynomials and 0 off them
+    # entry by entry: smallest place as factor's first, the places as the
+    # ranks of factor's places on squarefree polynomials and () off them
     monkeypatch.setattr(polys, "_SIEVE_CACHE", {})
     for d in range(1, d_max + 1):
-        least, omegas = place_sieve(field, d)
+        least, places = place_sieve(field, d)
         monics = list(enumerate_monic(field, d))
-        assert len(least) == len(omegas) == len(monics)
-        for f, r, w in zip(monics, least, omegas):
-            places = factor(f)
-            assert r == monic_rank(places[0][0].poly), f
-            assert w == (len(places) if is_squarefree(f) else 0), f
+        assert len(least) == len(places) == len(monics)
+        for f, r, s in zip(monics, least, places):
+            factors = factor(f)
+            assert r == monic_rank(factors[0][0].poly), f
+            ranks = tuple(monic_rank(place.poly) for place, _ in factors)
+            assert s == (ranks if is_squarefree(f) else ()), f
+
+
+@pytest.mark.parametrize("field", [F2, F3, F4])
+def test_place_sieve_disjoint_iff_coprime(field):
+    # the coprimality test the tuple families read from the sieve, against gcd
+    pool = [(poly_one(field), ())]
+    for d in range(1, 5):
+        pool += [(f, s) for f, s in zip(enumerate_monic(field, d), place_sieve(field, d)[1])
+                 if s]
+    for (f, s), (g, t) in itertools.combinations_with_replacement(pool, 2):
+        assert set(s).isdisjoint(t) == (gcd_monic(f, g).degree == 0), (f, g)
 
 
 def test_monic_rank_counts_smaller_monics():
