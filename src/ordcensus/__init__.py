@@ -7,8 +7,6 @@ rigorous truncation bounds, and an independent point-counting p-rank oracle.
 """
 
 from .errors import DomainError, InvariantViolation, ResourceGuardError
-from .fields import ExtField, FieldSpec
-from .polys import MonicPoly, Place
 
 __version__ = "0.1.0"
 
@@ -16,3 +14,15 @@ __all__ = [
     "DomainError", "InvariantViolation", "ResourceGuardError",
     "ExtField", "FieldSpec", "MonicPoly", "Place", "__version__",
 ]
+
+
+def __getattr__(name):
+    # The field and polynomial classes load their modules at first use, so
+    # importing the package (as every command does) costs almost nothing.
+    if name in ("ExtField", "FieldSpec"):
+        from . import fields as module
+    elif name in ("MonicPoly", "Place"):
+        from . import polys as module
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(module, name)

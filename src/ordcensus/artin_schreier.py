@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .dirichlet import cumulative_ratios, euler_coefficients, series_multiply
 from .errors import DomainError, ResourceGuardError
@@ -30,13 +30,20 @@ from .fields import FieldSpec
 from .polys import Place, ext_field_for, places_of_degree
 
 
-@dataclass(frozen=True)
-class ASCover:
-    """Branch data of an Artin-Schreier cover in partial-fraction normal form."""
+class ASCover(namedtuple("ASCover", "field branch infinity_part", defaults=(None,))):
+    """Branch data of an Artin-Schreier cover in partial-fraction normal form.
 
-    field: FieldSpec
-    branch: tuple  # sorted tuple of (Place, local coefficient tuple)
-    infinity_part: tuple | None = None  # (c_1, ..., c_{d_inf}) over F_q, or None
+    ``branch`` is the sorted tuple of (Place, local coefficient tuple);
+    ``infinity_part`` is (c_1, ..., c_{d_inf}) over F_q, or None when
+    infinity is unramified.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self.__post_init__()
+        return self
 
     def __post_init__(self):
         p = self.field.p
@@ -124,10 +131,16 @@ def _local_part_choices(p: int, elems, d_q: int):
 
 
 def _branch_assignments(field: FieldSpec, m: int):
-    """All ways to pick places with multiplicities k_Q, sum deg*k = m."""
+    """All ways to pick places with multiplicities k_Q, sum deg*k = m.
+
+    Each assignment lists its (Place, k_Q) pairs in Place order: the places
+    are taken in (degree, coefficients) order, and each node prepends its
+    place to pairs chosen from the places after it.
+    """
     places = []
     for d in range(1, m // 2 + 1):
         places.extend(places_of_degree(field, d))
+    degrees = [pl.degree for pl in places]
     orders = admissible_pole_orders(field.p, m)  # increasing; each node takes a prefix
 
     def rec(idx, remaining):
@@ -137,9 +150,9 @@ def _branch_assignments(field: FieldSpec, m: int):
         if idx == len(places):
             return
         yield from rec(idx + 1, remaining)
-        pl = places[idx]
-        for k in orders[:bisect_right(orders, remaining // pl.degree)]:
-            for rest in rec(idx + 1, remaining - pl.degree * k):
+        pl, d = places[idx], degrees[idx]
+        for k in orders[:bisect_right(orders, remaining // d)]:
+            for rest in rec(idx + 1, remaining - d * k):
                 yield ((pl, k),) + rest
     yield from rec(0, m)
 
@@ -147,14 +160,14 @@ def _branch_assignments(field: FieldSpec, m: int):
 def _cover_families(field: FieldSpec, m: int, include_infinity: bool):
     """The covers with invariant m, grouped by branch assignment.
 
-    Yields (assignment, inf_pool, local_pools): the (Place, k_Q) pairs
-    sorted by place, the choices of the infinity part (``[None]`` when
-    infinity is unramified) and, per assigned place, its local parts of pole
-    order k_Q - 1.  The covers of a family are the products of the pools.
-    Local parts are tuples of residue-field indices (0 is zero, as in
-    ``ExtField.index``; over F_q the codes are the indices), so one pool,
-    built and checked once per (residue-field size, pole order), serves
-    every place and infinity that share it.
+    Yields (assignment, inf_pool, local_pools): the (Place, k_Q) pairs in
+    Place order, as ``_branch_assignments`` lists them, the choices of the
+    infinity part (``[None]`` when infinity is unramified) and, per assigned
+    place, its local parts of pole order k_Q - 1.  The covers of a family
+    are the products of the pools.  Local parts are tuples of residue-field
+    indices (0 is zero, as in ``ExtField.index``; over F_q the codes are the
+    indices), so one pool, built and checked once per (residue-field size,
+    pole order), serves every place and infinity that share it.
     """
     if m < 2:
         return
@@ -179,7 +192,6 @@ def _cover_families(field: FieldSpec, m: int, include_infinity: bool):
         for assignment in _branch_assignments(field, rem):
             if not assignment and k_inf is None:
                 continue
-            assignment = tuple(sorted(assignment, key=lambda pk: pk[0]))
             local_pools = [pool(pl.norm, k - 1) for pl, k in assignment]
             yield assignment, inf_pool, local_pools
 
@@ -201,12 +213,15 @@ def enumerate_covers(field: FieldSpec, m: int, include_infinity: bool = False):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CensusTable:
-    q: int
-    p: int
-    rows: dict  # m -> (a_m, b_m)
-    source: str  # "enumerated" | "analytic"
+class CensusTable(namedtuple("CensusTable", "q p rows source")):
+    """``rows`` maps m -> (a_m, b_m); ``source`` is "enumerated" or "analytic"."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self.__post_init__()
+        return self
 
     def __post_init__(self):
         for m, (a, b) in self.rows.items():

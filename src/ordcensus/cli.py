@@ -7,19 +7,22 @@ exceeded, 4 invariant violation (oracle disagreement or route mismatch).
 Outputs are deterministic for a fixed configuration (including --seed).
 The environment variable ORDCENSUS_OUTDIR, when
 set, is prepended to relative --output paths.
+
+Each command imports the modules it runs inside its ``cmd_*`` function, and
+``json`` only where JSON is read or written, so that a short job does not
+pay for the rest of the package: ``--help`` loads only this module and
+``errors``, ``census as`` never loads the superelliptic code, ``census se``
+never loads the Artin-Schreier code, and only ``classify`` and ``oracle``
+load ``serialize`` and with it both cover modules.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
-from . import artin_schreier as asc
-from . import dirichlet, oracle, superelliptic
 from .errors import DomainError, ResourceGuardError, InvariantViolation
-from .serialize import cover_from_dict, cover_to_dict, field_from_qp
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -57,19 +60,22 @@ def emit(text: str, output: str | None):
 
 
 def emit_json(data, output: str | None):
+    import json
     emit(json.dumps(data, indent=2), output)
 
 
 def census_csv(rows: dict, m_values) -> str:
+    from .dirichlet import cumulative_ratios
     lines = ["m,a_m,b_m,cumulative_ratio"]
-    for m, a, b, ratio in dirichlet.cumulative_ratios(rows, m_values):
+    for m, a, b, ratio in cumulative_ratios(rows, m_values):
         lines.append(f"{m},{a},{b},{ratio:.6f}")
     return "\n".join(lines)
 
 
 def census_json(rows: dict, m_values) -> list:
+    from .dirichlet import cumulative_ratios
     return [{"m": m, "a_m": a, "b_m": b, "cumulative_ratio": round(ratio, 6)}
-            for m, a, b, ratio in dirichlet.cumulative_ratios(rows, m_values)]
+            for m, a, b, ratio in cumulative_ratios(rows, m_values)]
 
 
 def _m_max_from_args(args) -> int:
@@ -92,6 +98,8 @@ def _m_max_from_args(args) -> int:
 
 
 def cmd_constants(args) -> int:
+    from . import dirichlet
+    from .fields import field_from_qp
     q, p = args.q, args.p
     field_from_qp(q, p)  # validates q = p^k
     phi1 = dirichlet.phi_at_1(q, D=args.truncation_degree)
@@ -113,8 +121,10 @@ def cmd_constants(args) -> int:
 
 
 def cmd_census(args) -> int:
+    from .fields import field_from_qp
     m_max = _m_max_from_args(args)
     if args.family == "as":
+        from . import artin_schreier as asc
         field = field_from_qp(args.q, args.p)
         tables = []
         if args.mode in ("analytic", "both"):
@@ -131,6 +141,7 @@ def cmd_census(args) -> int:
                     f"analytic and enumerated censuses first disagree at m={m}: "
                     f"(a_m, b_m) = {rows[m]} analytic vs {other[m]} enumerated")
     else:
+        from . import superelliptic
         field = field_from_qp(args.q, 2)
         rows = superelliptic.census_se(field, args.n, m_max)
         m_values = range(0, m_max + 1)
@@ -142,6 +153,8 @@ def cmd_census(args) -> int:
 
 
 def _load_cover(path: str):
+    import json
+    from .serialize import cover_from_dict
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -151,6 +164,10 @@ def _load_cover(path: str):
 
 
 def cmd_classify(args) -> int:
+    from . import artin_schreier as asc
+    from . import superelliptic
+    from .fields import field_from_qp
+    from .serialize import cover_to_dict
     if args.cover:
         covers = [_load_cover(args.cover)]
     else:
@@ -183,6 +200,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from . import oracle
     cover = _load_cover(args.cover)
     report = oracle.cross_validate(cover)
     data = {
@@ -203,6 +221,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_verify_kernel(args) -> int:
+    from . import superelliptic
     ok = superelliptic.verify_kernel_lemma(args.n)
     emit_json({"n": args.n, "rank": (args.n + 1) // 2, "pass": ok}, args.output)
     if not ok:
@@ -211,6 +230,7 @@ def cmd_verify_kernel(args) -> int:
 
 
 def cmd_report_table1(args) -> int:
+    from . import dirichlet
     lines = ["q,phi1,phi1_dev,P_AS_modified,P_AS_modified_dev,cezb,cezb_dev"]
     rows = []
     for q, (phi_pub, pas_pub, cezb_pub) in TABLE1.items():

@@ -9,8 +9,9 @@ Products over places are always grouped by degree: the degree-d local
 factor is raised to the number of monic irreducibles of degree d, so the
 truncation degree D can be large even for q = 32.
 
-mpmath is imported only by the functions that evaluate constants, and each
-evaluation runs under ``mp.workdps(WORKING_DPS)``: importing this module
+mpmath is imported only by the functions that evaluate constants, which
+return mpmath ``mpf`` values, and each evaluation runs under
+``mp.workdps(WORKING_DPS)``: importing this module
 neither loads mpmath nor changes the global ``mp.dps``, so the censuses
 never pay for it.
 """
@@ -18,15 +19,11 @@ never pay for it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from collections import namedtuple
 
 from .errors import DomainError
 from .fields import require_odd_prime
 from .polys import count_irreducibles
-
-if TYPE_CHECKING:
-    from mpmath import mpf
 
 WORKING_DPS = 30  # products are quoted to 6 digits; keep ample headroom
 
@@ -94,14 +91,14 @@ def cumulative_ratios(rows: dict, m_values):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EulerProductValue:
-    value: mpf
-    truncation_degree: int
-    error_bound: mpf
+class EulerProductValue(namedtuple("EulerProductValue", "value truncation_degree error_bound")):
+    """A truncated Euler product: ``value`` and ``error_bound`` are mpmath
+    mpf, and the product runs over places of degree <= ``truncation_degree``."""
+
+    __slots__ = ()
 
 
-def _tail_bound(q: int, D: int, lead, decay: int) -> mpf:
+def _tail_bound(q: int, D: int, lead, decay: int):
     """Bound on sum_{d>D} I_d |log(local factor at degree d)|.
 
     Valid when |local - 1| <= lead * |Q|^{-decay} and that quantity is
@@ -138,7 +135,7 @@ def euler_product(q: int, local, lead, decay: int = 2,
         return EulerProductValue(value, D, abs(value) * (exp(tail) - 1))
 
 
-def zeta_affine(q: int, s) -> mpf:
+def zeta_affine(q: int, s):
     """zeta of the affine line: 1/(1 - q^{1-s}), for real s > 1."""
     from mpmath import mp, mpf
     with mp.workdps(WORKING_DPS):
@@ -196,7 +193,7 @@ def psi_p_at_1(p: int, q: int, D: int | None = None) -> EulerProductValue:
     return _local_polynomial_product(q, poly, D)
 
 
-def ordinary_probability_as(q: int, p: int, include_infinity: bool) -> mpf:
+def ordinary_probability_as(q: int, p: int, include_infinity: bool):
     """Limiting probability that an Artin-Schreier cover is ordinary."""
     from mpmath import mp, mpf
     if p >= 3:
@@ -210,7 +207,7 @@ def ordinary_probability_as(q: int, p: int, include_infinity: bool) -> mpf:
         return (1 - qi + qi ** 2) / (1 + qi) * base
 
 
-def cezb_constant(q: int, D: int = 120) -> mpf:
+def cezb_constant(q: int, D: int = 120):
     """prod_{i>=1} (1 + q^{-i})^{-1}, the random-Dieudonne-module prediction."""
     from mpmath import mp, mpf
     with mp.workdps(WORKING_DPS):
@@ -246,7 +243,7 @@ def l_constant(n: int, q: int, D: int | None = None) -> EulerProductValue:
     return euler_product(q, local, lead=lead, D=D)
 
 
-def kappa_constant(n: int, q: int) -> mpf:
+def kappa_constant(n: int, q: int):
     """kappa_n(q) = q phi_{n-1}(1) / (log(q) (n-2)!)."""
     from mpmath import log, mp, mpf
     require_odd_prime(n)

@@ -63,6 +63,21 @@ def prime_factors(n: int):
     return out
 
 
+def field_from_qp(q: int, p: int) -> FieldSpec:
+    """F_q with its default modulus; DomainError unless p is prime and q a
+    power p^k, k >= 1."""
+    if not is_prime(p):
+        raise DomainError(f"{p} is not prime")
+    k = 0
+    n = q
+    while n > 1 and n % p == 0:
+        n //= p
+        k += 1
+    if n != 1 or k == 0:
+        raise DomainError(f"q = {q} is not a power of p = {p}")
+    return FieldSpec(p, k)
+
+
 class FieldSpec:
     """The finite field F_q with q = p^k, with a fixed modulus over F_p."""
 

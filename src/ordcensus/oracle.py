@@ -8,8 +8,8 @@ checks except the field arithmetic; disagreement means a real bug.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+import math
+from collections import namedtuple
 
 from .errors import DomainError, ResourceGuardError, InvariantViolation
 from ._polyarith import evaluate
@@ -21,11 +21,15 @@ from .superelliptic import SECover, a_number, genus_se, is_ordinary_se
 MAX_GENUS = 6
 
 
-@dataclass(frozen=True)
-class PointCounts:
-    q: int
-    genus: int
-    counts: tuple  # (N_1, ..., N_k_max)
+class PointCounts(namedtuple("PointCounts", "q genus counts")):
+    """``counts`` is (N_1, ..., N_k_max)."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self.__post_init__()
+        return self
 
     def __post_init__(self):
         for k, n_k in enumerate(self.counts, start=1):
@@ -34,11 +38,15 @@ class PointCounts:
                     f"Weil bound violated: N_{k} = {n_k}, q = {self.q}, g = {self.genus}")
 
 
-@dataclass(frozen=True)
-class LPolynomial:
-    q: int
-    genus: int
-    coeffs: tuple  # (a_0, ..., a_{2g}) exact integers, a_0 = 1
+class LPolynomial(namedtuple("LPolynomial", "q genus coeffs")):
+    """``coeffs`` is (a_0, ..., a_{2g}), exact integers with a_0 = 1."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self.__post_init__()
+        return self
 
     def __post_init__(self):
         g, q = self.genus, self.q
@@ -129,17 +137,17 @@ def l_polynomial(counts: PointCounts) -> LPolynomial:
     if len(counts.counts) < g:
         raise DomainError(f"need at least N_1..N_{g}")
     s = [None] + [q ** k + 1 - counts.counts[k - 1] for k in range(1, g + 1)]
-    a = [Fraction(1)]
+    coeffs = [1]
     for k in range(1, g + 1):
-        acc = Fraction(s[k])
+        acc = s[k]
         for i in range(1, k):
-            acc += a[i] * s[k - i]
-        a_k = -acc / k
-        if a_k.denominator != 1:
-            raise InvariantViolation(
-                f"Newton identity gave non-integer a_{k} = {a_k}: point-count bug")
-        a.append(a_k)
-    coeffs = [int(x) for x in a]
+            acc += coeffs[i] * s[k - i]
+        a_k, r = divmod(-acc, k)  # k a_k = -acc must divide exactly
+        if r:
+            d = math.gcd(acc, k)
+            raise InvariantViolation(f"Newton identity gave non-integer a_{k} = "
+                                     f"{-acc // d}/{k // d}: point-count bug")
+        coeffs.append(a_k)
     for i in range(g - 1, -1, -1):
         coeffs.append(q ** (g - i) * coeffs[i])
     return LPolynomial(q, g, tuple(coeffs))
@@ -166,16 +174,11 @@ def p_rank(l_poly: LPolynomial, p: int) -> int:
     return deg
 
 
-@dataclass(frozen=True)
-class OracleReport:
-    kind: str  # "artin-schreier" | "superelliptic"
-    genus: int
-    counts: tuple
-    l_coeffs: tuple
-    p_rank: int
-    ordinary_by_criterion: bool
-    agree: bool
-    detail: str
+class OracleReport(namedtuple("OracleReport", "kind genus counts l_coeffs p_rank "
+                                               "ordinary_by_criterion agree detail")):
+    """``kind`` is "artin-schreier" or "superelliptic"."""
+
+    __slots__ = ()
 
 
 def _count_fn(c):

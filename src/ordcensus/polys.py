@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 from array import array
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import total_ordering
 
 from . import _polyarith as pa
@@ -39,10 +39,32 @@ from .fields import ExtField, FieldSpec, prime_factors
 
 
 @total_ordering
-@dataclass(frozen=True)
 class MonicPoly:
-    field: FieldSpec
-    coeffs: tuple  # lower coefficients, low degree first; leading 1 implicit
+    """An immutable monic polynomial over ``field``; ``coeffs`` holds the
+    lower coefficients, low degree first, the leading 1 implicit."""
+
+    __slots__ = ("field", "coeffs")
+
+    def __init__(self, field: FieldSpec, coeffs: tuple):
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.field, self.coeffs) == (other.field, other.coeffs)
+
+    def __hash__(self):
+        return hash((self.field, self.coeffs))
+
+    def __repr__(self):
+        return f"MonicPoly(field={self.field!r}, coeffs={self.coeffs!r})"
+
+    def __reduce__(self):  # pickle and copy, which would assign the slots
+        return self.__class__, (self.field, self.coeffs)
 
     @property
     def degree(self) -> int:
@@ -101,15 +123,32 @@ def gcd_monic(a: MonicPoly, b: MonicPoly) -> MonicPoly:
 
 
 @total_ordering
-@dataclass(frozen=True)
 class Place:
     """A monic irreducible polynomial, the index of an Euler factor."""
 
-    poly: MonicPoly
+    __slots__ = ("poly",)
 
-    def __post_init__(self):
-        if not is_irreducible(self.poly):
-            raise DomainError(f"{self.poly} is not irreducible")
+    def __init__(self, poly: MonicPoly):
+        object.__setattr__(self, "poly", poly)
+        if not is_irreducible(poly):
+            raise DomainError(f"{poly} is not irreducible")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.poly == other.poly
+
+    def __hash__(self):
+        return hash((self.poly,))
+
+    def __repr__(self):
+        return f"Place(poly={self.poly!r})"
+
+    def __reduce__(self):
+        return self.__class__, (self.poly,)
 
     @property
     def field(self) -> FieldSpec:
@@ -157,7 +196,7 @@ _PLACES_CACHE: dict = {}
 
 
 def _place(poly: MonicPoly) -> Place:
-    """A Place built without the irreducibility test of ``__post_init__``.
+    """A Place built without the irreducibility test of ``Place.__init__``.
 
     Precondition: ``poly`` is monic irreducible, proved so by the caller (the
     sieve of ``places_of_degree`` or the trial division of ``_factors``).
@@ -323,19 +362,17 @@ def ext_field_for(place: Place) -> ExtField:
     return _EXT_CACHE[key]
 
 
-@dataclass(frozen=True)
-class PartialFraction:
+class PartialFraction(namedtuple("PartialFraction", "field polynomial_part parts")):
     """num/den = polynomial_part + sum over places of the local parts.
 
-    ``parts`` maps each Place to the tuple (c_1, ..., c_e) of coefficients
-    of the local part in the variable x_alpha = 1/(x - alpha), alpha a fixed
-    root of the place; entries are codes of the place's residue field
+    ``polynomial_part`` is a raw coefficient tuple over the base field.
+    ``parts`` is the sorted tuple of (Place, (c_1, ..., c_e)): the
+    coefficients of the local part in the variable x_alpha = 1/(x - alpha),
+    alpha a fixed root of the place, as codes of the place's residue field
     ``ext_field_for(place)``.  c_e is nonzero.
     """
 
-    field: FieldSpec
-    polynomial_part: tuple  # raw coefficient tuple over the base field
-    parts: tuple  # sorted tuple of (Place, coefficient tuple)
+    __slots__ = ()
 
     def parts_dict(self) -> dict:
         return dict(self.parts)

@@ -17,23 +17,10 @@ with one polynomial text per f_i, i = 1..n-1 (constant parts written "1").
 from __future__ import annotations
 
 from .errors import DomainError
-from .fields import FieldSpec, is_prime
+from .fields import field_from_qp
 from .artin_schreier import ASCover
 from .polys import MonicPoly, Place, ext_field_for
 from .superelliptic import SECover
-
-
-def field_from_qp(q: int, p: int) -> FieldSpec:
-    if not is_prime(p):
-        raise DomainError(f"{p} is not prime")
-    k = 0
-    n = q
-    while n > 1 and n % p == 0:
-        n //= p
-        k += 1
-    if n != 1 or k == 0:
-        raise DomainError(f"q = {q} is not a power of p = {p}")
-    return FieldSpec(p, k)
 
 
 def cover_to_dict(c) -> dict:

@@ -8,8 +8,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 
 from .dirichlet import (WORKING_DPS, cumulative_ratios, euler_coefficients, l_constant,
                         zeta_affine)
@@ -18,13 +17,18 @@ from .fields import FieldSpec, require_odd_prime
 from .polys import MonicPoly, enumerate_monic, gcd_monic, is_squarefree, place_sieve
 
 
-@dataclass(frozen=True)
-class SECover:
-    """A cover y^n = prod f_i^i with squarefree pairwise-coprime monic parts."""
+class SECover(namedtuple("SECover", "field n parts")):
+    """A cover y^n = prod f_i^i with squarefree pairwise-coprime monic parts.
 
-    field: FieldSpec
-    n: int
-    parts: tuple  # (f_1, ..., f_{n-1}), MonicPoly each (constant 1 allowed)
+    ``parts`` is (f_1, ..., f_{n-1}), a MonicPoly each (constant 1 allowed).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self.__post_init__()
+        return self
 
     def __post_init__(self):
         require_odd_prime(self.n)
@@ -86,9 +90,10 @@ def genus_se(c: SECover) -> int:
     return g_prime
 
 
-@dataclass(frozen=True)
-class EigenDegrees:
-    d: tuple  # (d_1, ..., d_{n-1})
+class EigenDegrees(namedtuple("EigenDegrees", "d")):
+    """``d`` is (d_1, ..., d_{n-1})."""
+
+    __slots__ = ()
 
 
 def eigen_degrees(c: SECover) -> EigenDegrees:
@@ -181,6 +186,7 @@ def is_ordinary_se(c: SECover) -> bool:
 
 def rref(matrix):
     """Reduced row echelon form over Fraction; returns (rref, pivot columns)."""
+    from fractions import Fraction
     m = [row[:] for row in matrix]
     rows = len(m)
     cols = len(m[0]) if rows else 0
@@ -210,6 +216,7 @@ def matrix_rank(matrix) -> int:
 
 def kernel_basis(matrix):
     """Basis of the right kernel over Fraction, scaled to integer vectors."""
+    from fractions import Fraction
     red, pivots = rref(matrix)
     cols = len(matrix[0])
     free = [c for c in range(cols) if c not in pivots]
@@ -226,6 +233,7 @@ def kernel_basis(matrix):
 
 def fractional_part_matrix(n: int):
     """A with A_ij = <ij/n>, 1 <= i, j <= n-1, exact rationals."""
+    from fractions import Fraction
     return [[Fraction((i * j) % n, n) for j in range(1, n)] for i in range(1, n)]
 
 

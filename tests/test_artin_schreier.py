@@ -231,6 +231,15 @@ def test_branch_assignments_same_as_per_node_orders():
             assert list(asc._branch_assignments(field, m)) == reference(field, m)
 
 
+def test_branch_assignments_list_places_in_place_order():
+    # _cover_families passes the assignments on unsorted
+    for field, m_max in ((F2, 10), (F3, 7), (FieldSpec(2, 2), 6)):
+        for m in range(m_max + 1):
+            for assignment in asc._branch_assignments(field, m):
+                places = [pl for pl, _ in assignment]
+                assert all(a < b for a, b in zip(places, places[1:])), assignment
+
+
 def test_census_enumerated_builds_no_residue_field(monkeypatch):
     def no_field(place):
         raise AssertionError(f"residue field of {place.poly} built")

@@ -144,6 +144,58 @@ assert mpmath.mp.dps == dps, mpmath.mp.dps
     assert proc.returncode == 0, proc.stderr
 
 
+def _modules_after(argv, cover):
+    """The ordcensus submodules and the named stdlib modules in sys.modules
+    after one command in a fresh process."""
+    script = f"""
+import contextlib, io, json, sys
+from ordcensus.cli import main
+argv = [{cover!r} if a == "COVER" else a for a in {list(argv)!r}]
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        assert main(argv) == 0, argv
+    except SystemExit as exc:
+        assert exc.code == 0, argv
+mods = sorted(m for m in sys.modules if m == "ordcensus" or m.startswith("ordcensus."))
+print(json.dumps([mods, [m for m in ("dataclasses", "inspect", "fractions")
+                         if m in sys.modules]]))
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    mods, stdlib = json.loads(proc.stdout)
+    return {m.removeprefix("ordcensus.") for m in mods}, set(stdlib)
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    cover = tmp_path / "cover.json"
+    cover.write_text(json.dumps({"q": 2, "p": 2,
+                                 "branch": [{"place": "0,1", "local": [1]}],
+                                 "infinity": [1]}))
+    commands = {
+        "help": ("--help",),
+        "census as": ("census", "as", "--q", "2", "--max-m", "6", "--mode", "both"),
+        "census se": ("census", "se", "--q", "2", "--n", "3", "--max-m", "4",
+                      "--format", "json"),
+        "constants": ("constants", "--q", "3", "--p", "3"),
+        "report-table1": ("report-table1",),
+        "classify": ("classify", "--sample", "2", "--q", "2", "--n", "3", "--max-m", "3"),
+        "classify cover": ("classify", "--cover", "COVER"),
+        "oracle": ("oracle", "--cover", "COVER"),
+        "verify-kernel": ("verify-kernel", "--n", "5"),
+    }
+    loaded = {name: _modules_after(argv, str(cover)) for name, argv in commands.items()}
+    assert loaded["help"][0] == {"ordcensus", "cli", "errors"}
+    assert not {"superelliptic", "oracle", "serialize"} & loaded["census as"][0]
+    assert not {"artin_schreier", "oracle", "serialize"} & loaded["census se"][0]
+    for name, (_, stdlib) in loaded.items():
+        assert not {"dataclasses", "inspect"} & stdlib, name
+        assert ("fractions" in stdlib) == (name == "verify-kernel"), name
+
+
 @pytest.mark.parametrize("argv", [
     ("census", "as", "--q", "2", "--max-m", "-1"),
     ("census", "se", "--q", "2", "--max-m", "-1"),
