@@ -294,7 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_oracle = sub.add_parser("oracle", help="point-count p-rank cross-validation")
     p_oracle.add_argument("--cover", required=True)
-    p_oracle.add_argument("--format", choices=["json"], default="json")
     p_oracle.add_argument("--output", default=None)
     p_oracle.set_defaults(func=cmd_oracle)
 

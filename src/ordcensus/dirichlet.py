@@ -22,8 +22,7 @@ import math
 from collections import namedtuple
 
 from .errors import DomainError
-from .fields import require_odd_prime
-from .polys import count_irreducibles
+from .fields import count_irreducibles, require_odd_prime
 
 WORKING_DPS = 30  # products are quoted to 6 digits; keep ample headroom
 

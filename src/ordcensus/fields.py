@@ -15,11 +15,15 @@ its codes and arithmetic are those of the FieldSpec of that order, whose
 tables all such fields share, and it carries the embedding of F_q and a
 root of h.  The residue fields of :mod:`polys` and the oracle's F_{q^k}
 are ExtFields.
+
+``count_irreducibles`` lives here with the other number-theory helpers,
+so the Euler products of :mod:`dirichlet` need no polynomial code.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from functools import cache, cached_property
 
 from . import _polyarith as pa
@@ -61,6 +65,24 @@ def prime_factors(n: int):
     if n > 1:
         out.append(n)
     return out
+
+
+def mobius(n: int) -> int:
+    if n < 1:
+        raise DomainError("mobius is defined for n >= 1")
+    primes = prime_factors(n)
+    return (-1) ** len(primes) if math.prod(primes) == n else 0
+
+
+def count_irreducibles(q: int, d: int) -> int:
+    """Number of monic irreducible polynomials of degree d over F_q."""
+    if d < 1:
+        raise DomainError("degree must be >= 1")
+    total = 0
+    for e in range(1, d + 1):
+        if d % e == 0:
+            total += mobius(e) * q ** (d // e)
+    return total // d
 
 
 def field_from_qp(q: int, p: int) -> FieldSpec:

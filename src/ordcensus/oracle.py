@@ -2,8 +2,11 @@
 L-polynomial via Newton's identities and the functional equation, and the
 p-rank as the degree of L mod p.
 
-The counting code shares nothing with the combinatorial classification it
-checks except the field arithmetic; disagreement means a real bug.
+An Artin-Schreier cover's f is put over one denominator, f = N/D, by
+``polys.reconstruct``, and the sweep evaluates N and D at each x.  Besides
+the field arithmetic, that partial-fraction reconstruction is all the
+counting code shares with the combinatorial classification it checks;
+disagreement means a real bug.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from .errors import DomainError, ResourceGuardError, InvariantViolation
 from ._polyarith import evaluate
 from .fields import MAX_Q, ExtField, FieldSpec, primitive_modulus
 from .artin_schreier import ASCover, genus as genus_as, is_ordinary
-from .polys import local_to_global
+from .polys import PartialFraction, reconstruct
 from .superelliptic import SECover, a_number, genus_se, is_ordinary_se
 
 MAX_GENUS = 6
@@ -77,21 +80,14 @@ def count_points_as(c: ASCover, k: int) -> int:
     p = field.p
     _guard(field, genus_as(c), k)
     E = extension_field(field, k)
-    # (numerator, denominator, minus the pole order) for each branch place
-    terms = [(E.lift(local_to_global(pl, coeffs)), E.lift(pl.poly.full), -len(coeffs))
-             for pl, coeffs in c.branch]
-    inf_poly = ()
-    if c.infinity_part is not None:
-        inf_poly = E.lift((0,) + c.infinity_part)  # sum c_j x^j, no constant term
+    # f = N/D; the polynomial part sum c_j x^j (no constant term) is the pole at infinity
+    inf = () if c.infinity_part is None else (0,) + c.infinity_part
+    num, den = (E.lift(a) for a in reconstruct(PartialFraction(field, inf, c.branch)))
     total = 0
     for x in range(E.q):
-        den_vals = [evaluate(E, den, x) for _, den, _ in terms]
-        if 0 in den_vals:
-            continue  # pole: handled place by place below
-        fx = evaluate(E, inf_poly, x)
-        for (num, _, e), dv in zip(terms, den_vals):
-            fx = E.add(fx, E.mul(evaluate(E, num, x), E.pow(dv, e)))
-        if E.trace(fx) == 0:
+        dv = evaluate(E, den, x)
+        # D(x) = 0 at the poles, counted place by place below
+        if dv and E.trace(E.mul(evaluate(E, num, x), E.inv(dv))) == 0:
             total += p
     # each pole place is totally ramified: one point per root in F_{q^k}
     for pl, _ in c.branch:

@@ -28,43 +28,20 @@ lowest degree first, with the leading 1 written explicitly.  Over F_2,
 from __future__ import annotations
 
 import itertools
-import math
 from array import array
 from collections import namedtuple
-from functools import total_ordering
 
 from . import _polyarith as pa
 from .errors import DomainError, InvariantViolation, ResourceGuardError
-from .fields import ExtField, FieldSpec, prime_factors
+from .fields import ExtField, FieldSpec, count_irreducibles
 
 
-@total_ordering
-class MonicPoly:
+class MonicPoly(namedtuple("MonicPoly", "field coeffs")):
     """An immutable monic polynomial over ``field``; ``coeffs`` holds the
-    lower coefficients, low degree first, the leading 1 implicit."""
+    lower coefficients, low degree first, the leading 1 implicit.  Ordered
+    by (degree, coeffs)."""
 
-    __slots__ = ("field", "coeffs")
-
-    def __init__(self, field: FieldSpec, coeffs: tuple):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.field, self.coeffs) == (other.field, other.coeffs)
-
-    def __hash__(self):
-        return hash((self.field, self.coeffs))
-
-    def __repr__(self):
-        return f"MonicPoly(field={self.field!r}, coeffs={self.coeffs!r})"
-
-    def __reduce__(self):  # pickle and copy, which would assign the slots
-        return self.__class__, (self.field, self.coeffs)
+    __slots__ = ()
 
     @property
     def degree(self) -> int:
@@ -75,8 +52,18 @@ class MonicPoly:
         """All coefficients including the leading 1."""
         return self.coeffs + (1,)
 
+    # tuple order would compare the fields first
     def __lt__(self, other):
-        return (self.degree, self.coeffs) < (other.degree, other.coeffs)
+        return (len(self.coeffs), self.coeffs) < (len(other.coeffs), other.coeffs)
+
+    def __le__(self, other):
+        return (len(self.coeffs), self.coeffs) <= (len(other.coeffs), other.coeffs)
+
+    def __gt__(self, other):
+        return (len(self.coeffs), self.coeffs) > (len(other.coeffs), other.coeffs)
+
+    def __ge__(self, other):
+        return (len(self.coeffs), self.coeffs) >= (len(other.coeffs), other.coeffs)
 
     def to_text(self) -> str:
         return ",".join(str(c) for c in self.full)
@@ -122,33 +109,16 @@ def gcd_monic(a: MonicPoly, b: MonicPoly) -> MonicPoly:
     return MonicPoly(a.field, g[:-1])
 
 
-@total_ordering
-class Place:
-    """A monic irreducible polynomial, the index of an Euler factor."""
+class Place(namedtuple("Place", "poly")):
+    """A monic irreducible polynomial, the index of an Euler factor.  Places
+    compare as the one-tuples (poly,), so in the order of their polynomials."""
 
-    __slots__ = ("poly",)
+    __slots__ = ()
 
-    def __init__(self, poly: MonicPoly):
-        object.__setattr__(self, "poly", poly)
+    def __new__(cls, poly: MonicPoly):
         if not is_irreducible(poly):
             raise DomainError(f"{poly} is not irreducible")
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.poly == other.poly
-
-    def __hash__(self):
-        return hash((self.poly,))
-
-    def __repr__(self):
-        return f"Place(poly={self.poly!r})"
-
-    def __reduce__(self):
-        return self.__class__, (self.poly,)
+        return super().__new__(cls, poly)
 
     @property
     def field(self) -> FieldSpec:
@@ -162,9 +132,6 @@ class Place:
     def norm(self) -> int:
         return self.poly.field.q ** self.poly.degree
 
-    def __lt__(self, other):
-        return self.poly < other.poly
-
 
 def enumerate_monic(field: FieldSpec, d: int):
     """All monic polynomials of degree d, lexicographic on (c_0, ..., c_{d-1})."""
@@ -174,36 +141,16 @@ def enumerate_monic(field: FieldSpec, d: int):
         yield MonicPoly(field, coeffs)
 
 
-def mobius(n: int) -> int:
-    if n < 1:
-        raise DomainError("mobius is defined for n >= 1")
-    primes = prime_factors(n)
-    return (-1) ** len(primes) if math.prod(primes) == n else 0
-
-
-def count_irreducibles(q: int, d: int) -> int:
-    """Number of monic irreducible polynomials of degree d over F_q."""
-    if d < 1:
-        raise DomainError("degree must be >= 1")
-    total = 0
-    for e in range(1, d + 1):
-        if d % e == 0:
-            total += mobius(e) * q ** (d // e)
-    return total // d
-
-
 _PLACES_CACHE: dict = {}
 
 
 def _place(poly: MonicPoly) -> Place:
-    """A Place built without the irreducibility test of ``Place.__init__``.
+    """A Place built without the irreducibility test of ``Place.__new__``.
 
     Precondition: ``poly`` is monic irreducible, proved so by the caller (the
     sieve of ``places_of_degree`` or the trial division of ``_factors``).
     """
-    place = object.__new__(Place)
-    object.__setattr__(place, "poly", poly)
-    return place
+    return tuple.__new__(Place, (poly,))
 
 
 def places_of_degree(field: FieldSpec, d: int) -> tuple:
@@ -374,9 +321,6 @@ class PartialFraction(namedtuple("PartialFraction", "field polynomial_part parts
 
     __slots__ = ()
 
-    def parts_dict(self) -> dict:
-        return dict(self.parts)
-
 
 def _shift_by_root(E: ExtField, poly_E: tuple, alpha) -> tuple:
     """Coefficients of f(alpha + t) as a polynomial in t over E."""
@@ -431,41 +375,30 @@ def local_expansion(place: Place, e: int, numerator: tuple) -> tuple:
 def local_to_global(place: Place, coeffs: tuple) -> tuple:
     """Inverse of local_expansion: the numerator A with A/place^e = local part.
 
-    ``coeffs`` is (c_1, ..., c_e) over the place's residue field.  The
-    returned raw tuple has coefficients in the base field.
+    ``coeffs`` is (c_1, ..., c_e) over the place's residue field E.  With
+    place = (x - alpha) R over E, the local part at alpha is
+    sum_j c_j/(x - alpha)^j = P/place^e with P = B R^e and
+    B = sum_j c_j (x - alpha)^(e-j); the local part of the place is its sum
+    over the conjugates of alpha, so A is the relative trace from E to the
+    base field of each coefficient of P.  The returned raw tuple has
+    coefficients in the base field.
     """
     E = ext_field_for(place)
-    K = place.field
-    e = len(coeffs)
-    d = place.degree
-    roots = [E.gen()]
-    for _ in range(d - 1):
-        roots.append(E.frobenius(roots[-1]))
-    conj = [list(coeffs)]
-    for _ in range(d - 1):
-        conj.append([E.frobenius(c) for c in conj[-1]])
-    # linear factors (x - root_i) and their e-th powers
-    lin = [(E.neg(r), E.one) for r in roots]
-    lin_pow = []
-    for L in lin:
-        acc = (E.one,)
-        for _ in range(e):
-            acc = pa.mul(E, acc, L)
-        lin_pow.append(acc)
-    total: tuple = ()
-    for i in range(d):
-        # B_i = sum_j c_j^(i) (x - alpha_i)^(e-j)
-        b: tuple = ()
-        pw = (E.one,)
-        for j in range(e, 0, -1):
-            b = pa.add(E, b, pa.scale(E, pw, conj[i][j - 1]))
-            pw = pa.mul(E, pw, lin[i])
-        others = (E.one,)
-        for i2 in range(d):
-            if i2 != i:
-                others = pa.mul(E, others, lin_pow[i2])
-        total = pa.add(E, total, pa.mul(E, b, others))
-    return tuple(E.in_base(c) for c in total)
+    lin = (E.neg(E.gen()), E.one)  # x - alpha
+    r, _ = pa.divmod_(E, E.lift(place.poly.full), lin)
+    b: tuple = ()
+    for c in coeffs:  # Horner in x - alpha
+        b = pa.add(E, pa.mul(E, b, lin), (c,))
+    for _ in coeffs:
+        b = pa.mul(E, b, r)
+    out = []
+    for c in b:
+        tr = c
+        for _ in range(place.degree - 1):
+            c = E.frobenius(c)
+            tr = E.add(tr, c)
+        out.append(E.in_base(tr))
+    return pa.trim(place.field, out)
 
 
 def partial_fractions(num: tuple, den: MonicPoly) -> PartialFraction:

@@ -324,17 +324,6 @@ def count_tuple_family(field: FieldSpec, e: tuple) -> int:
     return _TUPLE_FAMILY_CACHE[key]
 
 
-_NONEMPTY_FAMILY_CACHE: dict = {}
-
-
-def _has_tuple_family(field: FieldSpec, e: tuple) -> bool:
-    """Whether F_{e_1, ..., e_r} is nonempty; stops at the first tuple."""
-    key = (field, tuple(sorted(e)))
-    if key not in _NONEMPTY_FAMILY_CACHE:
-        _NONEMPTY_FAMILY_CACHE[key] = any(True for _ in _tuple_family_positions(field, key[1]))
-    return _NONEMPTY_FAMILY_CACHE[key]
-
-
 def degree_tuples(n: int, m: int):
     """All (e_1, ..., e_{n-1}) of non-negative integers with sum m."""
     def rec(slots, total):
@@ -416,7 +405,7 @@ def random_se_cover(field: FieldSpec, n: int, m: int, rng) -> SECover:
     """A uniformly-chosen degree tuple with sum m, then rejection-sampled
     squarefree pairwise-coprime monic parts of those degrees."""
     _guard_monic_count(field, m, "random cover")
-    tuples = [e for e in degree_tuples(n, m) if _has_tuple_family(field, e)]
+    tuples = [e for e in degree_tuples(n, m) if count_tuple_family(field, e) > 0]
     if not tuples:
         raise DomainError(f"no admissible degree tuples with sum {m}")
     e = rng.choice(tuples)

@@ -191,6 +191,8 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     assert loaded["help"][0] == {"ordcensus", "cli", "errors"}
     assert not {"superelliptic", "oracle", "serialize"} & loaded["census as"][0]
     assert not {"artin_schreier", "oracle", "serialize"} & loaded["census se"][0]
+    assert "polys" not in loaded["constants"][0]
+    assert "polys" not in loaded["report-table1"][0]
     for name, (_, stdlib) in loaded.items():
         assert not {"dataclasses", "inspect"} & stdlib, name
         assert ("fractions" in stdlib) == (name == "verify-kernel"), name

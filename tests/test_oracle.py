@@ -174,3 +174,21 @@ def test_oracle_agreement_beyond_f2():
     covers += rng.sample(pool, 10)
     for c in covers:
         assert orc.assert_agreement(c).agree
+
+
+def test_p_rank_is_deuring_shafarevich():
+    """The oracle's p-rank is (p - 1)(r - 1), r the number of geometric
+    branch points, on two seeded covers of each kind: infinity ramified or
+    not, a place of degree >= 2 or not."""
+    rng = random.Random(1831)
+    F3, F9 = FieldSpec(3), FieldSpec(3, 2)
+    for field, ms in [(F2, (4, 6, 8, 10)), (F3, (3, 4, 5)), (F4, (4, 6)), (F9, (3, 4))]:
+        for m in ms:
+            kinds = {}
+            for c in asc.enumerate_covers(field, m, include_infinity=True):
+                wide = any(pl.degree > 1 for pl, _ in c.branch)
+                kinds.setdefault((c.infinity_part is None, wide), []).append(c)
+            for pool in kinds.values():
+                for c in rng.sample(pool, min(2, len(pool))):
+                    r = sum(pl.degree for pl, _ in c.branch) + (c.infinity_part is not None)
+                    assert orc.cross_validate(c).p_rank == (field.p - 1) * (r - 1), c

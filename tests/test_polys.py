@@ -6,11 +6,11 @@ import pytest
 from ordcensus import _polyarith as pa
 from ordcensus import polys
 from ordcensus.errors import DomainError, ResourceGuardError
-from ordcensus.fields import FieldSpec
-from ordcensus.polys import (MonicPoly, Place, count_irreducibles, enumerate_monic,
+from ordcensus.fields import FieldSpec, count_irreducibles, mobius
+from ordcensus.polys import (MonicPoly, Place, enumerate_monic,
                              factor, gcd_monic, is_irreducible,
                              is_nth_power_free, is_squarefree, local_expansion,
-                             local_to_global, mobius, monic_rank, mul_monic, omega,
+                             local_to_global, monic_rank, mul_monic, omega,
                              partial_fractions, place_sieve, places_of_degree, poly_one,
                              poly_x, pow_monic, reconstruct)
 
@@ -105,7 +105,7 @@ def test_enumeration_guard():
 
 def test_local_expansion_inverse():
     rng = random.Random(2718)
-    for field in (F2, F4):
+    for field in (F2, F4, F3, FieldSpec(3, 2)):
         for d in range(1, 4):
             for place in places_of_degree(field, d)[:2]:
                 for e in (1, 2, 3):

@@ -223,14 +223,6 @@ def test_census_se_guard_fires_before_any_route(monkeypatch):
             se.census_se(field, 3, m_max)
 
 
-def test_nonempty_family_check_matches_count():
-    for field in (F2, F4):
-        for n in (3, 5):
-            for m in range(5):
-                for e in se.degree_tuples(n, m):
-                    assert se._has_tuple_family(field, e) == (se.count_tuple_family(field, e) > 0)
-
-
 def test_tuple_families_enumerated_once_per_sorted_degree_tuple(monkeypatch):
     monkeypatch.setattr(se, "_TUPLE_FAMILY_CACHE", {})
     calls = []
