@@ -24,7 +24,6 @@ import math
 from bisect import bisect_right
 from collections import namedtuple
 
-from .dirichlet import cumulative_ratios, euler_coefficients, series_multiply
 from .errors import DomainError, ResourceGuardError
 from .fields import FieldSpec
 from .polys import Place, ext_field_for, places_of_degree
@@ -149,8 +148,10 @@ def _branch_assignments(field: FieldSpec, m: int):
             return
         if idx == len(places):
             return
-        yield from rec(idx + 1, remaining)
         pl, d = places[idx], degrees[idx]
+        if remaining < 2 * d:  # k >= 2, and no later place has a smaller degree
+            return
+        yield from rec(idx + 1, remaining)
         for k in orders[:bisect_right(orders, remaining // d)]:
             for rest in rec(idx + 1, remaining - d * k):
                 yield ((pl, k),) + rest
@@ -229,6 +230,7 @@ class CensusTable(namedtuple("CensusTable", "q p rows source")):
                 raise DomainError(f"census row m={m} violates 0 <= b <= a")
 
     def cumulative_ratio(self, m_max: int) -> float:
+        from .dirichlet import cumulative_ratios
         steps = list(cumulative_ratios(self.rows, sorted(m for m in self.rows if m <= m_max)))
         if not steps:
             raise DomainError("empty census: zero denominator")
@@ -263,6 +265,7 @@ def census_analytic(field: FieldSpec, m_max: int,
     """Coefficients of prod_Q Z_Q (all covers) and prod_Q Z_{0,Q} (ordinary
     covers) in u = q^{-s}, where Z_Q sums the admissible local parts of a
     place by pole order and Z_{0,Q} = 1 + (|Q|-1)|Q|^{-2s}."""
+    from .dirichlet import euler_coefficients, series_multiply
     q, p = field.q, field.p
 
     def local(d):

@@ -13,7 +13,9 @@ Each command imports the modules it runs inside its ``cmd_*`` function, and
 pay for the rest of the package: ``--help`` loads only this module and
 ``errors``, ``census as`` never loads the superelliptic code, ``census se``
 never loads the Artin-Schreier code, and only ``classify`` and ``oracle``
-load ``serialize`` and with it both cover modules.
+load ``serialize``.  A cover loads only the module of its kind, so
+``classify --sample`` (superelliptic covers) never loads the Artin-Schreier
+code either.
 """
 
 from __future__ import annotations
@@ -164,10 +166,8 @@ def _load_cover(path: str):
 
 
 def cmd_classify(args) -> int:
-    from . import artin_schreier as asc
-    from . import superelliptic
     from .fields import field_from_qp
-    from .serialize import cover_to_dict
+    from .serialize import cover_kind, cover_to_dict
     if args.cover:
         covers = [_load_cover(args.cover)]
     else:
@@ -176,6 +176,7 @@ def cmd_classify(args) -> int:
         if args.sample < 0:
             raise DomainError("--sample must be >= 0")
         import random
+        from . import superelliptic
         rng = random.Random(args.seed)
         field = field_from_qp(args.q, 2)
         covers = [superelliptic.random_se_cover(field, args.n, args.max_m, rng)
@@ -183,10 +184,12 @@ def cmd_classify(args) -> int:
     reports = []
     for c in covers:
         entry = cover_to_dict(c)
-        if isinstance(c, asc.ASCover):
+        if cover_kind(c) == "artin-schreier":
+            from . import artin_schreier as asc
             entry.update({"kind": "artin-schreier", "genus": asc.genus(c),
                           "m": asc.m_invariant(c), "ordinary": asc.is_ordinary(c)})
         else:
+            from . import superelliptic
             entry.update({"kind": "superelliptic", "genus": superelliptic.genus_se(c),
                           "m": c.branch_count,
                           "d_i": list(superelliptic.eigen_degrees(c).d),

@@ -10,6 +10,12 @@ odd p, and the trace, being F_p-linear, is read from a table built from its
 values on the basis.  ``embedding`` maps a subfield's codes into a larger
 field.
 
+Every F_p-linear table here (the step x -> x g that lists the powers of g,
+the trace, a subfield's embedding, an ExtField's elements in index order)
+comes from ``linear_table``, which :mod:`polys` also uses for its place
+sieve: a code's base-p digits are its coordinates, so an affine map on codes
+is listed from its images of the basis by digit-wise addition mod p.
+
 ``ExtField`` is F_q[t]/(h) realised as the absolute field F_{p^(k deg h)}:
 its codes and arithmetic are those of the FieldSpec of that order, whose
 tables all such fields share, and it carries the embedding of F_q and a
@@ -267,53 +273,36 @@ class FieldSpec:
         raise RuntimeError("unreachable: the multiplicative group is cyclic")
 
     def _powers(self, g: int) -> list:
-        """[g^0, g^1, ..., g^(q-2)], by following the table of x -> x g.
-
-        x -> x g is F_p-linear, so its table is built digit by digit from the
-        images g t^i of the basis: by XOR for p = 2, else one output digit
-        at a time.
-        """
-        p, k, q = self.p, self.k, self.q
-        fp = FieldSpec(p)
+        """[g^0, g^1, ..., g^(q-2)], by following the table of x -> x g,
+        which ``linear_table`` builds from the images g t^i of the basis."""
+        fp = FieldSpec(self.p)
         f = self.modulus + (1,)
         gx = pa.trim(fp, self.digits(g))
-        rows = [pa.mod(fp, pa.mul(fp, (0,) * i + (1,), gx), f) for i in range(k)]
-        rows = [r + (0,) * (k - len(r)) for r in rows]
-        if p == 2:
-            step = [0]
-            for r in rows:
-                r = self.undigits(r)
-                step += [x ^ r for x in step]
-        else:
-            step = [0] * q
-            for j in range(k):
-                col = [0]  # digit j of x g, for the codes x read so far
-                for r in rows:
-                    col = [(c + d * r[j]) % p for d in range(p) for c in col]
-                w = p ** j
-                step = [s + w * c for s, c in zip(step, col)]
+        rows = [self.undigits(pa.mod(fp, pa.mul(fp, (0,) * i + (1,), gx), f))
+                for i in range(self.k)]
+        step = linear_table(self.p, self.k, rows)
         out = []
         x = 1
-        for _ in range(q - 1):
+        for _ in range(self.q - 1):
             out.append(x)
             x = step[x]
         return out
 
     @cached_property
     def _trace_table(self) -> list:
-        """Tr(a) for every code a.  The trace is F_p-linear, so the table
-        grows digit by digit from the traces of the basis powers t^i, each
-        summed over its Frobenius conjugates."""
+        """Tr(a) for every code a.  The trace is F_p-linear, so
+        ``linear_table`` builds it from the traces of the basis powers t^i,
+        each summed over its Frobenius conjugates."""
         p = self.p
-        table = [0]
+        taus = []
         for i in range(self.k):
             x = p ** i  # the code of t^i
             tau = 0
             for _ in range(self.k):
                 tau = self.add(tau, x)
                 x = self.pow(x, p)
-            table = [(s + d * tau) % p for d in range(p) for s in table]
-        return table
+            taus.append(tau)
+        return linear_table(p, 1, taus)
 
 
 def embedding(sub: FieldSpec, field: FieldSpec) -> tuple:
@@ -334,16 +323,33 @@ def embedding(sub: FieldSpec, field: FieldSpec) -> tuple:
         step = (field.q - 1) // (sub.q - 1)
         beta = next(b for b in (field.exp(j * step) for j in range(sub.q - 1))
                     if pa.evaluate(field, f, b) == 0)
-    return tuple(_span(field, range(p), [field.pow(beta, i) for i in range(sub.k)]))
+    return tuple(linear_table(p, field.k, [field.pow(beta, i) for i in range(sub.k)]))
 
 
-def _span(field: FieldSpec, coords, basis: list) -> list:
-    """sum_i coords[c_i] basis[i] for every digit vector (c_0, c_1, ...),
-    listed in the order of the number with those digits, c_0 lowest."""
-    out = [0]
-    for b in basis:
-        out = [field.add(x, field.mul(c, b)) for c in coords for x in out]
-    return out
+def linear_table(p: int, width: int, rows: list, base: int = 0) -> list:
+    """The table of an affine map over F_p: base + sum_i d_i rows[i] for
+    every digit vector (d_0, d_1, ...) over F_p, listed in the order of the
+    number with those base-p digits, d_0 lowest.
+
+    ``base`` and ``rows`` are codes: vectors of ``width`` base-p digits,
+    added digit by digit mod p.  For p = 2 that is XOR, and the table doubles
+    once per row; for odd p the table is built one output digit at a time.
+    """
+    if p == 2:
+        table = [base]
+        for r in rows:
+            table += [x ^ r for x in table]
+        return table
+    table = [0] * p ** len(rows)
+    w = 1
+    for _ in range(width):
+        col = [base // w % p]  # this digit of the value, per prefix of rows
+        for r in rows:
+            rd = r // w % p
+            col = [(c + d * rd) % p for d in range(p) for c in col] if rd else col * p
+        table = [s + w * c for s, c in zip(table, col)]
+        w *= p
+    return table
 
 
 class ExtField(FieldSpec):
@@ -427,7 +433,11 @@ class ExtField(FieldSpec):
     def elements(self) -> list:
         """All elements in index order: the F_q-span of 1, alpha, ...,
         alpha^(d - 1)."""
-        return _span(self, self._embed, [self.pow(self._alpha, i) for i in range(self.d)])
+        powers = [self.pow(self._alpha, i) for i in range(self.d)]
+        # an index's base-p digits, lowest first, are those of its
+        # coordinates over F_q, and embedding is F_p-linear
+        return linear_table(self.p, self.k, [self.mul(self._embed[self.p ** b], a)
+                                             for a in powers for b in range(self.base.k)])
 
     def from_index(self, n: int) -> int:
         qb = self.base.q

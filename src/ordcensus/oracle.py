@@ -3,10 +3,11 @@ L-polynomial via Newton's identities and the functional equation, and the
 p-rank as the degree of L mod p.
 
 An Artin-Schreier cover's f is put over one denominator, f = N/D, by
-``polys.reconstruct``, and the sweep evaluates N and D at each x.  Besides
-the field arithmetic, that partial-fraction reconstruction is all the
-counting code shares with the combinatorial classification it checks;
-disagreement means a real bug.
+``polys.reconstruct``, and the sweep evaluates N and D at each x (only N
+when D = 1, a cover branched only at infinity).  Besides the field
+arithmetic, that partial-fraction reconstruction is all the counting code
+shares with the combinatorial classification it checks; disagreement means
+a real bug.  Each cover loads only the module of its own kind.
 """
 
 from __future__ import annotations
@@ -17,9 +18,7 @@ from collections import namedtuple
 from .errors import DomainError, ResourceGuardError, InvariantViolation
 from ._polyarith import evaluate
 from .fields import MAX_Q, ExtField, FieldSpec, primitive_modulus
-from .artin_schreier import ASCover, genus as genus_as, is_ordinary
-from .polys import PartialFraction, reconstruct
-from .superelliptic import SECover, a_number, genus_se, is_ordinary_se
+from .serialize import cover_kind
 
 MAX_GENUS = 6
 
@@ -74,21 +73,29 @@ def _guard(field: FieldSpec, g: int, k: int):
         raise ResourceGuardError(f"point-count sweep q^k = {field.q}^{k} exceeds {MAX_Q}")
 
 
-def count_points_as(c: ASCover, k: int) -> int:
-    """Points of the smooth projective model of y^p - y = f over F_{q^k}."""
+def count_points_as(c, k: int) -> int:
+    """Points over F_{q^k} of the smooth projective model of the ASCover
+    y^p - y = f."""
+    from .artin_schreier import genus
+    from .polys import PartialFraction, reconstruct
     field = c.field
     p = field.p
-    _guard(field, genus_as(c), k)
+    _guard(field, genus(c), k)
     E = extension_field(field, k)
     # f = N/D; the polynomial part sum c_j x^j (no constant term) is the pole at infinity
     inf = () if c.infinity_part is None else (0,) + c.infinity_part
     num, den = (E.lift(a) for a in reconstruct(PartialFraction(field, inf, c.branch)))
     total = 0
-    for x in range(E.q):
-        dv = evaluate(E, den, x)
-        # D(x) = 0 at the poles, counted place by place below
-        if dv and E.trace(E.mul(evaluate(E, num, x), E.inv(dv))) == 0:
-            total += p
+    if den == (E.one,):  # branched only at infinity: f = N
+        for x in range(E.q):
+            if E.trace(evaluate(E, num, x)) == 0:
+                total += p
+    else:
+        for x in range(E.q):
+            dv = evaluate(E, den, x)
+            # D(x) = 0 at the poles, counted place by place below
+            if dv and E.trace(E.mul(evaluate(E, num, x), E.inv(dv))) == 0:
+                total += p
     # each pole place is totally ramified: one point per root in F_{q^k}
     for pl, _ in c.branch:
         if k % pl.degree == 0:
@@ -97,8 +104,10 @@ def count_points_as(c: ASCover, k: int) -> int:
     return total
 
 
-def count_points_se(c: SECover, k: int) -> int:
-    """Points of the smooth projective model of y^n = prod f_i^i over F_{q^k}."""
+def count_points_se(c, k: int) -> int:
+    """Points over F_{q^k} of the smooth projective model of the SECover
+    y^n = prod f_i^i."""
+    from .superelliptic import genus_se
     field = c.field
     n = c.n
     _guard(field, genus_se(c), k)
@@ -178,11 +187,14 @@ class OracleReport(namedtuple("OracleReport", "kind genus counts l_coeffs p_rank
 
 
 def _count_fn(c):
-    if isinstance(c, ASCover):
-        return count_points_as, genus_as(c), is_ordinary(c), "artin-schreier"
-    if isinstance(c, SECover):
-        return count_points_se, genus_se(c), is_ordinary_se(c), "superelliptic"
-    raise DomainError(f"not a cover: {c!r}")
+    """The sweep, genus, criterion and kind of a cover, importing only the
+    module of its kind."""
+    kind = cover_kind(c)
+    if kind == "artin-schreier":
+        from .artin_schreier import genus, is_ordinary
+        return count_points_as, genus(c), is_ordinary(c), kind
+    from .superelliptic import genus_se, is_ordinary_se
+    return count_points_se, genus_se(c), is_ordinary_se(c), kind
 
 
 def cross_validate(c) -> OracleReport:
@@ -206,6 +218,7 @@ def cross_validate(c) -> OracleReport:
         problems.append(
             f"criterion says ordinary={ordinary} but p-rank is {rank} of genus {g}")
     if kind == "superelliptic":
+        from .superelliptic import a_number
         a = a_number(c)
         if (a == 0) != (rank == g):
             problems.append(f"a-number {a} inconsistent with p-rank {rank} of genus {g}")

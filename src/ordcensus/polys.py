@@ -7,18 +7,20 @@ zero polynomial is the constant 1.  The zero polynomial is never a
 MonicPoly; raw coefficient tuples (see :mod:`_polyarith`) are used wherever
 general polynomials are needed.
 
-Places (monic irreducibles) come from one trial-division sieve:
-``_factors`` divides by the places of each degree up to half of what
-remains, ``factor`` and ``is_irreducible`` read its output, and
-``places_of_degree`` keeps, once per (field, degree), the polynomials that
-``is_irreducible`` accepts.  Places these routines have proved irreducible
-are built without a second test; ``Place(poly)`` called from outside
-validates its polynomial and raises ``DomainError`` on a reducible one.
+Places (monic irreducibles) and the places of every squarefree monic of
+one degree come from one sieve, ``place_sieve``: it multiplies each place P
+into the cofactors whose smallest place is at least P, so each reducible
+polynomial is reached once, from its smallest place, and the entries never
+reached are the places, which ``places_of_degree`` reads.  No product is
+multiplied out: in positions (``enumerate_monic`` order, read as base-p
+digits) multiplication by P is an affine map over F_p, listed at once by
+``fields.linear_table``.  There is no division, gcd or irreducibility test.
 
-The places of every squarefree monic of one degree come from one
-multiplicative sieve, ``place_sieve``: it multiplies each place P into the
-cofactors whose smallest place is at least P, so each reducible polynomial
-is reached once, from its smallest place, with no division or gcd.
+Trial division only factors single polynomials: ``_factors`` divides by the
+places of each degree up to half of what remains, and ``factor`` and
+``is_irreducible`` read its output.  Places these routines have found are
+built without a second test; ``Place(poly)`` called from outside validates
+its polynomial and raises ``DomainError`` on a reducible one.
 
 Text format (used by the CLI): comma-separated coefficient representatives,
 lowest degree first, with the leading 1 written explicitly.  Over F_2,
@@ -33,7 +35,7 @@ from collections import namedtuple
 
 from . import _polyarith as pa
 from .errors import DomainError, InvariantViolation, ResourceGuardError
-from .fields import ExtField, FieldSpec, count_irreducibles
+from .fields import ExtField, FieldSpec, count_irreducibles, linear_table
 
 
 class MonicPoly(namedtuple("MonicPoly", "field coeffs")):
@@ -148,20 +150,22 @@ def _place(poly: MonicPoly) -> Place:
     """A Place built without the irreducibility test of ``Place.__new__``.
 
     Precondition: ``poly`` is monic irreducible, proved so by the caller (the
-    sieve of ``places_of_degree`` or the trial division of ``_factors``).
+    place sieve or the trial division of ``_factors``).
     """
     return tuple.__new__(Place, (poly,))
 
 
 def places_of_degree(field: FieldSpec, d: int) -> tuple:
-    """All places of degree d, sorted: the monic f of degree d that no place
-    of degree <= d/2 divides."""
+    """All places of degree d >= 1, sorted: the entries of
+    ``place_sieve(field, d)`` that no product reached, each its own smallest
+    place."""
     key = (field, d)
     if key not in _PLACES_CACHE:
-        if field.q ** d > 2 ** 22:
-            raise ResourceGuardError(f"enumerating irreducibles of degree {d} over F_{field.q}")
-        _PLACES_CACHE[key] = tuple(_place(f) for f in enumerate_monic(field, d)
-                                   if is_irreducible(f))
+        q = field.q
+        first = (q ** d - 1) // (q - 1)
+        least = place_sieve(field, d)[0]
+        _PLACES_CACHE[key] = tuple(_place(MonicPoly(field, _coeffs_at(i, q, d)))
+                                   for i, r in enumerate(least) if r == first + i)
     return _PLACES_CACHE[key]
 
 
@@ -227,11 +231,38 @@ def _position(coeffs, q: int) -> int:
     return pos
 
 
+def _coeffs_at(pos: int, q: int, d: int) -> tuple:
+    """The coefficients (c_0, ..., c_{d-1}) at a position; inverse of ``_position``."""
+    out = [0] * d
+    for j in range(d - 1, -1, -1):
+        pos, out[j] = divmod(pos, q)
+    return tuple(out)
+
+
 def monic_rank(f: MonicPoly) -> int:
     """Number of monic polynomials below f in the MonicPoly order: the
     (q^d - 1)/(q - 1) of lower degree d, then f's position among its degree."""
     q = f.field.q
     return (q ** f.degree - 1) // (q - 1) + _position(f.coeffs, q)
+
+
+def _times_place(place: MonicPoly, n: int) -> list:
+    """The positions of place*C for the monic C of degree n, in
+    ``enumerate_monic`` order.
+
+    A code's base-p digits are its coordinates, so C's position, read in
+    base p, lists the coordinates of its coefficients c_j, and place*C =
+    place x^n + sum_j c_j place x^j is affine in them over F_p.  The list is
+    the table of that map: base pos(place x^n), one row pos(t^b place x^j)
+    per base-p digit of C's position (least significant first: j from n - 1
+    down, b from 0 up), t the generator of F_q.
+    """
+    K = place.field
+    q = K.q
+    # pos(t^b place x^j) is pos(t^b place) shifted by n - 1 - j places
+    units = [_position([K.mul(K.p ** b, a) for a in place.full], q) for b in range(K.k)]
+    rows = [u * q ** s for s in range(n) for u in units]
+    return linear_table(K.p, (place.degree + n) * K.k, rows, _position(place.coeffs, q))
 
 
 def place_sieve(field: FieldSpec, d: int) -> tuple:
@@ -243,7 +274,10 @@ def place_sieve(field: FieldSpec, d: int) -> tuple:
     if it is squarefree, else ().  A reducible f is P*C for exactly one place
     P and cofactor C whose smallest place is at least P: P is f's smallest
     place, and f is squarefree iff C is and C's smallest place is not P,
-    when places(f) = (rank P,) + places(C).  Unreached entries are places.
+    when places(f) = (rank P,) + places(C).  The positions of the products
+    P*C come from ``_times_place``, with no polynomial multiplied.  Entries
+    never reached are the places, ``count_irreducibles(q, d)`` of them, or
+    InvariantViolation; so is an entry reached twice.
     """
     key = (field, d)
     if key in _SIEVE_CACHE:
@@ -261,19 +295,15 @@ def place_sieve(field: FieldSpec, d: int) -> tuple:
         c_least, c_places = place_sieve(field, d - e)
         for place in places_of_degree(field, e):
             rank = monic_rank(place.poly)
-            p_full = place.poly.full
-            for j, cs in enumerate(itertools.product(range(q), repeat=d - e)):
-                c_rank = c_least[j]
+            for i, c_rank, c_pl in zip(_times_place(place.poly, d - e), c_least, c_places):
                 if c_rank < rank:
                     continue
-                prod = pa.mul(field, p_full, cs + (1,))
-                i = _position(prod[:d], q)
                 if least[i] >= 0:
                     raise InvariantViolation(
-                        f"place sieve reached {MonicPoly(field, prod[:d])} twice")
+                        f"place sieve reached {MonicPoly(field, _coeffs_at(i, q, d))} twice")
                 least[i] = rank
-                if c_places[j] and c_rank != rank:
-                    places[i] = (rank,) + c_places[j]
+                if c_pl and c_rank != rank:
+                    places[i] = (rank,) + c_pl
     first = (q ** d - 1) // (q - 1)
     unhit = 0
     for i, r in enumerate(least):

@@ -12,19 +12,36 @@ representatives or null.
 Superelliptic covers:
     {"q": 2, "n": 3, "parts": ["0,1", "1,1"]}
 with one polynomial text per f_i, i = 1..n-1 (constant parts written "1").
+
+Both directions import only the cover module of the data's kind.
 """
 
 from __future__ import annotations
 
+import sys
+
 from .errors import DomainError
 from .fields import field_from_qp
-from .artin_schreier import ASCover
 from .polys import MonicPoly, Place, ext_field_for
-from .superelliptic import SECover
+
+
+def cover_kind(c) -> str:
+    """The kind of a cover, "artin-schreier" or "superelliptic";
+    DomainError for anything else.
+
+    A cover's module is loaded before the cover can exist, so its class is
+    looked up in ``sys.modules`` and neither cover module is imported here.
+    """
+    for kind, module, cls in (("artin-schreier", "artin_schreier", "ASCover"),
+                              ("superelliptic", "superelliptic", "SECover")):
+        mod = sys.modules.get(f"{__package__}.{module}")
+        if mod is not None and isinstance(c, getattr(mod, cls)):
+            return kind
+    raise DomainError(f"not a cover: {c!r}")
 
 
 def cover_to_dict(c) -> dict:
-    if isinstance(c, ASCover):
+    if cover_kind(c) == "artin-schreier":
         branch = []
         for place, coeffs in c.branch:
             E = ext_field_for(place)
@@ -32,9 +49,7 @@ def cover_to_dict(c) -> dict:
                            "local": [E.index(z) for z in coeffs]})
         return {"q": c.field.q, "p": c.field.p, "branch": branch,
                 "infinity": list(c.infinity_part) if c.infinity_part is not None else None}
-    if isinstance(c, SECover):
-        return {"q": c.field.q, "n": c.n, "parts": [f.to_text() for f in c.parts]}
-    raise DomainError(f"not a cover: {c!r}")
+    return {"q": c.field.q, "n": c.n, "parts": [f.to_text() for f in c.parts]}
 
 
 def cover_from_dict(data: dict):
@@ -43,11 +58,13 @@ def cover_from_dict(data: dict):
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"bad cover data: {exc}") from exc
     if "n" in data:
+        from .superelliptic import SECover
         field = field_from_qp(q, 2)
         n = int(data["n"])
         parts = tuple(MonicPoly.from_text(field, t) for t in data["parts"])
         return SECover(field, n, parts)
     if "p" in data:
+        from .artin_schreier import ASCover
         field = field_from_qp(q, int(data["p"]))
         branch = []
         for entry in data.get("branch", []):

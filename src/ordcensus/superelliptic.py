@@ -10,8 +10,6 @@ import itertools
 import math
 from collections import namedtuple
 
-from .dirichlet import (WORKING_DPS, cumulative_ratios, euler_coefficients, l_constant,
-                        zeta_affine)
 from .errors import DomainError, ResourceGuardError, InvariantViolation
 from .fields import FieldSpec, require_odd_prime
 from .polys import MonicPoly, enumerate_monic, gcd_monic, is_squarefree, place_sieve
@@ -361,6 +359,7 @@ def census_a_omega(field: FieldSpec, n: int, m: int) -> int:
 def census_a_euler(field: FieldSpec, n: int, m_max: int) -> list:
     """Route (iii): coefficients of prod_Q (1 + (n-1)|Q|^{-s}) up to order
     m_max, from the place counts ``count_irreducibles`` alone."""
+    from .dirichlet import euler_coefficients
     return euler_coefficients(field.q, lambda d: [1, n - 1], m_max)
 
 
@@ -396,6 +395,7 @@ def census_se(field: FieldSpec, n: int, m_max: int):
 
 def ordinary_ratio_se(field: FieldSpec, n: int, m_max: int) -> list:
     """Cumulative ordinary proportion [(m, sum b / sum a)] for m = 2..m_max."""
+    from .dirichlet import cumulative_ratios
     rows = census_se(field, n, m_max)
     return [(m, ratio) for m, _, _, ratio in cumulative_ratios(rows, range(m_max + 1))
             if m >= 2]
@@ -423,6 +423,7 @@ def random_se_cover(field: FieldSpec, n: int, m: int, rng) -> SECover:
 def bdfl_ratio_report(field: FieldSpec, e1: int, e2: int) -> float:
     """|F_{e1,e2}| zeta(2)^2 / (L_1 q^{e1+e2}): near 1 for large q (report only)."""
     from mpmath import mp
+    from .dirichlet import WORKING_DPS, l_constant, zeta_affine
     q = field.q
     count = count_tuple_family(field, (e1, e2))
     with mp.workdps(WORKING_DPS):

@@ -175,6 +175,8 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     cover.write_text(json.dumps({"q": 2, "p": 2,
                                  "branch": [{"place": "0,1", "local": [1]}],
                                  "infinity": [1]}))
+    se_cover = tmp_path / "se_cover.json"
+    se_cover.write_text(json.dumps({"q": 2, "n": 3, "parts": ["1,1,1", "0,1,1"]}))
     commands = {
         "help": ("--help",),
         "census as": ("census", "as", "--q", "2", "--max-m", "6", "--mode", "both"),
@@ -185,6 +187,7 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
         "classify": ("classify", "--sample", "2", "--q", "2", "--n", "3", "--max-m", "3"),
         "classify cover": ("classify", "--cover", "COVER"),
         "oracle": ("oracle", "--cover", "COVER"),
+        "oracle se": ("oracle", "--cover", str(se_cover)),
         "verify-kernel": ("verify-kernel", "--n", "5"),
     }
     loaded = {name: _modules_after(argv, str(cover)) for name, argv in commands.items()}
@@ -193,6 +196,11 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     assert not {"artin_schreier", "oracle", "serialize"} & loaded["census se"][0]
     assert "polys" not in loaded["constants"][0]
     assert "polys" not in loaded["report-table1"][0]
+    # a cover loads only the module of its kind
+    assert not {"superelliptic", "dirichlet"} & loaded["oracle"][0]
+    assert not {"superelliptic", "dirichlet"} & loaded["classify cover"][0]
+    assert "artin_schreier" not in loaded["oracle se"][0]
+    assert "artin_schreier" not in loaded["classify"][0]
     for name, (_, stdlib) in loaded.items():
         assert not {"dataclasses", "inspect"} & stdlib, name
         assert ("fractions" in stdlib) == (name == "verify-kernel"), name

@@ -192,3 +192,41 @@ def test_p_rank_is_deuring_shafarevich():
                 for c in rng.sample(pool, min(2, len(pool))):
                     r = sum(pl.degree for pl, _ in c.branch) + (c.infinity_part is not None)
                     assert orc.cross_validate(c).p_rank == (field.p - 1) * (r - 1), c
+
+
+def test_infinity_only_sweep_inverts_nothing(monkeypatch):
+    """y^p - y = f(x) with f a polynomial (branched only at infinity) has the
+    point counts of y^p - y = f(1/x), branched only at x = 0 with the same
+    local part, whose sweep divides by D = x^e.  With inversion patched to
+    raise, the infinity-only sweep still gives those counts."""
+    from ordcensus.fields import ExtField
+    rng = random.Random(4099)
+    cases = []
+    for field, ms in [(F2, (4, 6, 8)), (FieldSpec(3), (3, 5)), (F4, (4, 6))]:
+        zero = Place(MonicPoly(field, (0,)))
+        E = ext_field_for(zero)
+        for m in ms:
+            pool = [c.infinity_part for c in asc.enumerate_covers(field, m, True)
+                    if not c.branch]
+            for inf in rng.sample(pool, min(3, len(pool))):
+                mirror = asc.ASCover(field, ((zero, tuple(E.embed(a) for a in inf)),))
+                ks = range(1, 2 * asc.genus(mirror) + 1)
+                cases.append((asc.ASCover(field, (), inf),
+                              [orc.count_points_as(mirror, k) for k in ks]))
+
+    def refuse(self, a):
+        raise AssertionError("inverted in an infinity-only sweep")
+
+    monkeypatch.setattr(ExtField, "inv", refuse)
+    for c, counts in cases:
+        assert [orc.count_points_as(c, k) for k in range(1, len(counts) + 1)] == counts, c
+
+
+def test_non_cover_is_a_domain_error():
+    from ordcensus.serialize import cover_to_dict
+    # a plain tuple with an ASCover's fields is not a cover
+    for thing in (None, "cover", (F2, (), (1,))):
+        with pytest.raises(DomainError, match="not a cover"):
+            orc.cross_validate(thing)
+        with pytest.raises(DomainError, match="not a cover"):
+            cover_to_dict(thing)

@@ -5,7 +5,7 @@ import pytest
 
 from ordcensus import _polyarith as pa
 from ordcensus import polys
-from ordcensus.errors import DomainError, ResourceGuardError
+from ordcensus.errors import DomainError, InvariantViolation, ResourceGuardError
 from ordcensus.fields import FieldSpec, count_irreducibles, mobius
 from ordcensus.polys import (MonicPoly, Place, enumerate_monic,
                              factor, gcd_monic, is_irreducible,
@@ -311,3 +311,72 @@ def test_factor_runs_no_irreducibility_test(monkeypatch):
     for place in places + places[:2]:
         prod = mul_monic(prod, place.poly)
     assert factor(prod) == ((places[0], 2), (places[1], 2), (places[2], 1), (places[3], 1))
+
+
+@pytest.mark.parametrize("field,d_max", [(F4, 5), (FieldSpec(2, 3), 4), (FieldSpec(3, 2), 3)])
+def test_places_are_minimal_polynomials(field, d_max):
+    """Over F_q with q not prime, places_of_degree against a second route
+    that shares no code with the sieve: the minimal polynomials
+    prod_{i<d} (x - a^(q^i)) of the elements a of exact degree d in
+    F_(q^d), multiplied out in the tables of that field."""
+    from ordcensus.fields import embedding
+    q = field.q
+    for d in range(1, d_max + 1):
+        A = FieldSpec(field.p, field.k * d)
+        preimage = {z: c for c, z in enumerate(embedding(field, A))}
+        minimal = set()
+        for a in range(A.q):
+            conj = [A.pow(a, q ** i) for i in range(d)]
+            if len(set(conj)) < d:
+                continue  # a lies in a proper subfield
+            h = [A.one]  # prod (x - root), lowest degree first
+            for root in conj:
+                shifted = [A.zero] + h
+                for j, c in enumerate(h):
+                    shifted[j] = A.sub(shifted[j], A.mul(root, c))
+                h = shifted
+            minimal.add(tuple(preimage[c] for c in h[:-1]))
+        assert len(minimal) == count_irreducibles(q, d)
+        assert [pl.poly.coeffs for pl in places_of_degree(field, d)] == sorted(minimal)
+
+
+def test_places_of_degree_divide_nothing(monkeypatch):
+    # cold caches: every place up to degree 8 comes from the sieve alone
+    monkeypatch.setattr(polys, "_PLACES_CACHE", {})
+    monkeypatch.setattr(polys, "_SIEVE_CACHE", {})
+
+    def refuse(*args):
+        raise AssertionError("places found by division")
+
+    monkeypatch.setattr(polys, "is_irreducible", refuse)
+    monkeypatch.setattr(pa, "divmod_", refuse)
+    for d in range(1, 9):
+        assert len(places_of_degree(F2, d)) == count_irreducibles(2, d)
+
+
+@pytest.mark.parametrize("p,width", [(2, 5), (3, 3), (5, 2)])
+def test_linear_table_is_digitwise_sum(p, width):
+    from ordcensus.fields import linear_table
+    rng = random.Random(p)
+
+    def digits(a):
+        return [a // p ** j % p for j in range(width)]
+
+    base = rng.randrange(p ** width)
+    rows = [rng.randrange(p ** width) for _ in range(3)]
+    expected = []
+    for ds in itertools.product(range(p), repeat=len(rows)):
+        d = ds[::-1]  # d[0] is the lowest digit of the index
+        vec = [(b + sum(di * digits(r)[j] for di, r in zip(d, rows))) % p
+               for j, b in enumerate(digits(base))]
+        expected.append(sum(v * p ** j for j, v in enumerate(vec)))
+    assert linear_table(p, width, rows, base) == expected
+
+
+def test_place_sieve_names_a_polynomial_reached_twice(monkeypatch):
+    # each place listed twice: x * x is reached from both copies of x
+    monkeypatch.setattr(polys, "_SIEVE_CACHE", {})
+    real = polys.places_of_degree
+    monkeypatch.setattr(polys, "places_of_degree", lambda field, e: real(field, e) * 2)
+    with pytest.raises(InvariantViolation, match="place sieve reached 0,0,1 twice"):
+        place_sieve(F2, 2)
