@@ -38,6 +38,7 @@ class ASCover(namedtuple("ASCover", "field branch infinity_part", defaults=(None
     """
 
     __slots__ = ()
+    kind = "artin-schreier"
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)

@@ -167,7 +167,7 @@ def _load_cover(path: str):
 
 def cmd_classify(args) -> int:
     from .fields import field_from_qp
-    from .serialize import cover_kind, cover_to_dict
+    from .serialize import cover_to_dict
     if args.cover:
         covers = [_load_cover(args.cover)]
     else:
@@ -184,7 +184,7 @@ def cmd_classify(args) -> int:
     reports = []
     for c in covers:
         entry = cover_to_dict(c)
-        if cover_kind(c) == "artin-schreier":
+        if c.kind == "artin-schreier":
             from . import artin_schreier as asc
             entry.update({"kind": "artin-schreier", "genus": asc.genus(c),
                           "m": asc.m_invariant(c), "ordinary": asc.is_ordinary(c)})

@@ -3,11 +3,11 @@ L-polynomial via Newton's identities and the functional equation, and the
 p-rank as the degree of L mod p.
 
 An Artin-Schreier cover's f is put over one denominator, f = N/D, by
-``polys.reconstruct``, and the sweep evaluates N and D at each x (only N
-when D = 1, a cover branched only at infinity).  Besides the field
-arithmetic, that partial-fraction reconstruction is all the counting code
-shares with the combinatorial classification it checks; disagreement means
-a real bug.  Each cover loads only the module of its own kind.
+``polys.reconstruct``, and the sweep evaluates N and D at each x.  Besides
+the field arithmetic, that partial-fraction reconstruction is all the
+counting code shares with the combinatorial classification it checks;
+disagreement means a real bug.  Each cover loads only the module of its own
+kind.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from collections import namedtuple
 from .errors import DomainError, ResourceGuardError, InvariantViolation
 from ._polyarith import evaluate
 from .fields import MAX_Q, ExtField, FieldSpec, primitive_modulus
-from .serialize import cover_kind
+from .polys import PartialFraction, reconstruct
 
 MAX_GENUS = 6
 
@@ -77,7 +77,6 @@ def count_points_as(c, k: int) -> int:
     """Points over F_{q^k} of the smooth projective model of the ASCover
     y^p - y = f."""
     from .artin_schreier import genus
-    from .polys import PartialFraction, reconstruct
     field = c.field
     p = field.p
     _guard(field, genus(c), k)
@@ -86,16 +85,11 @@ def count_points_as(c, k: int) -> int:
     inf = () if c.infinity_part is None else (0,) + c.infinity_part
     num, den = (E.lift(a) for a in reconstruct(PartialFraction(field, inf, c.branch)))
     total = 0
-    if den == (E.one,):  # branched only at infinity: f = N
-        for x in range(E.q):
-            if E.trace(evaluate(E, num, x)) == 0:
-                total += p
-    else:
-        for x in range(E.q):
-            dv = evaluate(E, den, x)
-            # D(x) = 0 at the poles, counted place by place below
-            if dv and E.trace(E.mul(evaluate(E, num, x), E.inv(dv))) == 0:
-                total += p
+    for x in range(E.q):
+        dv = evaluate(E, den, x)
+        # D(x) = 0 at the poles, counted place by place below
+        if dv and E.trace(E.mul(evaluate(E, num, x), E.inv(dv))) == 0:
+            total += p
     # each pole place is totally ramified: one point per root in F_{q^k}
     for pl, _ in c.branch:
         if k % pl.degree == 0:
@@ -189,12 +183,14 @@ class OracleReport(namedtuple("OracleReport", "kind genus counts l_coeffs p_rank
 def _count_fn(c):
     """The sweep, genus, criterion and kind of a cover, importing only the
     module of its kind."""
-    kind = cover_kind(c)
+    kind = getattr(type(c), "kind", None)
     if kind == "artin-schreier":
         from .artin_schreier import genus, is_ordinary
         return count_points_as, genus(c), is_ordinary(c), kind
-    from .superelliptic import genus_se, is_ordinary_se
-    return count_points_se, genus_se(c), is_ordinary_se(c), kind
+    if kind == "superelliptic":
+        from .superelliptic import genus_se, is_ordinary_se
+        return count_points_se, genus_se(c), is_ordinary_se(c), kind
+    raise DomainError(f"not a cover: {c!r}")
 
 
 def cross_validate(c) -> OracleReport:

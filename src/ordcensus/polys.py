@@ -8,13 +8,15 @@ MonicPoly; raw coefficient tuples (see :mod:`_polyarith`) are used wherever
 general polynomials are needed.
 
 Places (monic irreducibles) and the places of every squarefree monic of
-one degree come from one sieve, ``place_sieve``: it multiplies each place P
-into the cofactors whose smallest place is at least P, so each reducible
-polynomial is reached once, from its smallest place, and the entries never
-reached are the places, which ``places_of_degree`` reads.  No product is
-multiplied out: in positions (``enumerate_monic`` order, read as base-p
-digits) multiplication by P is an affine map over F_p, listed at once by
-``fields.linear_table``.  There is no division, gcd or irreducibility test.
+one degree come from sieves on positions (``enumerate_monic`` order, read as
+base-p digits), where multiplication by a place P is an affine map over F_p
+whose table ``_times_place`` lists with ``fields.linear_table``; no product
+is multiplied out, and there is no division, gcd or irreducibility test.
+``places_of_degree`` marks every product P*C with deg P <= d/2 in one byte
+per position, and the unmarked positions are the places.  ``place_sieve``
+multiplies each place P only into the cofactors whose smallest place is at
+least P, so each reducible polynomial is reached once, from its smallest
+place, and it records that place and the places of every squarefree monic.
 
 Trial division only factors single polynomials: ``_factors`` divides by the
 places of each degree up to half of what remains, and ``factor`` and
@@ -156,16 +158,32 @@ def _place(poly: MonicPoly) -> Place:
 
 
 def places_of_degree(field: FieldSpec, d: int) -> tuple:
-    """All places of degree d >= 1, sorted: the entries of
-    ``place_sieve(field, d)`` that no product reached, each its own smallest
-    place."""
+    """All places of degree d >= 1, sorted: the monic f of degree d that no
+    product P*C reaches, P a place of degree <= d/2.
+
+    The sieve holds one byte per monic of degree d and the places; nothing
+    is kept for the reducible ones.  The number of unmarked positions is
+    checked against ``count_irreducibles(q, d)`` (InvariantViolation).
+    """
     key = (field, d)
     if key not in _PLACES_CACHE:
+        _check_sieve(field, d, f"enumerating irreducibles of degree {d} over F_{field.q}")
         q = field.q
-        first = (q ** d - 1) // (q - 1)
-        least = place_sieve(field, d)[0]
-        _PLACES_CACHE[key] = tuple(_place(MonicPoly(field, _coeffs_at(i, q, d)))
-                                   for i, r in enumerate(least) if r == first + i)
+        reached = bytearray(q ** d)
+        for e in range(1, d // 2 + 1):
+            for place in places_of_degree(field, e):
+                for i in _times_place(place.poly, d - e):
+                    reached[i] = 1
+        places = []
+        i = reached.find(0)
+        while i >= 0:
+            places.append(_place(MonicPoly(field, _coeffs_at(i, q, d))))
+            i = reached.find(0, i + 1)
+        if len(places) != count_irreducibles(q, d):
+            raise InvariantViolation(
+                f"place sieve left {len(places)} monic polynomials of degree {d} over F_{q} "
+                f"unmarked, expected {count_irreducibles(q, d)} places")
+        _PLACES_CACHE[key] = tuple(places)
     return _PLACES_CACHE[key]
 
 
@@ -246,23 +264,44 @@ def monic_rank(f: MonicPoly) -> int:
     return (q ** f.degree - 1) // (q - 1) + _position(f.coeffs, q)
 
 
-def _times_place(place: MonicPoly, n: int) -> list:
+def _check_sieve(field: FieldSpec, d: int, what: str):
+    """The checks of both sieves, before any work: q^d <= 2^22 positions
+    (ResourceGuardError naming ``what``) and coefficient codes 0..q-1."""
+    if d < 1:
+        raise DomainError("the place sieves need degree >= 1")
+    if field.q ** d > 2 ** 22:
+        raise ResourceGuardError(what)
+    if field.elements() != range(field.q):
+        raise DomainError("the place sieves need coefficient codes 0..q-1")
+
+
+_CHUNK = 2 ** 12
+
+
+def _times_place(place: MonicPoly, n: int):
     """The positions of place*C for the monic C of degree n, in
-    ``enumerate_monic`` order.
+    ``enumerate_monic`` order, as an iterator.
 
     A code's base-p digits are its coordinates, so C's position, read in
     base p, lists the coordinates of its coefficients c_j, and place*C =
-    place x^n + sum_j c_j place x^j is affine in them over F_p.  The list is
-    the table of that map: base pos(place x^n), one row pos(t^b place x^j)
-    per base-p digit of C's position (least significant first: j from n - 1
-    down, b from 0 up), t the generator of F_q.
+    place x^n + sum_j c_j place x^j is affine in them over F_p.  The
+    positions are the table of that map: base pos(place x^n), one row
+    pos(t^b place x^j) per base-p digit of C's position (least significant
+    first: j from n - 1 down, b from 0 up), t the generator of F_q.  The
+    table is listed in chunks of at most ``_CHUNK`` entries, one per entry of
+    the table of the high digits, so no more than a chunk is held at once.
     """
     K = place.field
-    q = K.q
+    q, p = K.q, K.p
     # pos(t^b place x^j) is pos(t^b place) shifted by n - 1 - j places
-    units = [_position([K.mul(K.p ** b, a) for a in place.full], q) for b in range(K.k)]
+    units = [_position([K.mul(p ** b, a) for a in place.full], q) for b in range(K.k)]
     rows = [u * q ** s for s in range(n) for u in units]
-    return linear_table(K.p, (place.degree + n) * K.k, rows, _position(place.coeffs, q))
+    width = (place.degree + n) * K.k
+    low = 0
+    while low < len(rows) and p ** (low + 1) <= _CHUNK:
+        low += 1
+    highs = linear_table(p, width, rows[low:], _position(place.coeffs, q))
+    return itertools.chain.from_iterable(linear_table(p, width, rows[:low], h) for h in highs)
 
 
 def place_sieve(field: FieldSpec, d: int) -> tuple:
@@ -282,13 +321,8 @@ def place_sieve(field: FieldSpec, d: int) -> tuple:
     key = (field, d)
     if key in _SIEVE_CACHE:
         return _SIEVE_CACHE[key]
-    if d < 1:
-        raise DomainError("the place sieve needs degree >= 1")
+    _check_sieve(field, d, f"sieving monic polynomials of degree {d} over F_{field.q}")
     q = field.q
-    if q ** d > 2 ** 22:
-        raise ResourceGuardError(f"sieving monic polynomials of degree {d} over F_{q}")
-    if field.elements() != range(q):
-        raise DomainError("the place sieve needs coefficient codes 0..q-1")
     least = array("q", [-1]) * q ** d
     places = [()] * q ** d
     for e in range(1, d // 2 + 1):

@@ -18,30 +18,15 @@ Both directions import only the cover module of the data's kind.
 
 from __future__ import annotations
 
-import sys
-
 from .errors import DomainError
 from .fields import field_from_qp
 from .polys import MonicPoly, Place, ext_field_for
 
 
-def cover_kind(c) -> str:
-    """The kind of a cover, "artin-schreier" or "superelliptic";
-    DomainError for anything else.
-
-    A cover's module is loaded before the cover can exist, so its class is
-    looked up in ``sys.modules`` and neither cover module is imported here.
-    """
-    for kind, module, cls in (("artin-schreier", "artin_schreier", "ASCover"),
-                              ("superelliptic", "superelliptic", "SECover")):
-        mod = sys.modules.get(f"{__package__}.{module}")
-        if mod is not None and isinstance(c, getattr(mod, cls)):
-            return kind
-    raise DomainError(f"not a cover: {c!r}")
-
-
 def cover_to_dict(c) -> dict:
-    if cover_kind(c) == "artin-schreier":
+    # a cover's class names its kind, so neither cover module is imported here
+    kind = getattr(type(c), "kind", None)
+    if kind == "artin-schreier":
         branch = []
         for place, coeffs in c.branch:
             E = ext_field_for(place)
@@ -49,7 +34,9 @@ def cover_to_dict(c) -> dict:
                            "local": [E.index(z) for z in coeffs]})
         return {"q": c.field.q, "p": c.field.p, "branch": branch,
                 "infinity": list(c.infinity_part) if c.infinity_part is not None else None}
-    return {"q": c.field.q, "n": c.n, "parts": [f.to_text() for f in c.parts]}
+    if kind == "superelliptic":
+        return {"q": c.field.q, "n": c.n, "parts": [f.to_text() for f in c.parts]}
+    raise DomainError(f"not a cover: {c!r}")
 
 
 def cover_from_dict(data: dict):

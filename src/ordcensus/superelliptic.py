@@ -22,6 +22,7 @@ class SECover(namedtuple("SECover", "field n parts")):
     """
 
     __slots__ = ()
+    kind = "superelliptic"
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)

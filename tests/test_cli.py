@@ -58,6 +58,24 @@ def test_census_guard_exit_code(capsys):
     assert "guard" in err
 
 
+def test_cover_place_past_the_sieve_guard_exits_3(capsys, monkeypatch, tmp_path):
+    # x^4 + x + 8 has no root in F_4096, so testing it needs the places of
+    # degree 2: 4096^2 > 2^22 positions, refused before that sieve starts
+    from ordcensus import polys
+
+    def refuse(*args):
+        raise AssertionError("sieved past the guard")
+
+    monkeypatch.setattr(polys, "_times_place", refuse)
+    cover = tmp_path / "cover.json"
+    cover.write_text(json.dumps({"q": 4096, "p": 2,
+                                 "branch": [{"place": "8,1,0,0,1", "local": [1]}]}))
+    code, out, err = run(capsys, "oracle", "--cover", str(cover))
+    assert code == 3
+    assert "irreducibles of degree 2 over F_4096" in err
+    assert out == ""
+
+
 def test_census_se(capsys):
     code, out, _ = run(capsys, "census", "se", "--q", "2", "--n", "3", "--max-m", "3")
     assert code == 0

@@ -194,14 +194,11 @@ def test_p_rank_is_deuring_shafarevich():
                     assert orc.cross_validate(c).p_rank == (field.p - 1) * (r - 1), c
 
 
-def test_infinity_only_sweep_inverts_nothing(monkeypatch):
+def test_infinity_only_counts_match_mirror():
     """y^p - y = f(x) with f a polynomial (branched only at infinity) has the
     point counts of y^p - y = f(1/x), branched only at x = 0 with the same
-    local part, whose sweep divides by D = x^e.  With inversion patched to
-    raise, the infinity-only sweep still gives those counts."""
-    from ordcensus.fields import ExtField
+    local part, whose sweep divides by D = x^e."""
     rng = random.Random(4099)
-    cases = []
     for field, ms in [(F2, (4, 6, 8)), (FieldSpec(3), (3, 5)), (F4, (4, 6))]:
         zero = Place(MonicPoly(field, (0,)))
         E = ext_field_for(zero)
@@ -210,22 +207,17 @@ def test_infinity_only_sweep_inverts_nothing(monkeypatch):
                     if not c.branch]
             for inf in rng.sample(pool, min(3, len(pool))):
                 mirror = asc.ASCover(field, ((zero, tuple(E.embed(a) for a in inf)),))
-                ks = range(1, 2 * asc.genus(mirror) + 1)
-                cases.append((asc.ASCover(field, (), inf),
-                              [orc.count_points_as(mirror, k) for k in ks]))
-
-    def refuse(self, a):
-        raise AssertionError("inverted in an infinity-only sweep")
-
-    monkeypatch.setattr(ExtField, "inv", refuse)
-    for c, counts in cases:
-        assert [orc.count_points_as(c, k) for k in range(1, len(counts) + 1)] == counts, c
+                c = asc.ASCover(field, (), inf)
+                for k in range(1, 2 * asc.genus(mirror) + 1):
+                    assert orc.count_points_as(c, k) == orc.count_points_as(mirror, k), c
 
 
 def test_non_cover_is_a_domain_error():
     from ordcensus.serialize import cover_to_dict
     # a plain tuple with an ASCover's fields is not a cover
-    for thing in (None, "cover", (F2, (), (1,))):
+    # an OracleReport has a field named kind, but no kind of its own
+    report = orc.OracleReport(*[None] * len(orc.OracleReport._fields))
+    for thing in (None, "cover", (F2, (), (1,)), report):
         with pytest.raises(DomainError, match="not a cover"):
             orc.cross_validate(thing)
         with pytest.raises(DomainError, match="not a cover"):

@@ -103,6 +103,20 @@ def test_enumeration_guard():
         places_of_degree(FieldSpec(2, 12), 2)  # 4096^2 > 2^22
 
 
+def test_sieve_guards_fire_before_any_work(monkeypatch):
+    monkeypatch.setattr(polys, "_PLACES_CACHE", {})
+    monkeypatch.setattr(polys, "_SIEVE_CACHE", {})
+
+    def refuse(*args):
+        raise AssertionError("sieved past the guard")
+
+    monkeypatch.setattr(polys, "_times_place", refuse)
+    with pytest.raises(ResourceGuardError, match="irreducibles of degree 23 over F_2"):
+        places_of_degree(F2, 23)
+    with pytest.raises(ResourceGuardError, match="degree 23 over F_2"):
+        place_sieve(F2, 23)
+
+
 def test_local_expansion_inverse():
     rng = random.Random(2718)
     for field in (F2, F4, F3, FieldSpec(3, 2)):
@@ -352,6 +366,19 @@ def test_places_of_degree_divide_nothing(monkeypatch):
     monkeypatch.setattr(pa, "divmod_", refuse)
     for d in range(1, 9):
         assert len(places_of_degree(F2, d)) == count_irreducibles(2, d)
+
+
+@pytest.mark.parametrize("field,d", [(F2, 8), (F3, 5), (F4, 4), (FieldSpec(3, 2), 3)])
+def test_sieves_do_not_depend_on_the_chunk(monkeypatch, field, d):
+    # tables this small fit one chunk; one base-p digit per chunk
+    # checks that the chunks come in position order
+    monkeypatch.setattr(polys, "_PLACES_CACHE", {})
+    monkeypatch.setattr(polys, "_SIEVE_CACHE", {})
+    whole = place_sieve(field, d), places_of_degree(field, d)
+    monkeypatch.setattr(polys, "_PLACES_CACHE", {})
+    monkeypatch.setattr(polys, "_SIEVE_CACHE", {})
+    monkeypatch.setattr(polys, "_CHUNK", field.p)
+    assert (place_sieve(field, d), places_of_degree(field, d)) == whole
 
 
 @pytest.mark.parametrize("p,width", [(2, 5), (3, 3), (5, 2)])
