@@ -5,16 +5,20 @@ Euler product of local zeta factors.
 The enumeration route counts whole families: the covers sharing a branch
 assignment (places and pole orders) are the products of per-place pools of
 local parts, and ordinarity reads only the pole orders, so each family adds
-the product of its pool sizes.  A pool, listed in residue-field indices,
-depends only on |Q| and the pole order, so no residue field is built.
-``enumerate_covers`` expands the families cover by cover, indices to codes.
+the product of its pool sizes.  A pool depends only on |Q| and the pole
+order, and ``enumerate_covers`` expands the families cover by cover from the
+same pools, so no residue field is built.
 
 Branch data is stored per irreducible place, never per geometric root: the
 local part at a place Q of degree d is the tuple (c_1, ..., c_{d_Q}) of
 coefficients of f_alpha in x_alpha = 1/(x - alpha), alpha a fixed root of
-Q, each an element of the residue field F_{q^d} (an ExtField code).
-Normal form: no constant term, c_j = 0 whenever p | j, and the top
-coefficient nonzero (so d_Q is never a multiple of p).
+Q, each an element of the residue field F_{q^d} given by its index: the
+base-q digits of its coordinates in the power basis of alpha, lowest power
+first, so 0 is zero and over F_q the index is the base-field code.  This is
+the one encoding of a local part, in memory and in cover JSON; only the
+oracle's sweep turns indices into residue-field codes, with
+``ExtField.from_index``.  Normal form: no constant term, c_j = 0 whenever
+p | j, and the top coefficient nonzero (so d_Q is never a multiple of p).
 """
 
 from __future__ import annotations
@@ -26,15 +30,15 @@ from collections import namedtuple
 
 from .errors import DomainError, ResourceGuardError
 from .fields import FieldSpec
-from .polys import Place, ext_field_for, places_of_degree
+from .polys import places_of_degree
 
 
 class ASCover(namedtuple("ASCover", "field branch infinity_part", defaults=(None,))):
     """Branch data of an Artin-Schreier cover in partial-fraction normal form.
 
-    ``branch`` is the sorted tuple of (Place, local coefficient tuple);
-    ``infinity_part`` is (c_1, ..., c_{d_inf}) over F_q, or None when
-    infinity is unramified.
+    ``branch`` is the sorted tuple of (Place, local part), each local part
+    a tuple of residue-field indices; ``infinity_part`` is (c_1, ...,
+    c_{d_inf}) over F_q, or None when infinity is unramified.
     """
 
     __slots__ = ()
@@ -53,12 +57,6 @@ class ASCover(namedtuple("ASCover", "field branch infinity_part", defaults=(None
             _check_local_part(p, coeffs)
         if self.infinity_part is not None:
             _check_local_part(p, self.infinity_part)
-
-    def multiplicity(self, place: Place) -> int:
-        for pl, coeffs in self.branch:
-            if pl == place:
-                return len(coeffs)
-        return 0
 
 
 def _check_local_part(p: int, coeffs):
@@ -118,7 +116,7 @@ def count_local_parts(norm: int, d_q: int, p: int) -> int:
 
 def _local_part_choices(p: int, elems, d_q: int):
     """Normal-form local parts of pole order d_q with coefficients in
-    ``elems``, a residue field's elements in index order (zero first)."""
+    ``elems``, a residue field's indices (zero first)."""
     per_index = []
     for j in range(1, d_q + 1):
         if j % p == 0:
@@ -167,8 +165,7 @@ def _cover_families(field: FieldSpec, m: int, include_infinity: bool):
     infinity part (``[None]`` when infinity is unramified) and, per assigned
     place, its local parts of pole order k_Q - 1.  The covers of a family
     are the products of the pools.  Local parts are tuples of residue-field
-    indices (0 is zero, as in ``ExtField.index``; over F_q the codes are the
-    indices), so one pool, built and checked once per (residue-field size,
+    indices, so one pool, built and checked once per (residue-field size,
     pole order), serves every place and infinity that share it.
     """
     if m < 2:
@@ -199,13 +196,11 @@ def _cover_families(field: FieldSpec, m: int, include_infinity: bool):
 
 
 def enumerate_covers(field: FieldSpec, m: int, include_infinity: bool = False):
-    """All Artin-Schreier covers with invariant m, each exactly once."""
+    """All Artin-Schreier covers with invariant m, each exactly once: the
+    products of the pools of each ``_cover_families`` family."""
     for assignment, inf_pool, local_pools in _cover_families(field, m, include_infinity):
-        codes = [ext_field_for(pl).elements() for pl, _ in assignment]
-        code_pools = [[tuple(cs[i] for i in lc) for lc in pool]
-                      for cs, pool in zip(codes, local_pools)]
         for inf_part in inf_pool:
-            for locals_ in itertools.product(*code_pools):
+            for locals_ in itertools.product(*local_pools):
                 branch = tuple((pl, lc) for (pl, _), lc in zip(assignment, locals_))
                 yield ASCover(field, branch, inf_part)
 
@@ -253,7 +248,6 @@ def census_enumerated(field: FieldSpec, m_max: int,
             size = len(inf_pool) * math.prod(len(pool) for pool in local_pools)
             a += size
             # ordinarity reads only the pole orders, which the family shares
-            # (index tuples stand in for codes: both have zero at 0)
             branch = tuple((pl, pool[0]) for (pl, _), pool in zip(assignment, local_pools))
             if is_ordinary(ASCover(field, branch, inf_pool[0])):
                 b += size

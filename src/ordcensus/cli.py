@@ -4,6 +4,10 @@ Subcommands: constants, census (as|se), classify, oracle, verify-kernel,
 report-table1.  Exit codes: 0 success, 2 usage error, 3 resource guard
 exceeded, 4 invariant violation (oracle disagreement or route mismatch).
 
+``census as`` and ``census se`` each accept only the options they read, and
+``classify`` takes exactly one of --cover and --sample; anything else is a
+usage error (exit 2).
+
 Outputs are deterministic for a fixed configuration (including --seed).
 The environment variable ORDCENSUS_OUTDIR, when
 set, is prepended to relative --output paths.
@@ -168,11 +172,9 @@ def _load_cover(path: str):
 def cmd_classify(args) -> int:
     from .fields import field_from_qp
     from .serialize import cover_to_dict
-    if args.cover:
+    if args.cover is not None:
         covers = [_load_cover(args.cover)]
     else:
-        if args.sample is None:
-            raise DomainError("classify requires --cover or --sample")
         if args.sample < 0:
             raise DomainError("--sample must be >= 0")
         import random
@@ -198,7 +200,7 @@ def cmd_classify(args) -> int:
             if (entry["a_number"] == 0) != entry["ordinary"]:
                 raise InvariantViolation(f"classification routes disagree on {entry}")
         reports.append(entry)
-    emit_json(reports[0] if args.cover else reports, args.output)
+    emit_json(reports[0] if args.cover is not None else reports, args.output)
     return EXIT_OK
 
 
@@ -269,25 +271,31 @@ def build_parser() -> argparse.ArgumentParser:
     p_const.add_argument("--output", default=None)
     p_const.set_defaults(func=cmd_constants)
 
+    # the options both census families read; each family adds its own
+    p_rows = argparse.ArgumentParser(add_help=False)
+    p_rows.add_argument("--q", type=int, required=True)
+    p_rows.add_argument("--max-m", type=int, default=None)
+    p_rows.add_argument("--x-bound", type=int, default=None,
+                        help="count up to the largest m with q^m < X")
+    p_rows.add_argument("--format", choices=["csv", "json"], default="csv")
+    p_rows.add_argument("--output", default=None)
+
     p_census = sub.add_parser("census", help="exact (a_m, b_m) census tables")
-    p_census.add_argument("family", choices=["as", "se"])
-    p_census.add_argument("--q", type=int, required=True)
-    p_census.add_argument("--p", type=int, default=2)
-    p_census.add_argument("--n", type=int, default=3)
-    p_census.add_argument("--max-m", type=int, default=None)
-    p_census.add_argument("--x-bound", type=int, default=None,
-                          help="count up to the largest m with q^m < X")
-    p_census.add_argument("--mode", choices=["analytic", "enumerate", "both"],
-                          default="analytic")
-    p_census.add_argument("--include-infinity", action="store_true")
-    p_census.add_argument("--format", choices=["csv", "json"], default="csv")
-    p_census.add_argument("--output", default=None)
+    families = p_census.add_subparsers(dest="family", required=True)
+    p_as = families.add_parser("as", parents=[p_rows], help="Artin-Schreier covers")
+    p_as.add_argument("--p", type=int, default=2)
+    p_as.add_argument("--mode", choices=["analytic", "enumerate", "both"],
+                      default="analytic")
+    p_as.add_argument("--include-infinity", action="store_true")
+    p_se = families.add_parser("se", parents=[p_rows], help="superelliptic covers")
+    p_se.add_argument("--n", type=int, default=3)
     p_census.set_defaults(func=cmd_census)
 
     p_classify = sub.add_parser("classify", help="invariants of one cover or a sample")
-    p_classify.add_argument("--cover", default=None, help="cover JSON file")
-    p_classify.add_argument("--sample", type=int, default=None,
-                            help="classify this many seeded random superelliptic covers")
+    source = p_classify.add_mutually_exclusive_group(required=True)
+    source.add_argument("--cover", default=None, help="cover JSON file")
+    source.add_argument("--sample", type=int, default=None,
+                        help="classify this many seeded random superelliptic covers")
     p_classify.add_argument("--q", type=int, default=2)
     p_classify.add_argument("--n", type=int, default=3)
     p_classify.add_argument("--max-m", type=int, default=4)

@@ -11,16 +11,19 @@ values on the basis.  ``embedding`` maps a subfield's codes into a larger
 field.
 
 Every F_p-linear table here (the step x -> x g that lists the powers of g,
-the trace, a subfield's embedding, an ExtField's elements in index order)
-comes from ``linear_table``, which :mod:`polys` also uses for its place
-sieve: a code's base-p digits are its coordinates, so an affine map on codes
-is listed from its images of the basis by digit-wise addition mod p.
+the trace, a subfield's embedding) comes from ``linear_table``, which
+:mod:`polys` also uses for its place sieve: a code's base-p digits are its
+coordinates, so an affine map on codes is listed from its images of the
+basis by digit-wise addition mod p.
 
 ``ExtField`` is F_q[t]/(h) realised as the absolute field F_{p^(k deg h)}:
 its codes and arithmetic are those of the FieldSpec of that order, whose
 tables all such fields share, and it carries the embedding of F_q and a
 root of h.  The residue fields of :mod:`polys` and the oracle's F_{q^k}
-are ExtFields.
+are ExtFields.  Artin-Schreier local parts are stored as residue-field
+indices (coordinates over F_q in the power basis of the root, read as
+base-q digits); ``ExtField.from_index`` is the one bridge from an index to
+a code.
 
 ``count_irreducibles`` lives here with the other number-theory helpers,
 so the Euler products of :mod:`dirichlet` need no polynomial code.
@@ -358,9 +361,10 @@ class ExtField(FieldSpec):
     It is the absolute field F_{p^(k d)}, with the tables of the shared
     FieldSpec of that order, the embedding of F_q and a fixed root alpha of h
     as the class of t.  ``h`` is the tuple of the d lower coefficients of h
-    over the base field (leading 1 implicit).  ``index`` and ``from_index``
-    read the coordinates over F_q in the power basis of alpha as base-q
-    digits, lowest power first.
+    over the base field (leading 1 implicit).  ``from_index`` maps an index,
+    the coordinates over F_q in the power basis of alpha read as base-q
+    digits (lowest power first), to its code; it is the one bridge from the
+    index encoding of Artin-Schreier local parts to codes.
     """
 
     def __init__(self, base: FieldSpec, h: tuple):
@@ -430,28 +434,12 @@ class ExtField(FieldSpec):
         """The base-field Frobenius z -> z^(q_base)."""
         return self.pow(a, self.base.q)
 
-    def elements(self) -> list:
-        """All elements in index order: the F_q-span of 1, alpha, ...,
-        alpha^(d - 1)."""
-        powers = [self.pow(self._alpha, i) for i in range(self.d)]
-        # an index's base-p digits, lowest first, are those of its
-        # coordinates over F_q, and embedding is F_p-linear
-        return linear_table(self.p, self.k, [self.mul(self._embed[self.p ** b], a)
-                                             for a in powers for b in range(self.base.k)])
-
     def from_index(self, n: int) -> int:
         qb = self.base.q
         z = 0
         for i in range(self.d - 1, -1, -1):
             z = self.add(self.mul(z, self._alpha), self._embed[n // qb ** i % qb])
         return z
-
-    def index(self, z: int) -> int:
-        return self._index_of[z]
-
-    @cached_property
-    def _index_of(self) -> dict:
-        return {z: n for n, z in enumerate(self.elements())}
 
 
 @cache

@@ -3,11 +3,13 @@ L-polynomial via Newton's identities and the functional equation, and the
 p-rank as the degree of L mod p.
 
 An Artin-Schreier cover's f is put over one denominator, f = N/D, by
-``polys.reconstruct``, and the sweep evaluates N and D at each x.  Besides
-the field arithmetic, that partial-fraction reconstruction is all the
-counting code shares with the combinatorial classification it checks;
-disagreement means a real bug.  Each cover loads only the module of its own
-kind.
+``polys.reconstruct``, and the sweep evaluates N and D at each x.  The cover
+holds its local parts as residue-field indices; ``count_points_as`` is the
+one place that turns them into residue-field codes (``ExtField.from_index``),
+after the resource guard.  Besides the field arithmetic, that
+partial-fraction reconstruction is all the counting code shares with the
+combinatorial classification it checks; disagreement means a real bug.
+Each cover loads only the module of its own kind.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from collections import namedtuple
 from .errors import DomainError, ResourceGuardError, InvariantViolation
 from ._polyarith import evaluate
 from .fields import MAX_Q, ExtField, FieldSpec, primitive_modulus
-from .polys import PartialFraction, reconstruct
+from .polys import PartialFraction, ext_field_for, reconstruct
 
 MAX_GENUS = 6
 
@@ -83,7 +85,8 @@ def count_points_as(c, k: int) -> int:
     E = extension_field(field, k)
     # f = N/D; the polynomial part sum c_j x^j (no constant term) is the pole at infinity
     inf = () if c.infinity_part is None else (0,) + c.infinity_part
-    num, den = (E.lift(a) for a in reconstruct(PartialFraction(field, inf, c.branch)))
+    parts = tuple((pl, tuple(map(ext_field_for(pl).from_index, lc))) for pl, lc in c.branch)
+    num, den = (E.lift(a) for a in reconstruct(PartialFraction(field, inf, parts)))
     total = 0
     for x in range(E.q):
         dv = evaluate(E, den, x)

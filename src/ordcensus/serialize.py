@@ -4,10 +4,11 @@ Artin-Schreier covers:
     {"q": 2, "p": 2, "branch": [{"place": "0,1", "local": [1]}, ...],
      "infinity": null}
 Places use the polynomial text format; local coefficients are residue-field
-elements given by their index (base-q digits of the power-basis coordinates,
-lowest power most significant digit last), so for a degree-1 place they are
-just base-field representatives.  "infinity" is a list of base-field
-representatives or null.
+indices (base-q digits of the power-basis coordinates, lowest power first),
+the encoding ``ASCover`` holds, so both directions copy them and no residue
+field is built; loading checks each against the place's norm.  For a
+degree-1 place they are just base-field representatives.  "infinity" is a
+list of base-field representatives or null.
 
 Superelliptic covers:
     {"q": 2, "n": 3, "parts": ["0,1", "1,1"]}
@@ -20,18 +21,15 @@ from __future__ import annotations
 
 from .errors import DomainError
 from .fields import field_from_qp
-from .polys import MonicPoly, Place, ext_field_for
+from .polys import MonicPoly, Place
 
 
 def cover_to_dict(c) -> dict:
     # a cover's class names its kind, so neither cover module is imported here
     kind = getattr(type(c), "kind", None)
     if kind == "artin-schreier":
-        branch = []
-        for place, coeffs in c.branch:
-            E = ext_field_for(place)
-            branch.append({"place": place.poly.to_text(),
-                           "local": [E.index(z) for z in coeffs]})
+        branch = [{"place": place.poly.to_text(), "local": list(coeffs)}
+                  for place, coeffs in c.branch]
         return {"q": c.field.q, "p": c.field.p, "branch": branch,
                 "infinity": list(c.infinity_part) if c.infinity_part is not None else None}
     if kind == "superelliptic":
@@ -56,11 +54,9 @@ def cover_from_dict(data: dict):
         branch = []
         for entry in data.get("branch", []):
             place = Place(MonicPoly.from_text(field, entry["place"]))
-            E = ext_field_for(place)
-            indices = [int(i) for i in entry["local"]]
-            if any(i < 0 or i >= E.size for i in indices):
+            coeffs = tuple(int(i) for i in entry["local"])
+            if any(i < 0 or i >= place.norm for i in coeffs):
                 raise DomainError(f"local coefficient index out of range for {entry}")
-            coeffs = tuple(E.from_index(i) for i in indices)
             branch.append((place, coeffs))
         branch.sort(key=lambda pc: pc[0])
         inf = data.get("infinity")

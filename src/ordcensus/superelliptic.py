@@ -402,11 +402,19 @@ def ordinary_ratio_se(field: FieldSpec, n: int, m_max: int) -> list:
             if m >= 2]
 
 
+_SAMPLE_TUPLES_CACHE: dict = {}
+
+
 def random_se_cover(field: FieldSpec, n: int, m: int, rng) -> SECover:
     """A uniformly-chosen degree tuple with sum m, then rejection-sampled
-    squarefree pairwise-coprime monic parts of those degrees."""
+    squarefree pairwise-coprime monic parts of those degrees.  The tuples
+    with a nonempty family are listed once per (field, n, m)."""
     _guard_monic_count(field, m, "random cover")
-    tuples = [e for e in degree_tuples(n, m) if count_tuple_family(field, e) > 0]
+    key = (field, n, m)
+    if key not in _SAMPLE_TUPLES_CACHE:
+        _SAMPLE_TUPLES_CACHE[key] = tuple(e for e in degree_tuples(n, m)
+                                          if count_tuple_family(field, e) > 0)
+    tuples = _SAMPLE_TUPLES_CACHE[key]
     if not tuples:
         raise DomainError(f"no admissible degree tuples with sum {m}")
     e = rng.choice(tuples)

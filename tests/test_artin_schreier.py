@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from ordcensus import artin_schreier as asc
@@ -241,12 +243,36 @@ def test_branch_assignments_list_places_in_place_order():
 
 
 def test_census_enumerated_builds_no_residue_field(monkeypatch):
-    def no_field(place):
-        raise AssertionError(f"residue field of {place.poly} built")
-    monkeypatch.setattr(asc, "ext_field_for", no_field)
+    from ordcensus import fields, polys
+    from ordcensus.serialize import cover_from_dict, cover_to_dict
+
+    def no_field(*args):
+        raise AssertionError("residue field built")
+    monkeypatch.setattr(polys, "ext_field_for", no_field)
+    monkeypatch.setattr(fields.ExtField, "__init__", no_field)
     for field, m_max, include_inf in ((FieldSpec(2, 3), 5, False), (FieldSpec(3, 2), 4, True)):
         en = asc.census_enumerated(field, m_max, include_inf)
         assert en.rows == asc.census_analytic(field, m_max, include_inf).rows
+        for m in range(2, m_max + 1):
+            covers = list(asc.enumerate_covers(field, m, include_inf))
+            assert len(covers) == en.rows[m][0]
+            for c in covers:
+                assert cover_from_dict(cover_to_dict(c)) == c
+
+
+def test_enumerate_covers_are_the_products_of_the_pools():
+    # local parts stay residue-field indices; F_4 m = 4..6 and F_9 m = 4
+    # have places of degree 2, where indices and codes differ
+    for field, m_max in ((FieldSpec(2, 2), 6), (FieldSpec(3, 2), 4)):
+        for include_inf in (False, True):
+            for m in range(2, m_max + 1):
+                expected = [asc.ASCover(field, tuple(zip([pl for pl, _ in assignment], locals_)),
+                                        inf_part)
+                            for assignment, inf_pool, local_pools
+                            in asc._cover_families(field, m, include_inf)
+                            for inf_part in inf_pool
+                            for locals_ in itertools.product(*local_pools)]
+                assert list(asc.enumerate_covers(field, m, include_inf)) == expected
 
 
 def test_enumerated_covers_round_trip_through_json():

@@ -310,6 +310,26 @@ def test_oracle_command(tmp_path, capsys):
     assert data["agree"] is True
 
 
+def test_cover_of_a_degree_10_place_builds_no_residue_field(tmp_path, capsys, monkeypatch):
+    # the first place of degree 10 over F_4; its residue field is F_{2^20}
+    from ordcensus import fields
+
+    def no_field(*args):
+        raise AssertionError("residue field built")
+    monkeypatch.setattr(fields.ExtField, "__init__", no_field)
+    cover = {"q": 4, "p": 2, "branch": [{"place": "1,0,0,0,0,0,0,2,1,0,1", "local": [5]}],
+             "infinity": None}
+    path = tmp_path / "cover.json"
+    path.write_text(json.dumps(cover))
+    code, out, err = run(capsys, "classify", "--cover", str(path))
+    assert (code, err) == (0, "")
+    expected = dict(cover, kind="artin-schreier", genus=9, m=20, ordinary=True)
+    assert out == json.dumps(expected, indent=2) + "\n"
+    code, out, err = run(capsys, "oracle", "--cover", str(path))
+    assert (code, out) == (3, "")
+    assert err == "resource guard: oracle guarded at genus <= 6, got 9\n"
+
+
 def test_oracle_missing_file(capsys):
     code, _, err = run(capsys, "oracle", "--cover", "/nonexistent.json")
     assert code == 2
@@ -352,3 +372,19 @@ def test_usage_error_exit():
     with pytest.raises(SystemExit) as exc:
         main(["census", "nonsense", "--q", "2"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("census", "se", "--q", "2", "--max-m", "3", "--include-infinity"),
+    ("census", "se", "--q", "2", "--max-m", "3", "--p", "3"),
+    ("census", "se", "--q", "2", "--max-m", "3", "--mode", "both"),
+    ("census", "as", "--q", "2", "--max-m", "3", "--n", "5"),
+    ("classify", "--cover", "COVER", "--sample", "1"),
+])
+def test_options_a_command_would_ignore_are_usage_errors(tmp_path, capsys, argv):
+    path = tmp_path / "cover.json"
+    path.write_text(json.dumps({"q": 2, "n": 3, "parts": ["1,1,1", "0,1,1"]}))
+    with pytest.raises(SystemExit) as exc:
+        main([str(path) if a == "COVER" else a for a in argv])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""

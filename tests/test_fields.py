@@ -82,10 +82,9 @@ def test_ext_field_basic():
     assert E.size == 8
     t = E.gen()
     assert E.mul(t, E.mul(t, t)) == E.add(t, E.one)  # t^3 = t + 1
-    elements = list(E.elements())
-    assert len(elements) == 8
+    elements = [E.from_index(n) for n in range(8)]
+    assert sorted(elements) == list(range(8))
     for z in elements:
-        assert E.from_index(E.index(z)) == z
         if z != E.zero:
             assert E.mul(z, E.inv(z)) == E.one
         assert E.pow(z, 8) == z
@@ -130,15 +129,15 @@ def test_from_index_is_a_ring_isomorphism():
                     return sum(x * K.q ** i for i, x in enumerate(c))
 
                 assert E.size == K.q ** d
+                assert sorted(map(E.from_index, range(E.size))) == list(range(E.size))
                 for c in range(K.q):
                     assert E.in_base(E.embed(c)) == c
                 if d >= 2:
-                    assert E.index(E.gen()) == K.q
+                    assert E.from_index(K.q) == E.gen()
                 for _ in range(60):
                     a = pa.trim(K, [rng.randrange(K.q) for _ in range(d)])
                     b = pa.trim(K, [rng.randrange(K.q) for _ in range(d)])
                     za, zb = E.from_index(index(a)), E.from_index(index(b))
-                    assert E.index(za) == index(a)
                     assert E.add(za, zb) == E.from_index(index(pa.add(K, a, b)))
                     ab = pa.mod(K, pa.mul(K, a, b), place.poly.full)
                     assert E.mul(za, zb) == E.from_index(index(ab))
