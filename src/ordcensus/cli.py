@@ -5,8 +5,9 @@ report-table1.  Exit codes: 0 success, 2 usage error, 3 resource guard
 exceeded, 4 invariant violation (oracle disagreement or route mismatch).
 
 ``census as`` and ``census se`` each accept only the options they read, and
-``classify`` takes exactly one of --cover and --sample; anything else is a
-usage error (exit 2).
+``classify`` takes exactly one of --cover and --sample, with --q, --n,
+--max-m and --seed for --sample only; anything else is a usage error
+(exit 2).
 
 Outputs are deterministic for a fixed configuration (including --seed).
 The environment variable ORDCENSUS_OUTDIR, when
@@ -34,6 +35,9 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_GUARD = 3
 EXIT_INVARIANT = 4
+
+# classify --sample reads these when --q, --n, --max-m or --seed is not given
+SAMPLE_DEFAULTS = {"q": 2, "n": 3, "max_m": 4, "seed": 0}
 
 TABLE1 = {
     # q: (phi(1), P(AS) modified family, CEZB)
@@ -108,8 +112,8 @@ def cmd_constants(args) -> int:
     from .fields import field_from_qp
     q, p = args.q, args.p
     field_from_qp(q, p)  # validates q = p^k
-    phi1 = dirichlet.phi_at_1(q, D=args.truncation_degree)
-    psi = dirichlet.psi_p_at_1(p, q, D=args.truncation_degree)
+    phi1 = dirichlet.phi_at_1(q)
+    psi = dirichlet.psi_p_at_1(p, q)
     data = {
         "q": q,
         "p": p,
@@ -173,15 +177,19 @@ def cmd_classify(args) -> int:
     from .fields import field_from_qp
     from .serialize import cover_to_dict
     if args.cover is not None:
+        if any(getattr(args, k) is not None for k in SAMPLE_DEFAULTS):
+            raise DomainError("--q, --n, --max-m and --seed apply to --sample only")
         covers = [_load_cover(args.cover)]
     else:
         if args.sample < 0:
             raise DomainError("--sample must be >= 0")
         import random
         from . import superelliptic
-        rng = random.Random(args.seed)
-        field = field_from_qp(args.q, 2)
-        covers = [superelliptic.random_se_cover(field, args.n, args.max_m, rng)
+        q, n, max_m, seed = (d if getattr(args, k) is None else getattr(args, k)
+                             for k, d in SAMPLE_DEFAULTS.items())
+        rng = random.Random(seed)
+        field = field_from_qp(q, 2)
+        covers = [superelliptic.random_se_cover(field, n, max_m, rng)
                   for _ in range(args.sample)]
     reports = []
     for c in covers:
@@ -267,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_const = sub.add_parser("constants", help="evaluate the limiting constants")
     p_const.add_argument("--q", type=int, required=True)
     p_const.add_argument("--p", type=int, required=True)
-    p_const.add_argument("--truncation-degree", type=int, default=None)
     p_const.add_argument("--output", default=None)
     p_const.set_defaults(func=cmd_constants)
 
@@ -296,10 +303,10 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--cover", default=None, help="cover JSON file")
     source.add_argument("--sample", type=int, default=None,
                         help="classify this many seeded random superelliptic covers")
-    p_classify.add_argument("--q", type=int, default=2)
-    p_classify.add_argument("--n", type=int, default=3)
-    p_classify.add_argument("--max-m", type=int, default=4)
-    p_classify.add_argument("--seed", type=int, default=0)
+    p_classify.add_argument("--q", type=int, default=None)
+    p_classify.add_argument("--n", type=int, default=None)
+    p_classify.add_argument("--max-m", type=int, default=None)
+    p_classify.add_argument("--seed", type=int, default=None)
     p_classify.add_argument("--output", default=None)
     p_classify.set_defaults(func=cmd_classify)
 

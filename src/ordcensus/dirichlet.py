@@ -5,21 +5,23 @@ All the limiting constants (phi(1), psi_p(1), the modified-family
 probability, the CEZB product, Phi_k/phi_k, L_{n-2}, kappa_n) live here,
 as does the one integer Euler-coefficient engine behind the exact censuses.
 
-Products over places are always grouped by degree: the degree-d local
-factor is raised to the number of monic irreducibles of degree d, so the
-truncation degree D can be large even for q = 32.
+Every float Euler product over places runs through ``euler_product``,
+grouped by degree: the degree-d local factor is raised to I_d, the number
+of places of degree d, so D can be large even for q = 32.  That power
+multiplies the factor's rounding error by I_d, so the product runs at
+``WORKING_DPS`` plus the number of digits of I_D, and the bound
+|v| (exp(tail) - 1) is taken with ``expm1``.
 
 mpmath is imported only by the functions that evaluate constants, which
-return mpmath ``mpf`` values, and each evaluation runs under
-``mp.workdps(WORKING_DPS)``: importing this module
-neither loads mpmath nor changes the global ``mp.dps``, so the censuses
-never pay for it.
+return mpmath ``mpf`` values, each under a local ``mp.workdps``: importing
+this module neither loads mpmath nor changes the global ``mp.dps``.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
+from functools import cache
 
 from .errors import DomainError
 from .fields import count_irreducibles, require_odd_prime
@@ -120,18 +122,19 @@ def euler_product(q: int, local, lead, decay: int = 2,
     ``local`` maps the norm |Q| to the local factor.  ``lead`` and ``decay``
     give the bound |local(x) - 1| <= lead * x^{-decay} used for the tail.
     """
-    from mpmath import exp, mp, mpf
+    from mpmath import expm1, mp, mpf
     with mp.workdps(WORKING_DPS):
         target = mpf(target)
         if D is None:
             D = 8
             while _tail_bound(q, D, lead, decay) > target:
                 D += 4
+        tail = _tail_bound(q, D, lead, decay)
+    with mp.workdps(WORKING_DPS + len(str(count_irreducibles(q, D)))):
         value = mpf(1)
         for d in range(1, D + 1):
             value *= local(mpf(q) ** d) ** count_irreducibles(q, d)
-        tail = _tail_bound(q, D, lead, decay)
-        return EulerProductValue(value, D, abs(value) * (exp(tail) - 1))
+        return EulerProductValue(value, D, abs(value) * expm1(tail))
 
 
 def zeta_affine(q: int, s):
@@ -146,21 +149,15 @@ def zeta_affine(q: int, s):
 
 def zeta_affine_truncated(q: int, s, D: int) -> EulerProductValue:
     """Truncated Euler product for zeta_affine, with its tail bound."""
-    from mpmath import exp, mp, mpf
-    with mp.workdps(WORKING_DPS):
-        s = mpf(s)
-        if s <= 1:
-            raise DomainError("zeta_affine has a pole at s = 1 and diverges for s < 1")
-        value = mpf(1)
-        for d in range(1, D + 1):
-            value *= (1 - mpf(q) ** (-d * s)) ** (-count_irreducibles(q, d))
-        # |log local| <= 2 q^{-ds} for q^{-ds} <= 1/2; sum I_d <= q^d/d over d > D
-        tail = (2 / mpf(D + 1)) * mpf(q) ** (-(s - 1) * (D + 1)) / (1 - mpf(q) ** (-(s - 1)))
-        return EulerProductValue(value, D, abs(value) * (exp(tail) - 1))
+    if s <= 1:
+        raise DomainError("zeta_affine has a pole at s = 1 and diverges for s < 1")
+    # |log local| = |log(1 - |Q|^{-s})| <= 2 |Q|^{-s}: lead 1, decay s
+    return euler_product(q, lambda x: 1 / (1 - x ** -s), lead=1, decay=s, D=D)
 
 
+@cache
 def phi_at_1(q: int, D: int | None = None) -> EulerProductValue:
-    """The p=2 constant: prod over places of 1 - 2|Q|^{-2} + |Q|^{-3}."""
+    """The p=2 constant: prod over places of 1 - 2|Q|^{-2} + |Q|^{-3}; cached."""
     return euler_product(q, lambda x: 1 - 2 / x ** 2 + 1 / x ** 3, lead=3, D=D)
 
 

@@ -16,14 +16,13 @@ the trace, a subfield's embedding) comes from ``linear_table``, which
 coordinates, so an affine map on codes is listed from its images of the
 basis by digit-wise addition mod p.
 
-``ExtField`` is F_q[t]/(h) realised as the absolute field F_{p^(k deg h)}:
-its codes and arithmetic are those of the FieldSpec of that order, whose
-tables all such fields share, and it carries the embedding of F_q and a
-root of h.  The residue fields of :mod:`polys` and the oracle's F_{q^k}
-are ExtFields.  Artin-Schreier local parts are stored as residue-field
-indices (coordinates over F_q in the power basis of the root, read as
-base-q digits); ``ExtField.from_index`` is the one bridge from an index to
-a code.
+The oracle's F_{q^k} is ``extension``: the shared absolute field of that
+order, whose tables every field of the order uses, and the images of F_q in
+it.  ``ExtField`` is only ever the residue field F_q[t]/(h) of a place
+(``polys.ext_field_for``): that absolute field with the embedding of F_q and
+a root of h.  Artin-Schreier local parts are stored as residue-field indices
+(coordinates over F_q in the power basis of the root, read as base-q
+digits); ``ExtField.from_index`` is the one bridge from an index to a code.
 
 ``count_irreducibles`` lives here with the other number-theory helpers,
 so the Euler products of :mod:`dirichlet` need no polynomial code.
@@ -444,7 +443,7 @@ class ExtField(FieldSpec):
 
 @cache
 def _absolute(p: int, n: int) -> FieldSpec:
-    """The FieldSpec(p, n) whose tables every ExtField of order p^n shares."""
+    """The FieldSpec(p, n) the oracle sweeps; ExtFields of order p^n share its tables."""
     return FieldSpec(p, n)
 
 
@@ -455,18 +454,10 @@ def _base_embedding(base: FieldSpec, n: int) -> tuple:
     return images, {z: c for c, z in enumerate(images)}
 
 
-def primitive_modulus(base: FieldSpec, d: int) -> tuple:
-    """The minimal polynomial over ``base`` of the primitive element g of
-    F_{q^d}, prod_i (x - g^(q^i)), as the lower coefficients for ExtField.
-
-    g is the first root that ExtField tries, so its root search ends at once.
-    """
-    A = _absolute(base.p, base.k * d)
-    h = (1,)
-    for i in range(d):
-        h = pa.mul(A, h, (A.neg(A.exp(base.q ** i)), 1))
-    preimage = _base_embedding(base, A.k)[1]
-    return tuple(preimage[c] for c in h[:-1])
+def extension(base: FieldSpec, k: int) -> tuple:
+    """F_{q^k} for q = |base|: the shared absolute field F_{p^(k k_base)},
+    and the images in it of the codes of ``base``."""
+    return _absolute(base.p, k * base.k), _base_embedding(base, k * base.k)[0]
 
 
 def _is_irreducible_prime_field(p: int, modulus_low: tuple) -> bool:

@@ -2,7 +2,9 @@
 L-polynomial via Newton's identities and the functional equation, and the
 p-rank as the degree of L mod p.
 
-An Artin-Schreier cover's f is put over one denominator, f = N/D, by
+Each F_{q^k} swept is ``fields.extension``, the shared absolute field of
+order q^k, and the cover's coefficients are lifted through its images of
+F_q.  An Artin-Schreier cover's f is put over one denominator, f = N/D, by
 ``polys.reconstruct``, and the sweep evaluates N and D at each x.  The cover
 holds its local parts as residue-field indices; ``count_points_as`` is the
 one place that turns them into residue-field codes (``ExtField.from_index``),
@@ -19,8 +21,8 @@ from collections import namedtuple
 
 from .errors import DomainError, ResourceGuardError, InvariantViolation
 from ._polyarith import evaluate
-from .fields import MAX_Q, ExtField, FieldSpec, primitive_modulus
-from .polys import PartialFraction, ext_field_for, reconstruct
+from .fields import MAX_Q, ExtField, FieldSpec, extension
+from .polys import PartialFraction, ext_field_for, places_of_degree, reconstruct
 
 MAX_GENUS = 6
 
@@ -64,8 +66,9 @@ class LPolynomial(namedtuple("LPolynomial", "q genus coeffs")):
 
 
 def extension_field(field: FieldSpec, k: int) -> ExtField:
-    """F_{q^k} with its embedding of F_q, as an ExtField."""
-    return ExtField(field, primitive_modulus(field, k))
+    """F_{q^k} with a basis over F_q, the residue field of the first place of
+    degree k, to draw elements by index (``perfbench/layers.py``)."""
+    return ext_field_for(places_of_degree(field, k)[0])
 
 
 def _guard(field: FieldSpec, g: int, k: int):
@@ -82,11 +85,11 @@ def count_points_as(c, k: int) -> int:
     field = c.field
     p = field.p
     _guard(field, genus(c), k)
-    E = extension_field(field, k)
+    E, embed = extension(field, k)
     # f = N/D; the polynomial part sum c_j x^j (no constant term) is the pole at infinity
     inf = () if c.infinity_part is None else (0,) + c.infinity_part
     parts = tuple((pl, tuple(map(ext_field_for(pl).from_index, lc))) for pl, lc in c.branch)
-    num, den = (E.lift(a) for a in reconstruct(PartialFraction(field, inf, parts)))
+    num, den = ([embed[a] for a in f] for f in reconstruct(PartialFraction(field, inf, parts)))
     total = 0
     for x in range(E.q):
         dv = evaluate(E, den, x)
@@ -108,10 +111,10 @@ def count_points_se(c, k: int) -> int:
     field = c.field
     n = c.n
     _guard(field, genus_se(c), k)
-    E = extension_field(field, k)
+    E, embed = extension(field, k)
     # v = prod f_i(x)^i is an n-th power iff n | log v, when n | q^k - 1
     split = (E.q - 1) % n == 0
-    parts = [(E.lift(f.full), i) for i, f in enumerate(c.parts, start=1) if f.degree > 0]
+    parts = [([embed[a] for a in f.full], i) for i, f in enumerate(c.parts, 1) if f.degree]
     total = 0
     for x in range(E.q):
         log_v = 0

@@ -32,6 +32,33 @@ def test_constants_bad_q(capsys):
     assert "q = 6" in err
 
 
+def test_constants_takes_no_truncation_degree(capsys):
+    # it reached phi(1) and psi_p(1) but not the probabilities built on phi(1)
+    with pytest.raises(SystemExit) as exc:
+        main(["constants", "--q", "2", "--p", "2", "--truncation-degree", "6"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv,products", [
+    (("constants", "--q", "2", "--p", "2"), 1),
+    (("report-table1",), 5),
+])
+def test_each_euler_product_is_evaluated_once(capsys, monkeypatch, argv, products):
+    from ordcensus import dirichlet
+    calls = []
+    euler_product = dirichlet.euler_product
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return euler_product(*args, **kwargs)
+    monkeypatch.setattr(dirichlet, "euler_product", counted)
+    dirichlet.phi_at_1.cache_clear()
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    assert len(calls) == products
+
+
 def test_census_as_both_modes(capsys):
     code, out, _ = run(capsys, "census", "as", "--q", "2", "--p", "2",
                        "--max-m", "8", "--mode", "both")
@@ -280,6 +307,23 @@ def test_classify_sample_deterministic(capsys):
     assert len(json.loads(out1)) == 5
 
 
+def test_classify_sample_defaults(capsys):
+    _, given, _ = run(capsys, "classify", "--sample", "5", "--q", "2", "--n", "3",
+                      "--max-m", "4", "--seed", "0")
+    code, defaulted, _ = run(capsys, "classify", "--sample", "5")
+    assert code == 0
+    assert defaulted == given
+
+
+@pytest.mark.parametrize("option", ["--q", "--n", "--max-m", "--seed"])
+def test_sample_options_with_cover_are_usage_errors(tmp_path, capsys, option):
+    path = tmp_path / "cover.json"
+    path.write_text(json.dumps({"q": 2, "n": 3, "parts": ["1,1,1", "0,1,1"]}))
+    code, out, err = run(capsys, "classify", "--cover", str(path), option, "3")
+    assert (code, out) == (2, "")
+    assert err == "error: --q, --n, --max-m and --seed apply to --sample only\n"
+
+
 @pytest.mark.parametrize("q,max_m", [(4, 9), (8, 6), (2, 17)])
 def test_classify_sample_guard_fires_before_enumeration(capsys, monkeypatch, q, max_m):
     from ordcensus import polys, superelliptic
@@ -328,6 +372,24 @@ def test_cover_of_a_degree_10_place_builds_no_residue_field(tmp_path, capsys, mo
     code, out, err = run(capsys, "oracle", "--cover", str(path))
     assert (code, out) == (3, "")
     assert err == "resource guard: oracle guarded at genus <= 6, got 9\n"
+
+
+def test_oracle_sweeps_build_no_field_object(tmp_path, capsys, monkeypatch):
+    # every F_{4^k} swept is the shared absolute field; an SE cover has no
+    # residue field to build either
+    from ordcensus import fields
+
+    def no_field(*args):
+        raise AssertionError("ExtField built")
+    monkeypatch.setattr(fields.ExtField, "__init__", no_field)
+    path = tmp_path / "cover.json"
+    path.write_text(json.dumps({"n": 3, "parts": ["3,2,1", "0,1"], "q": 4}))
+    code, out, err = run(capsys, "oracle", "--cover", str(path))
+    assert (code, err) == (0, "")
+    expected = {"kind": "superelliptic", "genus": 2, "N_k": [4, 10, 43, 274],
+                "L": [1, -1, -3, -4, 16], "p_rank": 2, "ordinary_by_criterion": True,
+                "agree": True}
+    assert out == json.dumps(expected, indent=2) + "\n"
 
 
 def test_oracle_missing_file(capsys):

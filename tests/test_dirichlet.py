@@ -143,3 +143,16 @@ def test_euler_product_error_bound_honest():
     shallow = dd.phi_at_1(2, D=12)
     deep = dd.phi_at_1(2, D=60)
     assert abs(shallow.value - deep.value) <= shallow.error_bound + deep.error_bound
+
+
+def test_euler_products_carry_their_rounding(monkeypatch):
+    # each factor is raised to I_d, up to ~q^D/D, which multiplies its
+    # rounding error; the value and bound must still hold to WORKING_DPS
+    cases = [(121, 11), (1024, 2), (128, 2), (81, 3), (2, 2), (3, 3)]
+    got = {(q, p): (dd.phi_at_1.__wrapped__(q), dd.psi_p_at_1(p, q)) for q, p in cases}
+    monkeypatch.setattr(dd, "WORKING_DPS", dd.WORKING_DPS + 40)
+    for (q, p), products in got.items():
+        for ep, ref in zip(products, (dd.phi_at_1.__wrapped__(q), dd.psi_p_at_1(p, q))):
+            assert ep.truncation_degree == ref.truncation_degree
+            assert abs(ep.value - ref.value) <= mpf("1e-25") * abs(ref.value), (q, p)
+            assert abs(ep.error_bound - ref.error_bound) <= mpf("1e-12") * ref.error_bound, (q, p)

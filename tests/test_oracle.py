@@ -141,6 +141,21 @@ def test_extension_field_sizes():
         assert E.size == 2 ** k
 
 
+def test_extension_is_the_shared_absolute_field():
+    from ordcensus import fields
+    for base in (F2, F4, FieldSpec(3, 2)):
+        for k in (1, 2, 3):
+            E, embed = fields.extension(base, k)
+            assert E is fields._absolute(base.p, base.k * k)
+            assert E.q == base.q ** k
+            # the images of F_q form a subfield: a ring isomorphism onto them
+            assert len(set(embed)) == base.q
+            for a in range(base.q):
+                for b in range(base.q):
+                    assert embed[base.add(a, b)] == E.add(embed[a], embed[b])
+                    assert embed[base.mul(a, b)] == E.mul(embed[a], embed[b])
+
+
 def test_guard_fires_before_any_sweep(monkeypatch):
     def no_sweep(c, k):
         raise AssertionError("swept before the guard")
