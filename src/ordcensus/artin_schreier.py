@@ -30,7 +30,6 @@ from collections import namedtuple
 
 from .errors import DomainError, ResourceGuardError
 from .fields import FieldSpec
-from .polys import places_of_degree
 
 
 class ASCover(namedtuple("ASCover", "field branch infinity_part", defaults=(None,))):
@@ -98,6 +97,13 @@ def is_ordinary(c: ASCover) -> bool:
     return c.infinity_part is None or len(c.infinity_part) == 1
 
 
+def deuring_shafarevich_p_rank(c: ASCover) -> int:
+    """(p - 1)(r - 1), r the number of geometric branch points: the p-rank
+    by the Deuring-Shafarevich formula."""
+    r = sum(pl.degree for pl, _ in c.branch) + (c.infinity_part is not None)
+    return (c.field.p - 1) * (r - 1)
+
+
 # ---------------------------------------------------------------------------
 # Enumeration
 # ---------------------------------------------------------------------------
@@ -135,6 +141,7 @@ def _branch_assignments(field: FieldSpec, m: int):
     are taken in (degree, coefficients) order, and each node prepends its
     place to pairs chosen from the places after it.
     """
+    from .polys import places_of_degree
     places = []
     for d in range(1, m // 2 + 1):
         places.extend(places_of_degree(field, d))

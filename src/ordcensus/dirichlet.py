@@ -10,7 +10,9 @@ grouped by degree: the degree-d local factor is raised to I_d, the number
 of places of degree d, so D can be large even for q = 32.  That power
 multiplies the factor's rounding error by I_d, so the product runs at
 ``WORKING_DPS`` plus the number of digits of I_D, and the bound
-|v| (exp(tail) - 1) is taken with ``expm1``.
+|v| (exp(tail) - 1) is taken with ``expm1``.  Unless a caller fixes D, it
+is the first of 8, 12, 16, ... with a tail bound below 1e-8.
+``cezb_constant`` stops after 120 factors, with a tail below q^-120.
 
 mpmath is imported only by the functions that evaluate constants, which
 return mpmath ``mpf`` values, each under a local ``mp.workdps``: importing
@@ -116,7 +118,7 @@ def _tail_bound(q: int, D: int, lead, decay: int):
 
 
 def euler_product(q: int, local, lead, decay: int = 2,
-                  D: int | None = None, target="1e-8") -> EulerProductValue:
+                  D: int | None = None) -> EulerProductValue:
     """Evaluate prod over places of local(|Q|), grouped by degree.
 
     ``local`` maps the norm |Q| to the local factor.  ``lead`` and ``decay``
@@ -124,10 +126,9 @@ def euler_product(q: int, local, lead, decay: int = 2,
     """
     from mpmath import expm1, mp, mpf
     with mp.workdps(WORKING_DPS):
-        target = mpf(target)
         if D is None:
             D = 8
-            while _tail_bound(q, D, lead, decay) > target:
+            while _tail_bound(q, D, lead, decay) > mpf("1e-8"):
                 D += 4
         tail = _tail_bound(q, D, lead, decay)
     with mp.workdps(WORKING_DPS + len(str(count_irreducibles(q, D)))):
@@ -158,7 +159,7 @@ def zeta_affine_truncated(q: int, s, D: int) -> EulerProductValue:
 @cache
 def phi_at_1(q: int, D: int | None = None) -> EulerProductValue:
     """The p=2 constant: prod over places of 1 - 2|Q|^{-2} + |Q|^{-3}; cached."""
-    return euler_product(q, lambda x: 1 - 2 / x ** 2 + 1 / x ** 3, lead=3, D=D)
+    return _local_polynomial_product(q, [1, 0, -2, 1], D)
 
 
 def _local_polynomial_product(q: int, poly: list, D: int | None) -> EulerProductValue:
@@ -203,14 +204,14 @@ def ordinary_probability_as(q: int, p: int, include_infinity: bool):
         return (1 - qi + qi ** 2) / (1 + qi) * base
 
 
-def cezb_constant(q: int, D: int = 120):
-    """prod_{i>=1} (1 + q^{-i})^{-1}, the random-Dieudonne-module prediction."""
+def cezb_constant(q: int):
+    """prod_{i=1}^{120} (1 + q^{-i})^{-1}, the random-Dieudonne-module prediction."""
     from mpmath import mp, mpf
     with mp.workdps(WORKING_DPS):
         value = mpf(1)
-        for i in range(1, D + 1):
+        for i in range(1, 121):
             value /= 1 + mpf(q) ** (-i)
-        return value  # tail < q^{-120}, far below any quoted precision
+        return value
 
 
 def phi_k_at_1(q: int, k: int, D: int | None = None) -> EulerProductValue:

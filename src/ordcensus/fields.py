@@ -477,24 +477,17 @@ def _is_irreducible_prime_field(p: int, modulus_low: tuple) -> bool:
     return True
 
 
-_DEFAULT_MODULUS_CACHE: dict = {}
-
-
+@cache
 def default_modulus(p: int, k: int) -> tuple:
     """Lexicographically smallest irreducible monic degree-k polynomial.
 
     Lexicographic order is on the coefficient tuple (c_0, ..., c_{k-1}),
     constant coefficient most significant.  The leading 1 is implicit.
     """
-    key = (p, k)
-    if key in _DEFAULT_MODULUS_CACHE:
-        return _DEFAULT_MODULUS_CACHE[key]
     if k == 1:
-        _DEFAULT_MODULUS_CACHE[key] = (0,)
         return (0,)
     # c_0 = 0 means x divides the polynomial, so the search starts at c_0 = 1
     for coeffs in itertools.product(range(1, p), *[range(p)] * (k - 1)):
         if _is_irreducible_prime_field(p, coeffs):
-            _DEFAULT_MODULUS_CACHE[key] = coeffs
             return coeffs
     raise RuntimeError("unreachable: irreducible polynomials exist in every degree")

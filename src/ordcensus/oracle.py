@@ -203,9 +203,10 @@ def cross_validate(c) -> OracleReport:
     """Compare the combinatorial ordinarity criterion against the p-rank.
 
     Counts N_1..N_{2g}, reconstructs L from the first g, checks that L
-    reproduces all 2g counts (functional-equation closure), and asserts
-    is_ordinary(c) == (p_rank == g).  Superelliptic covers additionally
-    assert a_number(c) == 0 iff p_rank == g.
+    reproduces all 2g counts (functional-equation closure; a problem names
+    the first k that differs), and asserts is_ordinary(c) == (p_rank == g).
+    Artin-Schreier covers additionally assert the Deuring-Shafarevich
+    p-rank, superelliptic covers a_number(c) == 0 iff p_rank == g.
     """
     count, g, ordinary, kind = _count_fn(c)
     _guard(c.field, g, 2 * g)  # the largest sweep, checked before the first
@@ -213,12 +214,20 @@ def cross_validate(c) -> OracleReport:
     counts = PointCounts(c.field.q, g, tuple(count(c, k) for k in range(1, 2 * g + 1)))
     l_poly = l_polynomial(counts)
     problems = []
-    if counts_from_l(l_poly, 2 * g) != counts.counts:
-        problems.append("L-polynomial does not reproduce the point counts")
+    implied = counts_from_l(l_poly, 2 * g)
+    if implied != counts.counts:
+        k = next(k for k in range(1, 2 * g + 1) if implied[k - 1] != counts.counts[k - 1])
+        problems.append(f"L-polynomial does not reproduce the point counts: "
+                        f"N_{k} = {counts.counts[k - 1]} but L gives {implied[k - 1]}")
     rank = p_rank(l_poly, p)
     if ordinary != (rank == g):
         problems.append(
             f"criterion says ordinary={ordinary} but p-rank is {rank} of genus {g}")
+    if kind == "artin-schreier":
+        from .artin_schreier import deuring_shafarevich_p_rank
+        expected = deuring_shafarevich_p_rank(c)
+        if rank != expected:
+            problems.append(f"p-rank {rank} differs from Deuring-Shafarevich's {expected}")
     if kind == "superelliptic":
         from .superelliptic import a_number
         a = a_number(c)

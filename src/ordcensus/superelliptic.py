@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import namedtuple
+from functools import cache
 
 from .errors import DomainError, ResourceGuardError, InvariantViolation
 from .fields import FieldSpec, require_odd_prime
@@ -402,19 +403,20 @@ def ordinary_ratio_se(field: FieldSpec, n: int, m_max: int) -> list:
             if m >= 2]
 
 
-_SAMPLE_TUPLES_CACHE: dict = {}
+@cache
+def _sample_tuples(field: FieldSpec, n: int, m: int) -> tuple:
+    """The degree tuples with sum m and a nonempty family, in order; any()
+    stops at a family's first member (a nonempty tuple of positions)."""
+    return tuple(e for e in degree_tuples(n, m) if any(_tuple_family_positions(field, e)))
 
 
 def random_se_cover(field: FieldSpec, n: int, m: int, rng) -> SECover:
     """A uniformly-chosen degree tuple with sum m, then rejection-sampled
     squarefree pairwise-coprime monic parts of those degrees.  The tuples
-    with a nonempty family are listed once per (field, n, m)."""
+    with a nonempty family, each kept at the first member of its family, are
+    listed once per (field, n, m)."""
     _guard_monic_count(field, m, "random cover")
-    key = (field, n, m)
-    if key not in _SAMPLE_TUPLES_CACHE:
-        _SAMPLE_TUPLES_CACHE[key] = tuple(e for e in degree_tuples(n, m)
-                                          if count_tuple_family(field, e) > 0)
-    tuples = _SAMPLE_TUPLES_CACHE[key]
+    tuples = _sample_tuples(field, n, m)
     if not tuples:
         raise DomainError(f"no admissible degree tuples with sum {m}")
     e = rng.choice(tuples)

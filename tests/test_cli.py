@@ -132,6 +132,17 @@ def test_census_x_bound(capsys):
     assert last.startswith("4,")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--x-bound", "1"), "--x-bound must be >= 2"),
+    ((), "one of --max-m / --x-bound is required"),
+])
+def test_census_bad_x_bound_or_no_bound_is_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, "census", "as", "--q", "2", *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 def test_census_max_m_with_x_bound_is_usage_error(capsys):
     code, out, err = run(capsys, "census", "as", "--q", "2", "--p", "2",
                          "--max-m", "3", "--x-bound", "8")
@@ -225,6 +236,7 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     commands = {
         "help": ("--help",),
         "census as": ("census", "as", "--q", "2", "--max-m", "6", "--mode", "both"),
+        "census as analytic": ("census", "as", "--q", "2", "--max-m", "8"),
         "census se": ("census", "se", "--q", "2", "--n", "3", "--max-m", "4",
                       "--format", "json"),
         "constants": ("constants", "--q", "3", "--p", "3"),
@@ -238,6 +250,7 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     loaded = {name: _modules_after(argv, str(cover)) for name, argv in commands.items()}
     assert loaded["help"][0] == {"ordcensus", "cli", "errors"}
     assert not {"superelliptic", "oracle", "serialize"} & loaded["census as"][0]
+    assert not {"superelliptic", "oracle", "serialize", "polys"} & loaded["census as analytic"][0]
     assert not {"artin_schreier", "oracle", "serialize"} & loaded["census se"][0]
     assert "polys" not in loaded["constants"][0]
     assert "polys" not in loaded["report-table1"][0]
@@ -392,6 +405,33 @@ def test_oracle_sweeps_build_no_field_object(tmp_path, capsys, monkeypatch):
     assert out == json.dumps(expected, indent=2) + "\n"
 
 
+def test_oracle_disagreement_prints_its_report_and_exits_4(tmp_path, capsys, monkeypatch):
+    from ordcensus import artin_schreier
+    path = tmp_path / "cover.json"
+    path.write_text(json.dumps({"q": 2, "p": 2,
+                                "branch": [{"place": "0,1", "local": [0, 0, 1]}],
+                                "infinity": None}))
+    is_ordinary = artin_schreier.is_ordinary
+    monkeypatch.setattr(artin_schreier, "is_ordinary", lambda c: not is_ordinary(c))
+    code, out, err = run(capsys, "oracle", "--cover", str(path))
+    assert code == 4
+    data = json.loads(out)
+    assert data["agree"] is False
+    assert data["detail"] == "criterion says ordinary=True but p-rank is 0 of genus 1"
+    assert data["detail"] in err
+
+
+def test_classify_routes_disagreeing_exits_4(tmp_path, capsys, monkeypatch):
+    from ordcensus import superelliptic
+    path = tmp_path / "cover.json"
+    path.write_text(json.dumps({"q": 2, "n": 3, "parts": ["1,1,1", "0,1,1"]}))
+    monkeypatch.setattr(superelliptic, "a_number", lambda c: 1)
+    code, out, err = run(capsys, "classify", "--cover", str(path))
+    assert code == 4
+    assert out == ""
+    assert "classification routes disagree" in err
+
+
 def test_oracle_missing_file(capsys):
     code, _, err = run(capsys, "oracle", "--cover", "/nonexistent.json")
     assert code == 2
@@ -419,6 +459,37 @@ def test_report_table1(capsys):
         assert float(fields[2]) < 1e-5  # phi1 deviation
         assert float(fields[4]) < 1e-5  # P(AS) modified deviation
         assert float(fields[6]) < 1e-5  # CEZB deviation
+
+
+def test_report_table1_json_rows_are_the_csv_rows(capsys):
+    _, csv_out, _ = run(capsys, "report-table1")
+    code, json_out, _ = run(capsys, "report-table1", "--format", "json")
+    assert code == 0
+    header, *lines = csv_out.strip().splitlines()
+    csv_rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+    assert [{k: str(v) for k, v in row.items()} for row in json.loads(json_out)] == csv_rows
+
+
+def test_benchmark_jobs_print_the_reference_bytes(tmp_path, capsys, monkeypatch):
+    """Every benchmark job at the default seed, run in this process, prints
+    the stdout whose SHA-256 ``perfbench/reference.json`` records."""
+    import hashlib
+    import importlib.util
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  perfbench / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclass looks itself up
+    spec.loader.exec_module(workloads)
+    digests = json.loads((perfbench / "reference.json").read_text())["digests"]
+    monkeypatch.chdir(tmp_path)
+    for name in workloads.WORKLOADS:
+        for job in workloads.jobs(name, 0):
+            for fname, text in job.files.items():
+                (tmp_path / fname).write_text(text)
+            code, out, _ = run(capsys, *job.args)
+            assert code == 0, job.key()
+            assert hashlib.sha256(out.encode()).hexdigest() == digests[job.key()], job.key()
 
 
 def test_output_file_and_outdir(tmp_path, capsys, monkeypatch):

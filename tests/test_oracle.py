@@ -237,3 +237,28 @@ def test_non_cover_is_a_domain_error():
             orc.cross_validate(thing)
         with pytest.raises(DomainError, match="not a cover"):
             cover_to_dict(thing)
+
+
+def test_report_names_a_p_rank_off_deuring_shafarevich(monkeypatch):
+    # y^2 + y = 1/x^3 + 1/(x+1): genus 2, p-rank 1, not ordinary
+    c = as_cover((X, (E1.one, 0, E1.one)), (X1, (E1.one,)))
+    assert not asc.is_ordinary(c)
+    assert orc.cross_validate(c).agree
+    p_rank = orc.p_rank
+    monkeypatch.setattr(orc, "p_rank", lambda l_poly, p: p_rank(l_poly, p) - 1)
+    report = orc.cross_validate(c)
+    assert not report.agree
+    assert report.detail == "p-rank 0 differs from Deuring-Shafarevich's 1"
+
+
+def test_report_names_the_first_count_off_the_l_polynomial(monkeypatch):
+    c = as_cover((X, (E1.one, 0, E1.one)), (X1, (E1.one,)))
+    g = asc.genus(c)
+    counts = [orc.count_points_as(c, k) for k in range(1, 2 * g + 1)]
+    count = orc.count_points_as
+    monkeypatch.setattr(orc, "count_points_as",
+                        lambda c, k: count(c, k) + 2 * (k == g + 1))
+    report = orc.cross_validate(c)
+    assert not report.agree
+    assert report.detail == (f"L-polynomial does not reproduce the point counts: "
+                             f"N_{g + 1} = {counts[g] + 2} but L gives {counts[g]}")

@@ -94,3 +94,15 @@ def test_l_polynomial_rejects_a_non_integral_newton_step():
     counts = orc.PointCounts(2, 2, (3, 4))
     with pytest.raises(InvariantViolation, match=r"a_2 = -1/2"):
         orc.l_polynomial(counts)
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"p": 2, "branch": [{"place": "0,1", "local": [1]}]}, "bad cover data"),
+    ({"q": 2, "branch": [{"place": "0,1", "local": [1]}]}, "must contain 'p'"),
+    # x + 1 over F_4 has norm 4: index 4 names no element of its residue field
+    ({"q": 4, "p": 2, "branch": [{"place": "1,1", "local": [4]}]}, "out of range"),
+])
+def test_cover_data_without_a_field_kind_or_in_range_index_is_refused(data, message):
+    from ordcensus.serialize import cover_from_dict
+    with pytest.raises(DomainError, match=message):
+        cover_from_dict(data)
