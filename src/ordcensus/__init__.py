@@ -12,14 +12,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DomainError", "InvariantViolation", "ResourceGuardError",
-    "ExtField", "FieldSpec", "MonicPoly", "Place", "__version__",
+    "FieldSpec", "MonicPoly", "Place", "__version__",
 ]
 
 
 def __getattr__(name):
     # The field and polynomial classes load their modules at first use, so
     # importing the package (as every command does) costs almost nothing.
-    if name in ("ExtField", "FieldSpec"):
+    if name == "FieldSpec":
         from . import fields as module
     elif name in ("MonicPoly", "Place"):
         from . import polys as module

@@ -4,8 +4,9 @@ Polynomials are tuples of field-element representatives, lowest degree
 first, with no trailing zeros; the empty tuple is the zero polynomial.
 The field object must provide ``zero``, ``one`` and the element operations
 ``add``, ``sub``, ``neg``, ``mul``, ``inv``.  Every field of the package
-is a :class:`fields.FieldSpec` (its subclass :class:`fields.ExtField`
-included), whose elements are integer codes with zero coded 0.  Over a
+is a :class:`fields.FieldSpec` (a residue field computes in the shared
+absolute field of its order), whose elements are integer codes with zero
+coded 0.  Over a
 prime field (``K.k == 1``) the codes are the residues mod p, and ``mul``,
 ``divmod_`` and ``derivative`` do that arithmetic inline instead of calling
 the field's methods once per coefficient; the results are the same.

@@ -17,7 +17,7 @@ base-q digits of its coordinates in the power basis of alpha, lowest power
 first, so 0 is zero and over F_q the index is the base-field code.  This is
 the one encoding of a local part, in memory and in cover JSON; only the
 oracle's sweep turns indices into residue-field codes, with
-``ExtField.from_index``.  Normal form: no constant term, c_j = 0 whenever
+``fields.from_index``.  Normal form: no constant term, c_j = 0 whenever
 p | j, and the top coefficient nonzero (so d_Q is never a multiple of p).
 """
 
@@ -73,17 +73,13 @@ def _check_local_part(p: int, coeffs):
 
 def genus(c: ASCover) -> int:
     p = c.field.p
-    total = -2 + _weighted_branch_sum(c)
+    total = -2 + m_invariant(c)
     g2 = (p - 1) * total
     assert g2 % 2 == 0 and g2 >= 0
     return g2 // 2
 
 
 def m_invariant(c: ASCover) -> int:
-    return _weighted_branch_sum(c)
-
-
-def _weighted_branch_sum(c: ASCover) -> int:
     total = sum(pl.degree * (len(coeffs) + 1) for pl, coeffs in c.branch)
     if c.infinity_part is not None:
         total += len(c.infinity_part) + 1

@@ -162,7 +162,7 @@ def phi_at_1(q: int, D: int | None = None) -> EulerProductValue:
     return _local_polynomial_product(q, [1, 0, -2, 1], D)
 
 
-def _local_polynomial_product(q: int, poly: list, D: int | None) -> EulerProductValue:
+def _local_polynomial_product(q: int, poly: list, D: int | None = None) -> EulerProductValue:
     """prod over places of sum_j poly[j] |Q|^{-j}, whose 1/|Q| term cancels."""
     from mpmath import mpf
     assert poly[0] == 1 and poly[1] == 0  # the 1/|Q| term cancels exactly
@@ -177,7 +177,7 @@ def _local_polynomial_product(q: int, poly: list, D: int | None) -> EulerProduct
     return euler_product(q, local, lead=lead, D=D)
 
 
-def psi_p_at_1(p: int, q: int, D: int | None = None) -> EulerProductValue:
+def psi_p_at_1(p: int, q: int) -> EulerProductValue:
     """psi_p(1).  For p=2 this is 1/zeta(2) = 1 - 1/q exactly."""
     from mpmath import mp, mpf
     if q % p != 0:
@@ -187,7 +187,7 @@ def psi_p_at_1(p: int, q: int, D: int | None = None) -> EulerProductValue:
             return EulerProductValue(1 - 1 / mpf(q), 0, mpf(0))
     # local factor (1 + (p-2)x - (p-1)x^2) (1-x)^{p-2} with x = 1/|Q|
     poly = series_multiply([1, p - 2, -(p - 1)], series_pow([1, -1], p - 2, p), p)
-    return _local_polynomial_product(q, poly, D)
+    return _local_polynomial_product(q, poly)
 
 
 def ordinary_probability_as(q: int, p: int, include_infinity: bool):
@@ -214,7 +214,7 @@ def cezb_constant(q: int):
         return value
 
 
-def phi_k_at_1(q: int, k: int, D: int | None = None) -> EulerProductValue:
+def phi_k_at_1(q: int, k: int) -> EulerProductValue:
     """phi_k(1) = prod over places of (1 + k|Q|^{-1}) (1 - |Q|^{-1})^k."""
     from mpmath import mpf
     if k < 0:
@@ -222,10 +222,10 @@ def phi_k_at_1(q: int, k: int, D: int | None = None) -> EulerProductValue:
     if k == 0:
         return EulerProductValue(mpf(1), 0, mpf(0))
     poly = series_multiply([1, k], series_pow([1, -1], k, k + 1), k + 1)
-    return _local_polynomial_product(q, poly, D)
+    return _local_polynomial_product(q, poly)
 
 
-def l_constant(n: int, q: int, D: int | None = None) -> EulerProductValue:
+def l_constant(n: int, q: int) -> EulerProductValue:
     """L_{n-2} = prod_{j=1}^{n-2} prod_Q (1 - j/((|Q|+1)(|Q|+j)))."""
     from mpmath import mpf
     require_odd_prime(n)
@@ -237,7 +237,7 @@ def l_constant(n: int, q: int, D: int | None = None) -> EulerProductValue:
         return acc
 
     lead = (n - 1) ** 2  # sum_j j/|Q|^2 <= (n-2)(n-1)/2 |Q|^{-2}, with margin
-    return euler_product(q, local, lead=lead, D=D)
+    return euler_product(q, local, lead=lead)
 
 
 def kappa_constant(n: int, q: int):

@@ -1,4 +1,4 @@
-"""Exact arithmetic in F_q (q = p^k) and in extensions F_q[t]/(h).
+"""Exact arithmetic in F_q (q = p^k) and in residue fields F_q[t]/(h).
 
 Every field element is an integer code.  Elements of ``FieldSpec`` are
 integers in [0, q) whose base-p digits are the coordinates in the power
@@ -16,13 +16,14 @@ the trace, a subfield's embedding) comes from ``linear_table``, which
 coordinates, so an affine map on codes is listed from its images of the
 basis by digit-wise addition mod p.
 
-The oracle's F_{q^k} is ``extension``: the shared absolute field of that
-order, whose tables every field of the order uses, and the images of F_q in
-it.  ``ExtField`` is only ever the residue field F_q[t]/(h) of a place
-(``polys.ext_field_for``): that absolute field with the embedding of F_q and
-a root of h.  Artin-Schreier local parts are stored as residue-field indices
+There is one field class.  Every F_{q^k} is the shared absolute field of
+its order (``_absolute``), and a subfield F_q is a table of images in it.
+The oracle's F_{q^k} is ``extension``: that field and the images of F_q.
+The residue field F_q[t]/(h) of a place (``polys.ext_field_for``) is a
+``ResidueField`` record: the same field and images, their inverse, and a
+root of h.  Artin-Schreier local parts are stored as residue-field indices
 (coordinates over F_q in the power basis of the root, read as base-q
-digits); ``ExtField.from_index`` is the one bridge from an index to a code.
+digits); ``from_index`` is the one bridge from an index to a code.
 
 ``count_irreducibles`` lives here with the other number-theory helpers,
 so the Euler products of :mod:`dirichlet` need no polynomial code.
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import namedtuple
 from functools import cache, cached_property
 
 from . import _polyarith as pa
@@ -354,96 +356,56 @@ def linear_table(p: int, width: int, rows: list, base: int = 0) -> list:
     return table
 
 
-class ExtField(FieldSpec):
-    """F_q[t]/(h) for a FieldSpec F_q and a monic irreducible h of degree d.
+class ResidueField(namedtuple("ResidueField", "field base images preimage root")):
+    """The residue field F_q[t]/(h) of a place, for q = |base| and a monic
+    irreducible h of degree d: ``field`` is the shared absolute field of
+    order q^d, ``images`` the codes in it of the elements of ``base`` and
+    ``preimage`` their inverse (a dict), and ``root`` the root alpha of h that
+    stands for t.  It holds no arithmetic of its own; ``from_index`` is the
+    one bridge from an index to a code."""
 
-    It is the absolute field F_{p^(k d)}, with the tables of the shared
-    FieldSpec of that order, the embedding of F_q and a fixed root alpha of h
-    as the class of t.  ``h`` is the tuple of the d lower coefficients of h
-    over the base field (leading 1 implicit).  ``from_index`` maps an index,
-    the coordinates over F_q in the power basis of alpha read as base-q
-    digits (lowest power first), to its code; it is the one bridge from the
-    index encoding of Artin-Schreier local parts to codes.
+    __slots__ = ()
+
+
+def residue_field(base: FieldSpec, h: tuple) -> ResidueField:
+    """The residue field of the place h, given by its d >= 1 lower
+    coefficients over ``base`` (leading 1 implicit).
+
+    alpha is the first of g, g^2, ... (g the fixed primitive element of the
+    shared field) that is a root of h of degree d over F_q; a reducible h has
+    none, and raises DomainError.
     """
+    d = len(h)
+    if d < 1:
+        raise DomainError("extension degree must be >= 1")
+    E = _absolute(base.p, base.k * d)
+    images, preimage = _base_embedding(base, base.k * d)
+    hE = tuple(images[c] for c in h + (1,))
+    if d == 1:
+        return ResidueField(E, base, images, preimage, E.neg(hE[0]))
+    for j in range(1, E.q - 1):
+        a = E.exp(j)
+        if (pa.evaluate(E, hE, a) == 0
+                and all(E.pow(a, base.q ** i) != a for i in range(1, d))):
+            return ResidueField(E, base, images, preimage, a)
+    raise DomainError("modulus is not irreducible over the base field")
 
-    def __init__(self, base: FieldSpec, h: tuple):
-        if len(h) < 1:
-            raise DomainError("extension degree must be >= 1")
-        super().__init__(base.p, base.k * len(h))
-        self.base = base
-        self.h = tuple(h)
-        self.d = len(h)
-        self.size = self.q
-        self._embed, self._preimage = _base_embedding(base, self.k)
-        self._alpha = self._root()
 
-    def __eq__(self, other):
-        return (isinstance(other, ExtField)
-                and (self.base, self.h) == (other.base, other.h))
-
-    def __hash__(self):
-        return hash((self.base, self.h))
-
-    def __repr__(self):
-        return f"ExtField(base={self.base!r}, d={self.d})"
-
-    @cached_property
-    def _tables(self) -> tuple:
-        return _absolute(self.p, self.k)._tables
-
-    @cached_property
-    def _trace_table(self) -> list:
-        return _absolute(self.p, self.k)._trace_table
-
-    def _root(self) -> int:
-        """The first of g, g^2, ... (g the primitive element of the tables)
-        that is a root of h of degree d over F_q; only an irreducible h has
-        one."""
-        h = self.lift(self.h + (1,))
-        if self.d == 1:
-            return self.neg(h[0])
-        qb = self.base.q
-        for j in range(1, self.q - 1):
-            a = self.exp(j)
-            if (pa.evaluate(self, h, a) == 0
-                    and all(self.pow(a, qb ** i) != a for i in range(1, self.d))):
-                return a
-        raise DomainError("modulus is not irreducible over the base field")
-
-    def embed(self, a: int) -> int:
-        """The image of a base-field element."""
-        return self._embed[a]
-
-    def lift(self, raw: tuple) -> tuple:
-        """A base-field coefficient tuple, mapped into this field."""
-        return tuple(self._embed[c] for c in raw)
-
-    def in_base(self, a: int) -> int:
-        """Coerce an element known to lie in the base field; error otherwise."""
-        c = self._preimage.get(a)
-        if c is None:
-            raise DomainError("element does not lie in the base field")
-        return c
-
-    def gen(self) -> int:
-        """alpha, the class of t."""
-        return self._alpha
-
-    def frobenius(self, a: int) -> int:
-        """The base-field Frobenius z -> z^(q_base)."""
-        return self.pow(a, self.base.q)
-
-    def from_index(self, n: int) -> int:
-        qb = self.base.q
-        z = 0
-        for i in range(self.d - 1, -1, -1):
-            z = self.add(self.mul(z, self._alpha), self._embed[n // qb ** i % qb])
-        return z
+def from_index(rf: ResidueField, n: int) -> int:
+    """The code of the element of ``rf`` with index n: the base-q digits of
+    n are its coordinates over F_q in the power basis of alpha, lowest power
+    first."""
+    E, qb = rf.field, rf.base.q
+    z = 0
+    for i in range(E.k // rf.base.k - 1, -1, -1):
+        z = E.add(E.mul(z, rf.root), rf.images[n // qb ** i % qb])
+    return z
 
 
 @cache
 def _absolute(p: int, n: int) -> FieldSpec:
-    """The FieldSpec(p, n) the oracle sweeps; ExtFields of order p^n share its tables."""
+    """The FieldSpec(p, n) that every field of order p^n computes in: the
+    oracle's sweeps and the residue fields of places."""
     return FieldSpec(p, n)
 
 

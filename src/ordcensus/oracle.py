@@ -7,10 +7,11 @@ order q^k, and the cover's coefficients are lifted through its images of
 F_q.  An Artin-Schreier cover's f is put over one denominator, f = N/D, by
 ``polys.reconstruct``, and the sweep evaluates N and D at each x.  The cover
 holds its local parts as residue-field indices; ``count_points_as`` is the
-one place that turns them into residue-field codes (``ExtField.from_index``),
-after the resource guard.  Besides the field arithmetic, that
-partial-fraction reconstruction is all the counting code shares with the
-combinatorial classification it checks; disagreement means a real bug.
+one place that turns them into residue-field codes (``fields.from_index``,
+one ``polys.ext_field_for`` record per branch place), after the resource
+guard.  Besides the field arithmetic, that partial-fraction reconstruction
+is all the counting code shares with the combinatorial classification it
+checks; disagreement means a real bug.
 Each cover loads only the module of its own kind.
 """
 
@@ -18,10 +19,12 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from functools import partial
+from types import SimpleNamespace
 
 from .errors import DomainError, ResourceGuardError, InvariantViolation
 from ._polyarith import evaluate
-from .fields import MAX_Q, ExtField, FieldSpec, extension
+from .fields import MAX_Q, FieldSpec, extension, from_index
 from .polys import PartialFraction, ext_field_for, places_of_degree, reconstruct
 
 MAX_GENUS = 6
@@ -65,10 +68,15 @@ class LPolynomial(namedtuple("LPolynomial", "q genus coeffs")):
             raise InvariantViolation("L(1) = #Jac must be positive")
 
 
-def extension_field(field: FieldSpec, k: int) -> ExtField:
-    """F_{q^k} with a basis over F_q, the residue field of the first place of
-    degree k, to draw elements by index (``perfbench/layers.py``)."""
-    return ext_field_for(places_of_degree(field, k)[0])
+def extension_field(field: FieldSpec, k: int) -> SimpleNamespace:
+    """F_{q^k} as ``perfbench/layers.py`` reads it: its ``size``, the shared
+    absolute field's ``mul`` and ``add``, and ``from_index`` on the residue
+    field of the first place of degree k, to draw elements by index.  No
+    sweep uses it; it goes when those layer rows time ``fields.extension``
+    directly."""
+    rf = ext_field_for(places_of_degree(field, k)[0])
+    E = rf.field
+    return SimpleNamespace(size=E.q, mul=E.mul, add=E.add, from_index=partial(from_index, rf))
 
 
 def _guard(field: FieldSpec, g: int, k: int):
@@ -88,7 +96,8 @@ def count_points_as(c, k: int) -> int:
     E, embed = extension(field, k)
     # f = N/D; the polynomial part sum c_j x^j (no constant term) is the pole at infinity
     inf = () if c.infinity_part is None else (0,) + c.infinity_part
-    parts = tuple((pl, tuple(map(ext_field_for(pl).from_index, lc))) for pl, lc in c.branch)
+    parts = tuple((pl, tuple(map(partial(from_index, ext_field_for(pl)), lc)))
+                  for pl, lc in c.branch)
     num, den = ([embed[a] for a in f] for f in reconstruct(PartialFraction(field, inf, parts)))
     total = 0
     for x in range(E.q):

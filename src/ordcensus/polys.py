@@ -37,7 +37,7 @@ from collections import namedtuple
 
 from . import _polyarith as pa
 from .errors import DomainError, InvariantViolation, ResourceGuardError
-from .fields import ExtField, FieldSpec, count_irreducibles, linear_table
+from .fields import FieldSpec, ResidueField, count_irreducibles, linear_table, residue_field
 
 
 class MonicPoly(namedtuple("MonicPoly", "field coeffs")):
@@ -366,11 +366,11 @@ def is_nth_power_free(f: MonicPoly, n: int) -> bool:
 _EXT_CACHE: dict = {}
 
 
-def ext_field_for(place: Place) -> ExtField:
-    key = place
-    if key not in _EXT_CACHE:
-        _EXT_CACHE[key] = ExtField(place.field, place.poly.coeffs)
-    return _EXT_CACHE[key]
+def ext_field_for(place: Place) -> ResidueField:
+    """The residue field of a place, built once per place."""
+    if place not in _EXT_CACHE:
+        _EXT_CACHE[place] = residue_field(place.field, place.poly.coeffs)
+    return _EXT_CACHE[place]
 
 
 class PartialFraction(namedtuple("PartialFraction", "field polynomial_part parts")):
@@ -379,14 +379,14 @@ class PartialFraction(namedtuple("PartialFraction", "field polynomial_part parts
     ``polynomial_part`` is a raw coefficient tuple over the base field.
     ``parts`` is the sorted tuple of (Place, (c_1, ..., c_e)): the
     coefficients of the local part in the variable x_alpha = 1/(x - alpha),
-    alpha a fixed root of the place, as codes of the place's residue field
-    ``ext_field_for(place)``.  c_e is nonzero.
+    alpha the root of the place's residue field ``ext_field_for(place)``, as
+    codes of that record's shared absolute field.  c_e is nonzero.
     """
 
     __slots__ = ()
 
 
-def _shift_by_root(E: ExtField, poly_E: tuple, alpha) -> tuple:
+def _shift_by_root(E: FieldSpec, poly_E: tuple, alpha) -> tuple:
     """Coefficients of f(alpha + t) as a polynomial in t over E."""
     res: tuple = ()
     lin = (alpha, E.one)  # t + alpha
@@ -395,7 +395,7 @@ def _shift_by_root(E: ExtField, poly_E: tuple, alpha) -> tuple:
     return res
 
 
-def _series_inv(E: ExtField, b: tuple, e: int) -> tuple:
+def _series_inv(E: FieldSpec, b: tuple, e: int) -> tuple:
     """Inverse of a power series with nonzero constant term, mod t^e."""
     b = tuple(b) + (E.zero,) * max(0, e - len(b))
     c0 = E.inv(b[0])
@@ -414,11 +414,10 @@ def local_expansion(place: Place, e: int, numerator: tuple) -> tuple:
     numerator is a raw coefficient tuple over the base field with
     deg < e * deg(place) and coprime to the place.
     """
-    E = ext_field_for(place)
-    alpha = E.gen()
-    q_full = place.poly.full
-    q_E = E.lift(q_full)
-    a_E = E.lift(numerator)
+    rf = ext_field_for(place)
+    E, alpha = rf.field, rf.root
+    q_E = tuple(rf.images[c] for c in place.poly.full)
+    a_E = tuple(rf.images[c] for c in numerator)
     # place = (x - alpha) * R(x) over E
     r_E, rem = pa.divmod_(E, q_E, (E.neg(alpha), E.one))
     if pa.trim(E, rem) != ():
@@ -439,17 +438,19 @@ def local_expansion(place: Place, e: int, numerator: tuple) -> tuple:
 def local_to_global(place: Place, coeffs: tuple) -> tuple:
     """Inverse of local_expansion: the numerator A with A/place^e = local part.
 
-    ``coeffs`` is (c_1, ..., c_e) over the place's residue field E.  With
-    place = (x - alpha) R over E, the local part at alpha is
+    ``coeffs`` is (c_1, ..., c_e), codes of the place's residue field E.
+    With place = (x - alpha) R over E, the local part at alpha is
     sum_j c_j/(x - alpha)^j = P/place^e with P = B R^e and
     B = sum_j c_j (x - alpha)^(e-j); the local part of the place is its sum
     over the conjugates of alpha, so A is the relative trace from E to the
-    base field of each coefficient of P.  The returned raw tuple has
-    coefficients in the base field.
+    base field of each coefficient of P, its terms the powers c^(q^i).  A
+    trace outside the base field raises DomainError.  The returned raw tuple
+    has coefficients in the base field.
     """
-    E = ext_field_for(place)
-    lin = (E.neg(E.gen()), E.one)  # x - alpha
-    r, _ = pa.divmod_(E, E.lift(place.poly.full), lin)
+    rf = ext_field_for(place)
+    E, q = rf.field, place.field.q
+    lin = (E.neg(rf.root), E.one)  # x - alpha
+    r, _ = pa.divmod_(E, tuple(rf.images[c] for c in place.poly.full), lin)
     b: tuple = ()
     for c in coeffs:  # Horner in x - alpha
         b = pa.add(E, pa.mul(E, b, lin), (c,))
@@ -459,9 +460,11 @@ def local_to_global(place: Place, coeffs: tuple) -> tuple:
     for c in b:
         tr = c
         for _ in range(place.degree - 1):
-            c = E.frobenius(c)
+            c = E.pow(c, q)
             tr = E.add(tr, c)
-        out.append(E.in_base(tr))
+        if tr not in rf.preimage:
+            raise DomainError("element does not lie in the base field")
+        out.append(rf.preimage[tr])
     return pa.trim(place.field, out)
 
 

@@ -369,11 +369,12 @@ def test_oracle_command(tmp_path, capsys):
 
 def test_cover_of_a_degree_10_place_builds_no_residue_field(tmp_path, capsys, monkeypatch):
     # the first place of degree 10 over F_4; its residue field is F_{2^20}
-    from ordcensus import fields
+    from ordcensus import fields, polys
 
     def no_field(*args):
         raise AssertionError("residue field built")
-    monkeypatch.setattr(fields.ExtField, "__init__", no_field)
+    monkeypatch.setattr(fields, "residue_field", no_field)
+    monkeypatch.setattr(polys, "residue_field", no_field)
     cover = {"q": 4, "p": 2, "branch": [{"place": "1,0,0,0,0,0,0,2,1,0,1", "local": [5]}],
              "infinity": None}
     path = tmp_path / "cover.json"
@@ -390,11 +391,12 @@ def test_cover_of_a_degree_10_place_builds_no_residue_field(tmp_path, capsys, mo
 def test_oracle_sweeps_build_no_field_object(tmp_path, capsys, monkeypatch):
     # every F_{4^k} swept is the shared absolute field; an SE cover has no
     # residue field to build either
-    from ordcensus import fields
+    from ordcensus import fields, polys
 
     def no_field(*args):
-        raise AssertionError("ExtField built")
-    monkeypatch.setattr(fields.ExtField, "__init__", no_field)
+        raise AssertionError("residue field built")
+    monkeypatch.setattr(fields, "residue_field", no_field)
+    monkeypatch.setattr(polys, "residue_field", no_field)
     path = tmp_path / "cover.json"
     path.write_text(json.dumps({"n": 3, "parts": ["3,2,1", "0,1"], "q": 4}))
     code, out, err = run(capsys, "oracle", "--cover", str(path))
@@ -470,18 +472,27 @@ def test_report_table1_json_rows_are_the_csv_rows(capsys):
     assert [{k: str(v) for k, v in row.items()} for row in json.loads(json_out)] == csv_rows
 
 
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _perfbench_module(name, monkeypatch):
+    """perfbench/<name>.py, loaded in this process; sys.path and sys.modules
+    are restored after the test."""
+    import importlib.util
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setitem(sys.modules, spec.name, module)  # a dataclass looks itself up
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_benchmark_jobs_print_the_reference_bytes(tmp_path, capsys, monkeypatch):
     """Every benchmark job at the default seed, run in this process, prints
     the stdout whose SHA-256 ``perfbench/reference.json`` records."""
     import hashlib
-    import importlib.util
-    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads",
-                                                  perfbench / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclass looks itself up
-    spec.loader.exec_module(workloads)
-    digests = json.loads((perfbench / "reference.json").read_text())["digests"]
+    workloads = _perfbench_module("workloads", monkeypatch)
+    digests = json.loads((PERFBENCH / "reference.json").read_text())["digests"]
     monkeypatch.chdir(tmp_path)
     for name in workloads.WORKLOADS:
         for job in workloads.jobs(name, 0):
@@ -490,6 +501,32 @@ def test_benchmark_jobs_print_the_reference_bytes(tmp_path, capsys, monkeypatch)
             code, out, _ = run(capsys, *job.args)
             assert code == 0, job.key()
             assert hashlib.sha256(out.encode()).hexdigest() == digests[job.key()], job.key()
+
+
+def test_benchmark_layer_rows_and_trace_hooks_reach_the_package(monkeypatch):
+    """The benchmark reads the package by name: ``perfbench/layers.py``
+    imports its row functions, and ``perfbench/tracer.py`` hooks labels that
+    it can wrap only while each is a plain function of its module."""
+    import ast
+    import importlib
+    import inspect
+    layers = _perfbench_module("layers", monkeypatch)
+    per_layer = {row["name"] for row in
+                 json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())["per_layer"]}
+    values = layers.rows(0)
+    assert set(values) <= per_layer
+    assert all(v > 0 for v in values.values()), values
+    tree = ast.parse((PERFBENCH / "tracer.py").read_text())
+    hooks = [node.value for node in ast.walk(tree)
+             if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "hooks"]
+    labels = [key.value for key in hooks[0].keys]
+    assert {"polys.ext_field_for", "oracle.count_points_as", "oracle.count_points_se",
+            "artin_schreier.enumerate_covers"} <= set(labels)
+    for label in labels:
+        layer, attr = label.split(".")
+        module = importlib.import_module(f"ordcensus.{layer}")
+        fn = getattr(module, attr)
+        assert inspect.isfunction(fn) and fn.__module__ == module.__name__, label
 
 
 def test_output_file_and_outdir(tmp_path, capsys, monkeypatch):

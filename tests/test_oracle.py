@@ -7,14 +7,13 @@ from ordcensus import oracle as orc
 from ordcensus import superelliptic as se
 from ordcensus.errors import DomainError, InvariantViolation, ResourceGuardError
 from ordcensus.fields import FieldSpec
-from ordcensus.polys import MonicPoly, Place, ext_field_for
+from ordcensus.polys import MonicPoly, Place
 
 F2 = FieldSpec(2)
 F4 = FieldSpec(2, 2)
 
 X = Place(MonicPoly.from_text(F2, "0,1"))
 X1 = Place(MonicPoly.from_text(F2, "1,1"))
-E1 = ext_field_for(X)
 
 
 def as_cover(*parts, infinity=None):
@@ -27,13 +26,13 @@ def se_cover(field, n, *texts):
 
 def test_count_points_as_spec_examples():
     # f = 1/x + 1/(x+1): N_1 = 4
-    c = as_cover((X, (E1.one,)), (X1, (E1.one,)))
+    c = as_cover((X, (1,)), (X1, (1,)))
     assert orc.count_points_as(c, 1) == 4
     # f = 1/x^3: N_1 = 3
-    c2 = as_cover((X, (E1.zero, E1.zero, E1.one)))
+    c2 = as_cover((X, (0, 0, 1)))
     assert orc.count_points_as(c2, 1) == 3
     # f = 1/x: genus 0 forces N_k = q^k + 1
-    c3 = as_cover((X, (E1.one,)))
+    c3 = as_cover((X, (1,)))
     for k in (1, 2, 3, 4):
         assert orc.count_points_as(c3, k) == 2 ** k + 1
 
@@ -105,13 +104,13 @@ def test_counts_from_l_closure():
 
 
 def test_cross_validate_spec_examples():
-    r = orc.cross_validate(as_cover((X, (E1.one,)), (X1, (E1.one,))))
+    r = orc.cross_validate(as_cover((X, (1,)), (X1, (1,))))
     assert r.agree and r.p_rank == 1 and r.genus == 1 and r.ordinary_by_criterion
-    r2 = orc.cross_validate(as_cover((X, (E1.zero, E1.zero, E1.one))))
+    r2 = orc.cross_validate(as_cover((X, (0, 0, 1))))
     assert r2.agree and r2.p_rank == 0 and r2.genus == 1
     assert not r2.ordinary_by_criterion
     # genus 0: vacuously consistent
-    r3 = orc.cross_validate(as_cover((X, (E1.one,))))
+    r3 = orc.cross_validate(as_cover((X, (1,))))
     assert r3.agree and r3.genus == 0
 
 
@@ -125,7 +124,7 @@ def test_cross_validate_n7_counterexample():
 
 
 def test_assert_agreement_passes():
-    r = orc.assert_agreement(as_cover((X, (E1.one,)), (X1, (E1.one,))))
+    r = orc.assert_agreement(as_cover((X, (1,)), (X1, (1,))))
     assert r.agree
 
 
@@ -216,12 +215,11 @@ def test_infinity_only_counts_match_mirror():
     rng = random.Random(4099)
     for field, ms in [(F2, (4, 6, 8)), (FieldSpec(3), (3, 5)), (F4, (4, 6))]:
         zero = Place(MonicPoly(field, (0,)))
-        E = ext_field_for(zero)
         for m in ms:
             pool = [c.infinity_part for c in asc.enumerate_covers(field, m, True)
                     if not c.branch]
             for inf in rng.sample(pool, min(3, len(pool))):
-                mirror = asc.ASCover(field, ((zero, tuple(E.embed(a) for a in inf)),))
+                mirror = asc.ASCover(field, ((zero, inf),))
                 c = asc.ASCover(field, (), inf)
                 for k in range(1, 2 * asc.genus(mirror) + 1):
                     assert orc.count_points_as(c, k) == orc.count_points_as(mirror, k), c
@@ -241,7 +239,7 @@ def test_non_cover_is_a_domain_error():
 
 def test_report_names_a_p_rank_off_deuring_shafarevich(monkeypatch):
     # y^2 + y = 1/x^3 + 1/(x+1): genus 2, p-rank 1, not ordinary
-    c = as_cover((X, (E1.one, 0, E1.one)), (X1, (E1.one,)))
+    c = as_cover((X, (1, 0, 1)), (X1, (1,)))
     assert not asc.is_ordinary(c)
     assert orc.cross_validate(c).agree
     p_rank = orc.p_rank
@@ -252,7 +250,7 @@ def test_report_names_a_p_rank_off_deuring_shafarevich(monkeypatch):
 
 
 def test_report_names_the_first_count_off_the_l_polynomial(monkeypatch):
-    c = as_cover((X, (E1.one, 0, E1.one)), (X1, (E1.one,)))
+    c = as_cover((X, (1, 0, 1)), (X1, (1,)))
     g = asc.genus(c)
     counts = [orc.count_points_as(c, k) for k in range(1, 2 * g + 1)]
     count = orc.count_points_as

@@ -11,7 +11,7 @@ from ordcensus import oracle as orc
 from ordcensus import superelliptic as se
 from ordcensus.errors import DomainError, InvariantViolation
 from ordcensus.fields import FieldSpec
-from ordcensus.polys import MonicPoly, Place, ext_field_for, places_of_degree
+from ordcensus.polys import MonicPoly, Place, places_of_degree
 
 F2 = FieldSpec(2)
 
@@ -21,7 +21,7 @@ def _fresh_records():
     def build():
         x = MonicPoly(F2, (0,))
         place = Place(MonicPoly(F2, (1,)))
-        cover_as = asc.ASCover(F2, ((place, (ext_field_for(place).one,)),), (1,))
+        cover_as = asc.ASCover(F2, ((place, (1,)),), (1,))
         cover_se = se.SECover(F2, 3, (MonicPoly(F2, (0,)), MonicPoly(F2, (1,))))
         return x, place, cover_as, cover_se
     return build(), build()
@@ -72,11 +72,10 @@ def test_places_sort_by_degree_then_coefficients(field):
 
 def test_validation_fires_on_construction():
     x = Place(MonicPoly(F2, (0,)))
-    one = ext_field_for(x).one
     with pytest.raises(DomainError, match="not irreducible"):
         Place(MonicPoly(F2, (0, 0)))  # x^2
     with pytest.raises(DomainError, match="multiple of p"):
-        asc.ASCover(F2, ((x, (one, one)),))
+        asc.ASCover(F2, ((x, (1, 1)),))
     with pytest.raises(DomainError, match="not squarefree"):
         se.SECover(F2, 3, (MonicPoly(F2, (1, 0)), MonicPoly(F2, ())))  # (x+1)^2
     with pytest.raises(DomainError, match="b <= a"):
