@@ -4,12 +4,12 @@ Polynomials are tuples of field-element representatives, lowest degree
 first, with no trailing zeros; the empty tuple is the zero polynomial.
 The field object must provide ``zero``, ``one`` and the element operations
 ``add``, ``sub``, ``neg``, ``mul``, ``inv``.  Every field of the package
-is a :class:`fields.FieldSpec` (a residue field computes in the shared
-absolute field of its order), whose elements are integer codes with zero
-coded 0.  Over a
-prime field (``K.k == 1``) the codes are the residues mod p, and ``mul``,
-``divmod_`` and ``derivative`` do that arithmetic inline instead of calling
-the field's methods once per coefficient; the results are the same.
+is a :class:`fields.FieldSpec`, whose elements are integer codes with zero
+coded 0.  Over a prime field (``K.k == 1``) the codes are the residues
+mod p, and ``mul`` and ``divmod_`` do that arithmetic inline instead of
+calling the field's methods once per coefficient; the results are the same.
+:mod:`polys` computes in a residue field F_q[t]/(Q) with these functions
+over F_q, reducing mod Q.
 """
 
 from .errors import DomainError
@@ -116,16 +116,8 @@ def gcd(K, a, b):
 
 
 def derivative(K, a):
-    if K.k == 1:
-        p = K.p
-        return trim(K, [i * a[i] % p for i in range(1, len(a))])
-    out = []
-    for i in range(1, len(a)):
-        c = K.zero
-        for _ in range(i):
-            c = K.add(c, a[i])
-        out.append(c)
-    return trim(K, out)
+    # i a_i is a_i times i mod p, the code of an element of F_p
+    return trim(K, [K.mul(i % K.p, a[i]) for i in range(1, len(a))])
 
 
 def evaluate(K, a, x):

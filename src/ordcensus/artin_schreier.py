@@ -15,10 +15,11 @@ coefficients of f_alpha in x_alpha = 1/(x - alpha), alpha a fixed root of
 Q, each an element of the residue field F_{q^d} given by its index: the
 base-q digits of its coordinates in the power basis of alpha, lowest power
 first, so 0 is zero and over F_q the index is the base-field code.  This is
-the one encoding of a local part, in memory and in cover JSON; only the
-oracle's sweep turns indices into residue-field codes, with
-``fields.from_index``.  Normal form: no constant term, c_j = 0 whenever
-p | j, and the top coefficient nonzero (so d_Q is never a multiple of p).
+the one encoding of a local part, in memory, in cover JSON and in the
+oracle, whose ``polys.reconstruct`` computes with indices as elements of
+F_q[t]/(Q), t standing for alpha.  Normal form: no constant term, c_j = 0
+whenever p | j, and the top coefficient nonzero (so d_Q is never a multiple
+of p).
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ from collections import namedtuple
 from functools import cache
 
 from .errors import DomainError
-from .fields import count_irreducibles, require_odd_prime
+from .fields import count_irreducibles, field_from_qp, require_odd_prime
 
 WORKING_DPS = 30  # products are quoted to 6 digits; keep ample headroom
 
@@ -178,10 +178,10 @@ def _local_polynomial_product(q: int, poly: list, D: int | None = None) -> Euler
 
 
 def psi_p_at_1(p: int, q: int) -> EulerProductValue:
-    """psi_p(1).  For p=2 this is 1/zeta(2) = 1 - 1/q exactly."""
+    """psi_p(1), for q a power of the prime p (else DomainError).  For p=2
+    this is 1/zeta(2) = 1 - 1/q exactly."""
     from mpmath import mp, mpf
-    if q % p != 0:
-        raise DomainError("q must be a power of p")
+    field_from_qp(q, p)
     if p == 2:
         with mp.workdps(WORKING_DPS):
             return EulerProductValue(1 - 1 / mpf(q), 0, mpf(0))
@@ -191,8 +191,10 @@ def psi_p_at_1(p: int, q: int) -> EulerProductValue:
 
 
 def ordinary_probability_as(q: int, p: int, include_infinity: bool):
-    """Limiting probability that an Artin-Schreier cover is ordinary."""
+    """Limiting probability that an Artin-Schreier cover is ordinary, for q
+    a power of the prime p (else DomainError)."""
     from mpmath import mp, mpf
+    field_from_qp(q, p)
     if p >= 3:
         return mpf(0)
     with mp.workdps(WORKING_DPS):

@@ -1,4 +1,4 @@
-"""Exact arithmetic in F_q (q = p^k) and in residue fields F_q[t]/(h).
+"""Exact arithmetic in F_q (q = p^k) and its extensions F_{q^k}.
 
 Every field element is an integer code.  Elements of ``FieldSpec`` are
 integers in [0, q) whose base-p digits are the coordinates in the power
@@ -17,13 +17,10 @@ coordinates, so an affine map on codes is listed from its images of the
 basis by digit-wise addition mod p.
 
 There is one field class.  Every F_{q^k} is the shared absolute field of
-its order (``_absolute``), and a subfield F_q is a table of images in it.
-The oracle's F_{q^k} is ``extension``: that field and the images of F_q.
-The residue field F_q[t]/(h) of a place (``polys.ext_field_for``) is a
-``ResidueField`` record: the same field and images, their inverse, and a
-root of h.  Artin-Schreier local parts are stored as residue-field indices
-(coordinates over F_q in the power basis of the root, read as base-q
-digits); ``from_index`` is the one bridge from an index to a code.
+its order (``_absolute``), and a subfield F_q is a table of images in it:
+the oracle's F_{q^k} is ``extension``, that field and the images of F_q.
+The residue field F_q[t]/(h) of a place has no object here; :mod:`polys`
+computes in it over F_q, its elements polynomials in t reduced mod h.
 
 ``count_irreducibles`` lives here with the other number-theory helpers,
 so the Euler products of :mod:`dirichlet` need no polynomial code.
@@ -33,7 +30,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import namedtuple
 from functools import cache, cached_property
 
 from . import _polyarith as pa
@@ -356,70 +352,18 @@ def linear_table(p: int, width: int, rows: list, base: int = 0) -> list:
     return table
 
 
-class ResidueField(namedtuple("ResidueField", "field base images preimage root")):
-    """The residue field F_q[t]/(h) of a place, for q = |base| and a monic
-    irreducible h of degree d: ``field`` is the shared absolute field of
-    order q^d, ``images`` the codes in it of the elements of ``base`` and
-    ``preimage`` their inverse (a dict), and ``root`` the root alpha of h that
-    stands for t.  It holds no arithmetic of its own; ``from_index`` is the
-    one bridge from an index to a code."""
-
-    __slots__ = ()
-
-
-def residue_field(base: FieldSpec, h: tuple) -> ResidueField:
-    """The residue field of the place h, given by its d >= 1 lower
-    coefficients over ``base`` (leading 1 implicit).
-
-    alpha is the first of g, g^2, ... (g the fixed primitive element of the
-    shared field) that is a root of h of degree d over F_q; a reducible h has
-    none, and raises DomainError.
-    """
-    d = len(h)
-    if d < 1:
-        raise DomainError("extension degree must be >= 1")
-    E = _absolute(base.p, base.k * d)
-    images, preimage = _base_embedding(base, base.k * d)
-    hE = tuple(images[c] for c in h + (1,))
-    if d == 1:
-        return ResidueField(E, base, images, preimage, E.neg(hE[0]))
-    for j in range(1, E.q - 1):
-        a = E.exp(j)
-        if (pa.evaluate(E, hE, a) == 0
-                and all(E.pow(a, base.q ** i) != a for i in range(1, d))):
-            return ResidueField(E, base, images, preimage, a)
-    raise DomainError("modulus is not irreducible over the base field")
-
-
-def from_index(rf: ResidueField, n: int) -> int:
-    """The code of the element of ``rf`` with index n: the base-q digits of
-    n are its coordinates over F_q in the power basis of alpha, lowest power
-    first."""
-    E, qb = rf.field, rf.base.q
-    z = 0
-    for i in range(E.k // rf.base.k - 1, -1, -1):
-        z = E.add(E.mul(z, rf.root), rf.images[n // qb ** i % qb])
-    return z
-
-
 @cache
 def _absolute(p: int, n: int) -> FieldSpec:
-    """The FieldSpec(p, n) that every field of order p^n computes in: the
-    oracle's sweeps and the residue fields of places."""
+    """The FieldSpec(p, n) that every field of order p^n computes in."""
     return FieldSpec(p, n)
 
 
 @cache
-def _base_embedding(base: FieldSpec, n: int) -> tuple:
-    """The embedding of ``base`` into F_{p^n}, and its inverse as a dict."""
-    images = embedding(base, _absolute(base.p, n))
-    return images, {z: c for c, z in enumerate(images)}
-
-
 def extension(base: FieldSpec, k: int) -> tuple:
     """F_{q^k} for q = |base|: the shared absolute field F_{p^(k k_base)},
     and the images in it of the codes of ``base``."""
-    return _absolute(base.p, k * base.k), _base_embedding(base, k * base.k)[0]
+    E = _absolute(base.p, k * base.k)
+    return E, embedding(base, E)
 
 
 def _is_irreducible_prime_field(p: int, modulus_low: tuple) -> bool:

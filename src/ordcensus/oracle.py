@@ -5,11 +5,9 @@ p-rank as the degree of L mod p.
 Each F_{q^k} swept is ``fields.extension``, the shared absolute field of
 order q^k, and the cover's coefficients are lifted through its images of
 F_q.  An Artin-Schreier cover's f is put over one denominator, f = N/D, by
-``polys.reconstruct``, and the sweep evaluates N and D at each x.  The cover
-holds its local parts as residue-field indices; ``count_points_as`` is the
-one place that turns them into residue-field codes (``fields.from_index``,
-one ``polys.ext_field_for`` record per branch place), after the resource
-guard.  Besides the field arithmetic, that partial-fraction reconstruction
+``polys.reconstruct``, which reads the cover's local parts as they are,
+residue-field indices, and computes over F_q; the sweep evaluates N and D at
+each x.  Besides the field arithmetic, that partial-fraction reconstruction
 is all the counting code shares with the combinatorial classification it
 checks; disagreement means a real bug.
 Each cover loads only the module of its own kind.
@@ -19,13 +17,12 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from functools import partial
 from types import SimpleNamespace
 
 from .errors import DomainError, ResourceGuardError, InvariantViolation
 from ._polyarith import evaluate
-from .fields import MAX_Q, FieldSpec, extension, from_index
-from .polys import PartialFraction, ext_field_for, places_of_degree, reconstruct
+from .fields import MAX_Q, FieldSpec, extension
+from .polys import PartialFraction, reconstruct
 
 MAX_GENUS = 6
 
@@ -69,14 +66,13 @@ class LPolynomial(namedtuple("LPolynomial", "q genus coeffs")):
 
 
 def extension_field(field: FieldSpec, k: int) -> SimpleNamespace:
-    """F_{q^k} as ``perfbench/layers.py`` reads it: its ``size``, the shared
-    absolute field's ``mul`` and ``add``, and ``from_index`` on the residue
-    field of the first place of degree k, to draw elements by index.  No
-    sweep uses it; it goes when those layer rows time ``fields.extension``
-    directly."""
-    rf = ext_field_for(places_of_degree(field, k)[0])
-    E = rf.field
-    return SimpleNamespace(size=E.q, mul=E.mul, add=E.add, from_index=partial(from_index, rf))
+    """F_{q^k} as ``perfbench/layers.py`` reads it: its ``size``, and the
+    ``mul`` and ``add`` of ``fields.extension(field, k)``, the field the
+    sweeps run in.  Its ``from_index`` is the identity on codes, so an index
+    below ``size`` is an element.  No sweep uses it; it goes when those layer
+    rows time ``fields.extension`` directly."""
+    E = extension(field, k)[0]
+    return SimpleNamespace(size=E.q, mul=E.mul, add=E.add, from_index=lambda n: n)
 
 
 def _guard(field: FieldSpec, g: int, k: int):
@@ -96,9 +92,7 @@ def count_points_as(c, k: int) -> int:
     E, embed = extension(field, k)
     # f = N/D; the polynomial part sum c_j x^j (no constant term) is the pole at infinity
     inf = () if c.infinity_part is None else (0,) + c.infinity_part
-    parts = tuple((pl, tuple(map(partial(from_index, ext_field_for(pl)), lc)))
-                  for pl, lc in c.branch)
-    num, den = ([embed[a] for a in f] for f in reconstruct(PartialFraction(field, inf, parts)))
+    num, den = ([embed[a] for a in f] for f in reconstruct(PartialFraction(field, inf, c.branch)))
     total = 0
     for x in range(E.q):
         dv = evaluate(E, den, x)

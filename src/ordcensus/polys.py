@@ -24,6 +24,15 @@ places of each degree up to half of what remains, and ``factor`` and
 built without a second test; ``Place(poly)`` called from outside validates
 its polynomial and raises ``DomainError`` on a reducible one.
 
+Partial fractions compute the local part at a place Q over its residue
+field F_q[t]/(Q) with the arithmetic of :mod:`_polyarith` over F_q: an
+element is a polynomial in t reduced mod Q, written as its index (the
+coefficients read as base-q digits, lowest power first), the encoding
+``ASCover`` holds.  ``local_expansion`` turns a numerator over Q^e into
+indices and ``local_to_global`` turns them back, summing over the
+conjugates of t with the traces of ``ext_field_for``; no field of order
+q^deg Q is built.
+
 Text format (used by the CLI): comma-separated coefficient representatives,
 lowest degree first, with the leading 1 written explicitly.  Over F_2,
 ``"0,1,1"`` is x^2 + x.
@@ -34,10 +43,11 @@ from __future__ import annotations
 import itertools
 from array import array
 from collections import namedtuple
+from functools import reduce
 
 from . import _polyarith as pa
 from .errors import DomainError, InvariantViolation, ResourceGuardError
-from .fields import FieldSpec, ResidueField, count_irreducibles, linear_table, residue_field
+from .fields import FieldSpec, count_irreducibles, linear_table
 
 
 class MonicPoly(namedtuple("MonicPoly", "field coeffs")):
@@ -366,10 +376,22 @@ def is_nth_power_free(f: MonicPoly, n: int) -> bool:
 _EXT_CACHE: dict = {}
 
 
-def ext_field_for(place: Place) -> ResidueField:
-    """The residue field of a place, built once per place."""
+def ext_field_for(place: Place) -> tuple:
+    """The traces (s_0, ..., s_{d-1}) to the base field of 1, t, ...,
+    t^(d-1) in F_q[t]/(Q), for the place Q of degree d, built once per place.
+
+    s_m is the m-th power sum of Q's roots, from Newton's identities:
+    s_0 = d and s_m = -(sum_{0<i<m} Q_{d-i} s_{m-i} + m Q_{d-m}).
+    """
     if place not in _EXT_CACHE:
-        _EXT_CACHE[place] = residue_field(place.field, place.poly.coeffs)
+        K, Q, d = place.field, place.poly.full, place.degree
+        s = [d % K.p]
+        for m in range(1, d):
+            acc = K.mul(m % K.p, Q[d - m])
+            for i in range(1, m):
+                acc = K.add(acc, K.mul(Q[d - i], s[m - i]))
+            s.append(K.neg(acc))
+        _EXT_CACHE[place] = tuple(s)
     return _EXT_CACHE[place]
 
 
@@ -377,60 +399,89 @@ class PartialFraction(namedtuple("PartialFraction", "field polynomial_part parts
     """num/den = polynomial_part + sum over places of the local parts.
 
     ``polynomial_part`` is a raw coefficient tuple over the base field.
-    ``parts`` is the sorted tuple of (Place, (c_1, ..., c_e)): the
-    coefficients of the local part in the variable x_alpha = 1/(x - alpha),
-    alpha the root of the place's residue field ``ext_field_for(place)``, as
-    codes of that record's shared absolute field.  c_e is nonzero.
+    ``parts`` is the sorted tuple of (Place, (c_1, ..., c_e)): the local
+    part sum_j c_j/(x - t)^j at the place Q, each c_j an index in F_q[t]/(Q),
+    the encoding ``ASCover`` holds.  c_e is nonzero.
     """
 
     __slots__ = ()
 
 
-def _shift_by_root(E: FieldSpec, poly_E: tuple, alpha) -> tuple:
-    """Coefficients of f(alpha + t) as a polynomial in t over E."""
-    res: tuple = ()
-    lin = (alpha, E.one)  # t + alpha
-    for c in reversed(poly_E):
-        res = pa.add(E, pa.mul(E, res, lin), (c,))
-    return res
+# An element of F_q[t]/(Q) is a raw coefficient tuple in t, reduced mod Q;
+# a polynomial in x over F_q[t]/(Q) is a list of elements, low degree first.
+
+def _element(K: FieldSpec, n: int, d: int) -> tuple:
+    """The element of F_q[t]/(Q), deg Q = d, with index n."""
+    return pa.trim(K, [n // K.q ** m % K.q for m in range(d)])
 
 
-def _series_inv(E: FieldSpec, b: tuple, e: int) -> tuple:
-    """Inverse of a power series with nonzero constant term, mod t^e."""
-    b = tuple(b) + (E.zero,) * max(0, e - len(b))
-    c0 = E.inv(b[0])
+def _index(K: FieldSpec, r: tuple) -> int:
+    return sum(c * K.q ** m for m, c in enumerate(r))
+
+
+def _rmul(K: FieldSpec, Q: tuple, a: tuple, b: tuple) -> tuple:
+    return pa.mod(K, pa.mul(K, a, b), Q)
+
+
+def _xmul(K: FieldSpec, Q: tuple, f: list, g: list, n: int | None = None) -> list:
+    """f g over F_q[t]/(Q), mod x^n when n is given."""
+    n = len(f) + len(g) - 1 if n is None else n
+    out = [()] * n
+    for i, a in enumerate(f[:n]):
+        for j, b in enumerate(g[:n - i]):
+            out[i + j] = pa.add(K, out[i + j], pa.mul(K, a, b))
+    return [pa.mod(K, c, Q) for c in out]
+
+
+def _horner(K: FieldSpec, Q: tuple, cs, a: tuple, n: int) -> list:
+    """sum_i cs[i] (x + a)^(len(cs) - 1 - i) over F_q[t]/(Q), mod x^n."""
+    out = [()] * n
+    for c in cs:  # out (x + a) + c
+        out = [pa.add(K, lo, _rmul(K, Q, a, hi)) for lo, hi in zip([c] + out, out)]
+    return out
+
+
+def _split(K: FieldSpec, Q: tuple) -> tuple:
+    """t in F_q[t]/(Q), and S with Q = (x - t) S over F_q[t]/(Q), by
+    synthetic division: S_{d-1} = 1 and S_{i-1} = Q_i + t S_i."""
+    t = pa.mod(K, (0, 1), Q)
+    s = [(1,)]
+    for c in Q[-2:0:-1]:
+        s.append(pa.add(K, (c,), _rmul(K, Q, t, s[-1])))
+    return t, s[::-1]
+
+
+def _series_inv(K: FieldSpec, Q: tuple, b: list, e: int) -> list:
+    """Inverse mod u^e of a power series over F_q[t]/(Q), its constant term
+    inverted by ``inv_mod`` mod Q."""
+    c0 = pa.inv_mod(K, b[0], Q)
     out = [c0]
     for i in range(1, e):
-        acc = E.zero
+        acc = ()
         for j in range(1, i + 1):
-            acc = E.add(acc, E.mul(b[j], out[i - j]))
-        out.append(E.neg(E.mul(c0, acc)))
-    return tuple(out)
+            acc = pa.add(K, acc, pa.mul(K, b[j], out[i - j]))
+        out.append(_rmul(K, Q, pa.neg(K, c0), acc))
+    return out
 
 
 def local_expansion(place: Place, e: int, numerator: tuple) -> tuple:
-    """Coefficients (c_1, ..., c_e) of numerator/place^e at a fixed root.
+    """The local part (c_1, ..., c_e) of numerator/place^e, as indices.
 
     numerator is a raw coefficient tuple over the base field with
-    deg < e * deg(place) and coprime to the place.
+    deg < e * deg(place) and coprime to the place.  With place = (x - t) S
+    over F_q[t]/(place), c_j is the coefficient of u^(e-j) in
+    numerator(t + u) / S(t + u)^e mod u^e.
     """
-    rf = ext_field_for(place)
-    E, alpha = rf.field, rf.root
-    q_E = tuple(rf.images[c] for c in place.poly.full)
-    a_E = tuple(rf.images[c] for c in numerator)
-    # place = (x - alpha) * R(x) over E
-    r_E, rem = pa.divmod_(E, q_E, (E.neg(alpha), E.one))
-    if pa.trim(E, rem) != ():
-        raise DomainError("internal: generator is not a root of its place")
-    a_shift = _shift_by_root(E, a_E, alpha)[:e]
-    r_shift = _shift_by_root(E, r_E, alpha)[:e]
-    r_pow = (E.one,)
+    K, Q = place.field, place.poly.full
+    t, S = _split(K, Q)
+    a = _horner(K, Q, [pa.trim(K, (c,)) for c in reversed(numerator)], t, e)
+    s = _horner(K, Q, S[::-1], t, e)
+    s_pow = [(1,)]
     for _ in range(e):
-        r_pow = pa.mul(E, r_pow, r_shift)[:e]
-    s = pa.mul(E, a_shift, _series_inv(E, r_pow, e))[:e]
-    s = tuple(s) + (E.zero,) * max(0, e - len(s))
-    coeffs = tuple(s[e - j] for j in range(1, e + 1))
-    if coeffs[-1] == E.zero:
+        s_pow = _xmul(K, Q, s_pow, s, e)
+    r = _xmul(K, Q, a, _series_inv(K, Q, s_pow, e), e)
+    coeffs = tuple(_index(K, r[e - j]) for j in range(1, e + 1))
+    if not coeffs[-1]:
         raise DomainError("internal: top local coefficient vanished")
     return coeffs
 
@@ -438,34 +489,22 @@ def local_expansion(place: Place, e: int, numerator: tuple) -> tuple:
 def local_to_global(place: Place, coeffs: tuple) -> tuple:
     """Inverse of local_expansion: the numerator A with A/place^e = local part.
 
-    ``coeffs`` is (c_1, ..., c_e), codes of the place's residue field E.
-    With place = (x - alpha) R over E, the local part at alpha is
-    sum_j c_j/(x - alpha)^j = P/place^e with P = B R^e and
-    B = sum_j c_j (x - alpha)^(e-j); the local part of the place is its sum
-    over the conjugates of alpha, so A is the relative trace from E to the
-    base field of each coefficient of P, its terms the powers c^(q^i).  A
-    trace outside the base field raises DomainError.  The returned raw tuple
-    has coefficients in the base field.
+    ``coeffs`` is (c_1, ..., c_e), indices in F_q[t]/(place).  With
+    place = (x - t) S over it, the local part at t is
+    sum_j c_j/(x - t)^j = P/place^e with P = B S^e and
+    B = sum_j c_j (x - t)^(e-j); the local part of the place is its sum over
+    the conjugates of t, so A is the trace to the base field of each
+    coefficient of P, sum_m r_m s_m for r = sum_m r_m t^m and the traces s
+    of ``ext_field_for``.  The returned raw tuple has coefficients in the
+    base field.
     """
-    rf = ext_field_for(place)
-    E, q = rf.field, place.field.q
-    lin = (E.neg(rf.root), E.one)  # x - alpha
-    r, _ = pa.divmod_(E, tuple(rf.images[c] for c in place.poly.full), lin)
-    b: tuple = ()
-    for c in coeffs:  # Horner in x - alpha
-        b = pa.add(E, pa.mul(E, b, lin), (c,))
+    K, Q = place.field, place.poly.full
+    s = ext_field_for(place)
+    t, S = _split(K, Q)
+    b = _horner(K, Q, [_element(K, c, place.degree) for c in coeffs], pa.neg(K, t), len(coeffs))
     for _ in coeffs:
-        b = pa.mul(E, b, r)
-    out = []
-    for c in b:
-        tr = c
-        for _ in range(place.degree - 1):
-            c = E.pow(c, q)
-            tr = E.add(tr, c)
-        if tr not in rf.preimage:
-            raise DomainError("element does not lie in the base field")
-        out.append(rf.preimage[tr])
-    return pa.trim(place.field, out)
+        b = _xmul(K, Q, b, S)
+    return pa.trim(K, [reduce(K.add, map(K.mul, r, s), K.zero) for r in b])
 
 
 def partial_fractions(num: tuple, den: MonicPoly) -> PartialFraction:

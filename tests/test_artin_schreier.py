@@ -241,14 +241,12 @@ def test_branch_assignments_list_places_in_place_order():
 
 
 def test_census_enumerated_builds_no_residue_field(monkeypatch):
-    from ordcensus import fields, polys
+    from ordcensus import polys
     from ordcensus.serialize import cover_from_dict, cover_to_dict
 
     def no_field(*args):
         raise AssertionError("residue field built")
     monkeypatch.setattr(polys, "ext_field_for", no_field)
-    monkeypatch.setattr(polys, "residue_field", no_field)
-    monkeypatch.setattr(fields, "residue_field", no_field)
     for field, m_max, include_inf in ((FieldSpec(2, 3), 5, False), (FieldSpec(3, 2), 4, True)):
         en = asc.census_enumerated(field, m_max, include_inf)
         assert en.rows == asc.census_analytic(field, m_max, include_inf).rows

@@ -368,13 +368,13 @@ def test_oracle_command(tmp_path, capsys):
 
 
 def test_cover_of_a_degree_10_place_builds_no_residue_field(tmp_path, capsys, monkeypatch):
-    # the first place of degree 10 over F_4; its residue field is F_{2^20}
-    from ordcensus import fields, polys
+    # the first place of degree 10 over F_4; its residue field is F_{2^20},
+    # and ext_field_for is the one entry to arithmetic in it
+    from ordcensus import polys
 
     def no_field(*args):
         raise AssertionError("residue field built")
-    monkeypatch.setattr(fields, "residue_field", no_field)
-    monkeypatch.setattr(polys, "residue_field", no_field)
+    monkeypatch.setattr(polys, "ext_field_for", no_field)
     cover = {"q": 4, "p": 2, "branch": [{"place": "1,0,0,0,0,0,0,2,1,0,1", "local": [5]}],
              "infinity": None}
     path = tmp_path / "cover.json"
@@ -390,13 +390,12 @@ def test_cover_of_a_degree_10_place_builds_no_residue_field(tmp_path, capsys, mo
 
 def test_oracle_sweeps_build_no_field_object(tmp_path, capsys, monkeypatch):
     # every F_{4^k} swept is the shared absolute field; an SE cover has no
-    # residue field to build either
-    from ordcensus import fields, polys
+    # residue field to compute in either
+    from ordcensus import polys
 
     def no_field(*args):
         raise AssertionError("residue field built")
-    monkeypatch.setattr(fields, "residue_field", no_field)
-    monkeypatch.setattr(polys, "residue_field", no_field)
+    monkeypatch.setattr(polys, "ext_field_for", no_field)
     path = tmp_path / "cover.json"
     path.write_text(json.dumps({"n": 3, "parts": ["3,2,1", "0,1"], "q": 4}))
     code, out, err = run(capsys, "oracle", "--cover", str(path))
@@ -527,6 +526,12 @@ def test_benchmark_layer_rows_and_trace_hooks_reach_the_package(monkeypatch):
         module = importlib.import_module(f"ordcensus.{layer}")
         fn = getattr(module, attr)
         assert inspect.isfunction(fn) and fn.__module__ == module.__name__, label
+    # the fields.ext_*_ns rows time the field the oracle sweeps
+    from ordcensus import fields, oracle
+    ext = oracle.extension_field(fields.FieldSpec(2), 12)
+    E = fields.extension(fields.FieldSpec(2), 12)[0]
+    assert (ext.size, ext.mul, ext.add) == (E.q, E.mul, E.add)
+    assert [ext.from_index(n) for n in range(E.q)] == list(range(E.q))
 
 
 def test_output_file_and_outdir(tmp_path, capsys, monkeypatch):

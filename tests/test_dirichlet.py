@@ -73,6 +73,15 @@ def test_psi_p_odd():
         dd.psi_p_at_1(3, 4)
 
 
+def test_q_must_be_a_power_of_p():
+    for q, p in ((6, 2), (6, 3), (16, 4)):
+        with pytest.raises(DomainError):
+            dd.psi_p_at_1(p, q)
+        for include_infinity in (False, True):
+            with pytest.raises(DomainError):
+                dd.ordinary_probability_as(q, p, include_infinity)
+
+
 def test_ordinary_probability_as_table():
     for q, want in TABLE1_PAS.items():
         got = float(dd.ordinary_probability_as(q, 2, include_infinity=True))

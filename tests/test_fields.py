@@ -3,7 +3,7 @@ import random
 import pytest
 
 from ordcensus.errors import DomainError
-from ordcensus.fields import FieldSpec, default_modulus, from_index, is_prime, residue_field
+from ordcensus.fields import FieldSpec, default_modulus, is_prime
 
 
 def test_is_prime():
@@ -73,90 +73,3 @@ def test_bad_modulus_rejected():
         FieldSpec(4)  # not prime
     with pytest.raises(DomainError):
         FieldSpec(2, 21)  # q > 2^20
-
-
-def test_residue_field_basic():
-    F2 = FieldSpec(2)
-    # F_8 = F_2[t]/(t^3 + t + 1)
-    rf = residue_field(F2, (1, 1, 0))
-    E, t = rf.field, rf.root
-    assert E.q == 8
-    assert E.mul(t, E.mul(t, t)) == E.add(t, E.one)  # t^3 = t + 1
-    elements = [from_index(rf, n) for n in range(8)]
-    assert sorted(elements) == list(range(8))
-    for z in elements:
-        if z != E.zero:
-            assert E.mul(z, E.inv(z)) == E.one
-        assert E.pow(z, 8) == z
-
-
-def test_residue_field_frobenius_and_trace():
-    F4 = FieldSpec(2, 2)
-    # a degree-2 extension of F_4 (16 elements)
-    t = F4.undigits((0, 1))
-    rf = residue_field(F4, (t, 1))  # u^2 + u + t, irreducible over F_4
-    E, alpha = rf.field, rf.root
-    assert E.q == 16
-    assert E.add(E.add(E.mul(alpha, alpha), alpha), rf.images[t]) == 0
-    # alpha generates over F_4: 1 and alpha span the field
-    assert sorted(from_index(rf, n) for n in range(16)) == list(range(16))
-    for z in range(16):
-        assert E.pow(z, 16) == z
-    # the Frobenius z -> z^4 fixes exactly the images of the base field
-    assert {z for z in range(16) if E.pow(z, 4) == z} == set(rf.images)
-    assert E.pow(alpha, 4) != alpha
-    assert {E.trace(z) for z in range(16)} == {0, 1}
-
-
-def test_residue_field_base_images(monkeypatch):
-    from ordcensus import polys
-    F2 = FieldSpec(2)
-    rf = residue_field(F2, (1, 1, 0))
-    assert rf.preimage[rf.images[1]] == 1
-    assert rf.root not in rf.preimage
-    # local_to_global reads each relative trace back through the inverse
-    # images, and a trace that they do not hold is a DomainError
-    place = polys.Place(polys.MonicPoly(F2, (1, 1, 0)))
-    assert polys.ext_field_for(place) == rf
-    assert polys.local_to_global(place, (rf.root,)) != ()
-    monkeypatch.setitem(polys._EXT_CACHE, place, rf._replace(preimage={}))
-    with pytest.raises(DomainError, match="base field"):
-        polys.local_to_global(place, (rf.root,))
-
-
-def test_residue_field_of_a_reducible_polynomial_is_an_error():
-    # (), (t + 1)^2 and t^2 (t + 1) over F_2, and (t - 1)(t + 1) over F_3
-    for K, h in ((FieldSpec(2), ()), (FieldSpec(2), (1, 0)), (FieldSpec(2), (0, 0, 1)),
-                 (FieldSpec(3), (2, 0))):
-        with pytest.raises(DomainError):
-            residue_field(K, h)
-
-
-def test_from_index_is_a_ring_isomorphism():
-    # from_index maps F_q[t]/(h), coordinates read as base-q digits, onto the
-    # residue field; so the serialized "local" indices keep their meaning
-    from ordcensus import _polyarith as pa
-    from ordcensus.polys import ext_field_for, places_of_degree
-    rng = random.Random(11)
-    for K in (FieldSpec(2), FieldSpec(3), FieldSpec(2, 2), FieldSpec(3, 2)):
-        for d in (1, 2, 3):
-            for place in places_of_degree(K, d)[:2]:
-                rf = ext_field_for(place)
-                E = rf.field
-
-                def index(c):  # of a polynomial in t over K, reduced mod h
-                    return sum(x * K.q ** i for i, x in enumerate(c))
-
-                assert E.q == K.q ** d
-                assert sorted(from_index(rf, n) for n in range(E.q)) == list(range(E.q))
-                for c in range(K.q):
-                    assert rf.preimage[rf.images[c]] == c
-                if d >= 2:
-                    assert from_index(rf, K.q) == rf.root
-                for _ in range(60):
-                    a = pa.trim(K, [rng.randrange(K.q) for _ in range(d)])
-                    b = pa.trim(K, [rng.randrange(K.q) for _ in range(d)])
-                    za, zb = from_index(rf, index(a)), from_index(rf, index(b))
-                    assert E.add(za, zb) == from_index(rf, index(pa.add(K, a, b)))
-                    ab = pa.mod(K, pa.mul(K, a, b), place.poly.full)
-                    assert E.mul(za, zb) == from_index(rf, index(ab))

@@ -7,7 +7,7 @@ from ordcensus import oracle as orc
 from ordcensus import superelliptic as se
 from ordcensus.errors import DomainError, InvariantViolation, ResourceGuardError
 from ordcensus.fields import FieldSpec
-from ordcensus.polys import MonicPoly, Place
+from ordcensus.polys import MonicPoly, Place, places_of_degree
 
 F2 = FieldSpec(2)
 F4 = FieldSpec(2, 2)
@@ -188,6 +188,22 @@ def test_oracle_agreement_beyond_f2():
     covers += rng.sample(pool, 10)
     for c in covers:
         assert orc.assert_agreement(c).agree
+
+
+@pytest.mark.parametrize("field, d, index, genus, counts", [
+    # m = 10, g = 4; in characteristic 2 the m Q_{d-m} terms of Newton's
+    # identities vanish at m = 2 and 4
+    (F4, 5, 4 ** 4 + 6, 4, (6, 18, 72, 298, 1021, 4110, 16582, 66690)),
+    (FieldSpec(3, 2), 2, 9 + 5, 2, (12, 68, 822, 6596)),
+], ids=["F4-degree-5", "F9-degree-2"])
+def test_oracle_agrees_at_a_place_of_higher_degree(field, d, index, genus, counts):
+    """One local part with an index outside F_q at the first place of degree
+    d.  The counts were computed by putting f over one denominator in
+    FieldSpec(p, k d), at a root of the place found there."""
+    c = asc.ASCover(field, ((places_of_degree(field, d)[0], (index,)),))
+    report = orc.cross_validate(c)
+    assert report.agree, report.detail
+    assert (report.genus, report.counts) == (genus, counts)
 
 
 def test_p_rank_is_deuring_shafarevich():

@@ -6,7 +6,7 @@ import pytest
 from ordcensus import _polyarith as pa
 from ordcensus import polys
 from ordcensus.errors import DomainError, InvariantViolation, ResourceGuardError
-from ordcensus.fields import FieldSpec, count_irreducibles, mobius
+from ordcensus.fields import FieldSpec, count_irreducibles, embedding, mobius
 from ordcensus.polys import (MonicPoly, Place, enumerate_monic,
                              factor, gcd_monic, is_irreducible,
                              is_nth_power_free, is_squarefree, local_expansion,
@@ -134,6 +134,100 @@ def test_local_expansion_inverse():
                     assert local_to_global(place, coeffs) == num
 
 
+# The tests below check the arithmetic of local parts, which runs over
+# F_q[t]/(Q), against the field F_{q^d} = FieldSpec(p, k d) and the roots of
+# Q found there by brute force: the two share only FieldSpec arithmetic.
+
+def _value(E, coeffs, z):
+    """coeffs (codes of E, lowest first) evaluated at z, by Horner."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = E.add(E.mul(acc, z), c)
+    return acc
+
+
+def _roots(E, images, place):
+    full = [images[c] for c in place.poly.full]
+    roots = [z for z in range(E.q) if _value(E, full, z) == 0]
+    assert len(roots) == place.degree
+    return roots
+
+
+@pytest.mark.parametrize("field, d_max", [(F2, 4), (F3, 4), (F4, 4), (FieldSpec(3, 2), 2)],
+                         ids=["F2", "F3", "F4", "F9"])
+def test_ext_field_for_is_the_trace_of_the_powers_of_t(field, d_max):
+    # Tr(t^m) = sum_i beta^(m q^i) for a root beta of the place
+    for d in range(1, d_max + 1):
+        E = FieldSpec(field.p, field.k * d)
+        images = embedding(field, E)
+        for place in places_of_degree(field, d):
+            beta = _roots(E, images, place)[0]
+            traces = polys.ext_field_for(place)
+            assert len(traces) == d
+            for m, s in enumerate(traces):
+                tr = 0
+                for i in range(d):
+                    tr = E.add(tr, E.pow(beta, m * field.q ** i))
+                assert images[s] == tr, (place.poly, m)
+
+
+def test_local_to_global_matches_the_definition():
+    # sum over the roots beta of Q of sum_j c_j(beta)/(x - beta)^j is
+    # A(x)/Q(x)^e at every x of F_{q^d} that is not a root, c_j(beta) the
+    # element with index c_j at t = beta
+    rng = random.Random(1618)
+    for field in (F2, F3, F4):
+        q = field.q
+        for d in (1, 2, 3):
+            E = FieldSpec(field.p, field.k * d)
+            images = embedding(field, E)
+            for place in places_of_degree(field, d)[:2]:
+                roots = _roots(E, images, place)
+                for e in (1, 2, 3):
+                    coeffs = tuple(rng.randrange(q ** d) for _ in range(e - 1)) + (
+                        rng.randrange(1, q ** d),)
+                    num = [images[c] for c in local_to_global(place, coeffs)]
+                    den = [images[c] for c in pow_monic(place.poly, e).full]
+                    at = {beta: [_value(E, [images[n // q ** i % q] for i in range(d)], beta)
+                                 for n in coeffs] for beta in roots}
+                    for x in range(E.q):
+                        if x in roots:
+                            continue
+                        total = 0
+                        for beta, cs in at.items():
+                            u = E.inv(E.sub(x, beta))
+                            for j, c in enumerate(cs, 1):
+                                total = E.add(total, E.mul(c, E.pow(u, j)))
+                        assert total == E.mul(_value(E, num, x), E.inv(_value(E, den, x)))
+
+
+def test_local_to_global_at_a_degree_10_place_builds_no_field(monkeypatch):
+    # the first place of degree 10 over F_4, whose residue field has 2^20
+    # elements; the numerator is the one that a construction of that field,
+    # with a root found in FieldSpec(2, 20), gave
+    from ordcensus import fields
+
+    def no_field(*args):
+        raise AssertionError("field built")
+    monkeypatch.setattr(fields, "_absolute", no_field)
+    place = Place(MonicPoly.from_text(F4, "1,0,0,0,0,0,0,2,1,0,1"))
+    assert local_to_global(place, (123456, 0, 987654)) == (
+        1, 3, 1, 1, 1, 2, 0, 2, 3, 3, 1, 0, 1, 1, 0, 1, 2, 3, 1, 2, 2, 0, 2, 3, 2, 3, 1, 1, 3, 2)
+
+
+@pytest.mark.parametrize("field", [F4, FieldSpec(3, 2)], ids=["F4", "F9"])
+def test_derivative_is_the_derivation_with_x_prime_1(field):
+    # (fg)' = f'g + fg' and x' = 1 determine the derivative of a polynomial
+    rng = random.Random(field.q)
+    assert pa.derivative(field, (0, 1)) == (1,)
+    for _ in range(200):
+        f, g = (pa.trim(field, [rng.randrange(field.q) for _ in range(rng.randrange(10))])
+                for _ in range(2))
+        assert pa.derivative(field, pa.mul(field, f, g)) == pa.add(
+            field, pa.mul(field, pa.derivative(field, f), g),
+            pa.mul(field, f, pa.derivative(field, g)))
+
+
 def test_partial_fractions_simple():
     # 1/(x(x+1)) = 1/x + 1/(x+1) over F_2
     den = MonicPoly.from_text(F2, "0,1,1")
@@ -259,7 +353,7 @@ def test_poly_helpers():
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_prime_field_arithmetic_matches_galoistools(p):
-    """mul, divmod_ and derivative over F_p (the inline residue paths)
+    """mul and divmod_ (the inline residue paths) and derivative over F_p
     against sympy's galoistools, which shares no code with them."""
     from sympy.polys.domains import ZZ
     from sympy.polys.galoistools import gf_diff, gf_div, gf_mul
