@@ -9,7 +9,9 @@ coded 0.  Over a prime field (``K.k == 1``) the codes are the residues
 mod p, and ``mul`` and ``divmod_`` do that arithmetic inline instead of
 calling the field's methods once per coefficient; the results are the same.
 :mod:`polys` computes in a residue field F_q[t]/(Q) with these functions
-over F_q, reducing mod Q.
+over F_q, reducing mod Q.  ``power_sums`` gives the traces of the powers of
+t in F_p[t]/(f) or F_q[t]/(Q) from the modulus alone: the field trace of
+:mod:`fields` and the residue-field trace of :mod:`polys` both read it.
 """
 
 from .errors import DomainError
@@ -118,6 +120,20 @@ def gcd(K, a, b):
 def derivative(K, a):
     # i a_i is a_i times i mod p, the code of an element of F_p
     return trim(K, [K.mul(i % K.p, a[i]) for i in range(1, len(a))])
+
+
+def power_sums(K, f):
+    """The power sums (s_0, ..., s_{d-1}) of the roots of the monic f of
+    degree d, by Newton's identities: s_0 = d and
+    s_m = -(sum_{0<i<m} f_{d-i} s_{m-i} + m f_{d-m})."""
+    d = deg(f)
+    s = [d % K.p]
+    for m in range(1, d):
+        acc = K.mul(m % K.p, f[d - m])
+        for i in range(1, m):
+            acc = K.add(acc, K.mul(f[d - i], s[m - i]))
+        s.append(K.neg(acc))
+    return tuple(s)
 
 
 def evaluate(K, a, x):

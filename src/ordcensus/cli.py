@@ -132,10 +132,11 @@ def cmd_constants(args) -> int:
 
 def cmd_census(args) -> int:
     from .fields import field_from_qp
+    # the field first: --x-bound is converted with q >= 2
+    field = field_from_qp(args.q, args.p if args.family == "as" else 2)
     m_max = _m_max_from_args(args)
     if args.family == "as":
         from . import artin_schreier as asc
-        field = field_from_qp(args.q, args.p)
         tables = []
         if args.mode in ("analytic", "both"):
             tables.append(asc.census_analytic(field, m_max, args.include_infinity))
@@ -152,7 +153,6 @@ def cmd_census(args) -> int:
                     f"(a_m, b_m) = {rows[m]} analytic vs {other[m]} enumerated")
     else:
         from . import superelliptic
-        field = field_from_qp(args.q, 2)
         rows = superelliptic.census_se(field, args.n, m_max)
         m_values = range(0, m_max + 1)
     if args.format == "csv":

@@ -7,8 +7,9 @@ plain integer arithmetic mod p.  For k > 1 it uses exp/log tables of a
 primitive element, built at first use: multiplication, inversion and powers
 are lookups, addition is XOR when p = 2 and a Zech logarithm lookup for
 odd p, and the trace, being F_p-linear, is read from a table built from its
-values on the basis.  ``embedding`` maps a subfield's codes into a larger
-field.
+values on the basis, the power sums of the modulus's roots
+(``_polyarith.power_sums``).  ``embedding`` maps a subfield's codes into a
+larger field.
 
 Every F_p-linear table here (the step x -> x g that lists the powers of g,
 the trace, a subfield's embedding) comes from ``linear_table``, which
@@ -16,9 +17,11 @@ the trace, a subfield's embedding) comes from ``linear_table``, which
 coordinates, so an affine map on codes is listed from its images of the
 basis by digit-wise addition mod p.
 
-There is one field class.  Every F_{q^k} is the shared absolute field of
-its order (``_absolute``), and a subfield F_q is a table of images in it:
-the oracle's F_{q^k} is ``extension``, that field and the images of F_q.
+There is one field per order: ``FieldSpec(p, k)`` is the field of order
+p^k, with the modulus ``default_modulus(p, k)``, built once and shared by
+every caller (pickling or copying it gives back the same object).  A subfield
+F_q is a table of images in it: the oracle's F_{q^k} is ``extension``, that
+field and the images of F_q.
 The residue field F_q[t]/(h) of a place has no object here; :mod:`polys`
 computes in it over F_q, its elements polynomials in t reduced mod h.
 
@@ -107,38 +110,15 @@ def field_from_qp(q: int, p: int) -> FieldSpec:
 
 
 class FieldSpec:
-    """The finite field F_q with q = p^k, with a fixed modulus over F_p."""
+    """The finite field F_q with q = p^k: one object per order, computing
+    modulo ``default_modulus(p, k)`` over F_p."""
 
-    def __init__(self, p: int, k: int = 1, modulus: tuple | None = None):
-        if not is_prime(p):
-            raise DomainError(f"{p} is not prime")
-        if k < 1:
-            raise DomainError("extension degree must be >= 1")
-        if p ** k > MAX_Q:
-            raise DomainError(f"q = {p}^{k} exceeds the enumeration limit {MAX_Q}")
-        self.p = p
-        self.k = k
-        self.q = p ** k
-        if modulus is None:
-            modulus = default_modulus(p, k)
-        else:
-            modulus = tuple(int(c) % p for c in modulus)
-            if len(modulus) != k:
-                raise DomainError("modulus must have degree k (leading 1 implicit)")
-            if k > 1 and not _is_irreducible_prime_field(p, modulus):
-                raise DomainError("modulus is not irreducible over F_p")
-        self.modulus = modulus
-        self.zero = 0
-        self.one = 1
+    def __new__(cls, p: int, k: int = 1):
+        return _of_order(p, k)
 
-    # -- hashing / equality ------------------------------------------------
-
-    def __eq__(self, other):
-        return (isinstance(other, FieldSpec)
-                and (self.p, self.k, self.modulus) == (other.p, other.k, other.modulus))
-
-    def __hash__(self):
-        return hash((self.p, self.k, self.modulus))
+    def __reduce__(self):
+        # pickle and copy give back the one field of this order, without its tables
+        return FieldSpec, (self.p, self.k)
 
     def __repr__(self):
         return f"FieldSpec(p={self.p}, k={self.k})"
@@ -292,17 +272,29 @@ class FieldSpec:
     def _trace_table(self) -> list:
         """Tr(a) for every code a.  The trace is F_p-linear, so
         ``linear_table`` builds it from the traces of the basis powers t^i,
-        each summed over its Frobenius conjugates."""
-        p = self.p
-        taus = []
-        for i in range(self.k):
-            x = p ** i  # the code of t^i
-            tau = 0
-            for _ in range(self.k):
-                tau = self.add(tau, x)
-                x = self.pow(x, p)
-            taus.append(tau)
-        return linear_table(p, 1, taus)
+        the power sums of the modulus's roots."""
+        fp = FieldSpec(self.p)
+        return linear_table(self.p, 1, pa.power_sums(fp, self.modulus + (1,)))
+
+
+@cache
+def _of_order(p: int, k: int) -> FieldSpec:
+    """The one FieldSpec of order p^k; an invalid (p, k) raises, and is not
+    cached."""
+    if not is_prime(p):
+        raise DomainError(f"{p} is not prime")
+    if k < 1:
+        raise DomainError("extension degree must be >= 1")
+    if p ** k > MAX_Q:
+        raise DomainError(f"q = {p}^{k} exceeds the enumeration limit {MAX_Q}")
+    field = object.__new__(FieldSpec)
+    field.p = p
+    field.k = k
+    field.q = p ** k
+    field.modulus = default_modulus(p, k)
+    field.zero = 0
+    field.one = 1
+    return field
 
 
 def embedding(sub: FieldSpec, field: FieldSpec) -> tuple:
@@ -314,7 +306,7 @@ def embedding(sub: FieldSpec, field: FieldSpec) -> tuple:
     """
     if sub.p != field.p or field.k % sub.k:
         raise DomainError(f"{sub!r} is not a subfield of {field!r}")
-    if (sub.k, sub.modulus) == (field.k, field.modulus):
+    if sub is field:
         return tuple(range(field.q))
     p = sub.p
     beta = 0  # only its zeroth power is used when sub is F_p
@@ -353,16 +345,10 @@ def linear_table(p: int, width: int, rows: list, base: int = 0) -> list:
 
 
 @cache
-def _absolute(p: int, n: int) -> FieldSpec:
-    """The FieldSpec(p, n) that every field of order p^n computes in."""
-    return FieldSpec(p, n)
-
-
-@cache
 def extension(base: FieldSpec, k: int) -> tuple:
-    """F_{q^k} for q = |base|: the shared absolute field F_{p^(k k_base)},
-    and the images in it of the codes of ``base``."""
-    E = _absolute(base.p, k * base.k)
+    """F_{q^k} for q = |base|: the field FieldSpec(p, k k_base), and the
+    images in it of the codes of ``base``."""
+    E = FieldSpec(base.p, k * base.k)
     return E, embedding(base, E)
 
 

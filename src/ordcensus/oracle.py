@@ -2,14 +2,15 @@
 L-polynomial via Newton's identities and the functional equation, and the
 p-rank as the degree of L mod p.
 
-Each F_{q^k} swept is ``fields.extension``, the shared absolute field of
-order q^k, and the cover's coefficients are lifted through its images of
-F_q.  An Artin-Schreier cover's f is put over one denominator, f = N/D, by
-``polys.reconstruct``, which reads the cover's local parts as they are,
-residue-field indices, and computes over F_q; the sweep evaluates N and D at
-each x.  Besides the field arithmetic, that partial-fraction reconstruction
-is all the counting code shares with the combinatorial classification it
-checks; disagreement means a real bug.
+Each F_{q^k} swept is ``fields.extension``, the field ``FieldSpec(p, n)``
+of order q^k = p^n, and the cover's coefficients are lifted through its
+images of F_q.  An Artin-Schreier cover's f is put over one denominator,
+f = N/D, by ``polys.reconstruct``, which reads the cover's local parts as
+they are, residue-field indices, and computes over F_q, once per cover;
+each sweep lifts N and D to its F_{q^k} and evaluates them at each x.
+Besides the field arithmetic, that partial-fraction reconstruction is all
+the counting code shares with the combinatorial classification it checks;
+disagreement means a real bug.
 Each cover loads only the module of its own kind.
 """
 
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from functools import cache
 from types import SimpleNamespace
 
 from .errors import DomainError, ResourceGuardError, InvariantViolation
@@ -82,6 +84,15 @@ def _guard(field: FieldSpec, g: int, k: int):
         raise ResourceGuardError(f"point-count sweep q^k = {field.q}^{k} exceeds {MAX_Q}")
 
 
+@cache
+def _fraction(c) -> tuple:
+    """f = N/D over F_q for the ASCover c, as raw tuples (N, D), built once
+    per cover and lifted to each F_{q^k} swept."""
+    # the polynomial part sum c_j x^j (no constant term) is the pole at infinity
+    inf = () if c.infinity_part is None else (0,) + c.infinity_part
+    return reconstruct(PartialFraction(c.field, inf, c.branch))
+
+
 def count_points_as(c, k: int) -> int:
     """Points over F_{q^k} of the smooth projective model of the ASCover
     y^p - y = f."""
@@ -90,9 +101,7 @@ def count_points_as(c, k: int) -> int:
     p = field.p
     _guard(field, genus(c), k)
     E, embed = extension(field, k)
-    # f = N/D; the polynomial part sum c_j x^j (no constant term) is the pole at infinity
-    inf = () if c.infinity_part is None else (0,) + c.infinity_part
-    num, den = ([embed[a] for a in f] for f in reconstruct(PartialFraction(field, inf, c.branch)))
+    num, den = ([embed[a] for a in f] for f in _fraction(c))
     total = 0
     for x in range(E.q):
         dv = evaluate(E, den, x)

@@ -378,20 +378,10 @@ _EXT_CACHE: dict = {}
 
 def ext_field_for(place: Place) -> tuple:
     """The traces (s_0, ..., s_{d-1}) to the base field of 1, t, ...,
-    t^(d-1) in F_q[t]/(Q), for the place Q of degree d, built once per place.
-
-    s_m is the m-th power sum of Q's roots, from Newton's identities:
-    s_0 = d and s_m = -(sum_{0<i<m} Q_{d-i} s_{m-i} + m Q_{d-m}).
-    """
+    t^(d-1) in F_q[t]/(Q), for the place Q of degree d, built once per place:
+    s_m is the m-th power sum of Q's roots, ``_polyarith.power_sums``."""
     if place not in _EXT_CACHE:
-        K, Q, d = place.field, place.poly.full, place.degree
-        s = [d % K.p]
-        for m in range(1, d):
-            acc = K.mul(m % K.p, Q[d - m])
-            for i in range(1, m):
-                acc = K.add(acc, K.mul(Q[d - i], s[m - i]))
-            s.append(K.neg(acc))
-        _EXT_CACHE[place] = tuple(s)
+        _EXT_CACHE[place] = pa.power_sums(place.field, place.poly.full)
     return _EXT_CACHE[place]
 
 

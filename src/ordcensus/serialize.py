@@ -19,6 +19,8 @@ Both directions import only the cover module of the data's kind.
 
 from __future__ import annotations
 
+from operator import index
+
 from .errors import DomainError
 from .fields import field_from_qp
 from .polys import MonicPoly, Place
@@ -38,28 +40,45 @@ def cover_to_dict(c) -> dict:
 
 
 def cover_from_dict(data: dict):
+    """The cover the data describe.  Data of the wrong shape (a missing key,
+    a non-integer index or n, a branch or parts that is not a list, an
+    infinity coefficient outside [0, q)) raise DomainError."""
     try:
-        q = int(data["q"])
-    except (KeyError, TypeError, ValueError) as exc:
+        return _cover_from_dict(data)
+    except DomainError:
+        raise
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise DomainError(f"bad cover data: {exc}") from exc
+
+
+def _list(value, key: str) -> list:
+    if not isinstance(value, list):
+        raise DomainError(f"bad cover data: {key!r} must be a list")
+    return value
+
+
+def _cover_from_dict(data: dict):
+    q = int(data["q"])
     if "n" in data:
         from .superelliptic import SECover
         field = field_from_qp(q, 2)
-        n = int(data["n"])
-        parts = tuple(MonicPoly.from_text(field, t) for t in data["parts"])
-        return SECover(field, n, parts)
+        parts = tuple(MonicPoly.from_text(field, t) for t in _list(data["parts"], "parts"))
+        return SECover(field, index(data["n"]), parts)
     if "p" in data:
         from .artin_schreier import ASCover
         field = field_from_qp(q, int(data["p"]))
         branch = []
-        for entry in data.get("branch", []):
+        for entry in _list(data.get("branch", []), "branch"):
             place = Place(MonicPoly.from_text(field, entry["place"]))
-            coeffs = tuple(int(i) for i in entry["local"])
+            coeffs = tuple(index(i) for i in entry["local"])
             if any(i < 0 or i >= place.norm for i in coeffs):
                 raise DomainError(f"local coefficient index out of range for {entry}")
             branch.append((place, coeffs))
         branch.sort(key=lambda pc: pc[0])
         inf = data.get("infinity")
-        inf_part = tuple(int(c) for c in inf) if inf is not None else None
+        inf_part = tuple(index(c) for c in inf) if inf is not None else None
+        if inf_part is not None and any(c < 0 or c >= q for c in inf_part):
+            raise DomainError(f"bad cover data: infinity coefficient out of range "
+                              f"for q = {q} in {inf}")
         return ASCover(field, tuple(branch), inf_part)
     raise DomainError("cover data must contain 'p' (Artin-Schreier) or 'n' (superelliptic)")

@@ -9,6 +9,14 @@ import pytest
 from ordcensus.cli import main
 
 
+def _src_env() -> dict:
+    """The environment with this checkout's sources first on PYTHONPATH, for
+    commands run in a fresh process."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -143,6 +151,29 @@ def test_census_bad_x_bound_or_no_bound_is_usage_error(capsys, argv, message):
     assert message in err
 
 
+@pytest.mark.parametrize("family, q", [("as", "1"), ("as", "0"), ("as", "-1"), ("se", "1")])
+def test_census_x_bound_with_q_below_2_exits_at_once(family, q):
+    # --x-bound is converted by a loop on q^m < X, which ends only for q >= 2
+    proc = subprocess.run([sys.executable, "-m", "ordcensus.cli", "census", family,
+                           "--q", q, "--x-bound", "100"],
+                          env=_src_env(), capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:")
+
+
+def test_malformed_cover_file_is_a_usage_error(capsys, tmp_path):
+    # an infinity coefficient 7 names no element of F_4
+    cover = tmp_path / "cover.json"
+    cover.write_text(json.dumps({"q": 4, "p": 2, "branch": [{"place": "1,1", "local": [1]}],
+                                 "infinity": [7]}))
+    for command in ("classify", "oracle"):
+        code, out, err = run(capsys, command, "--cover", str(cover))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: bad cover data")
+
+
 def test_census_max_m_with_x_bound_is_usage_error(capsys):
     code, out, err = run(capsys, "census", "as", "--q", "2", "--p", "2",
                          "--max-m", "3", "--x-bound", "8")
@@ -192,10 +223,7 @@ quiet("constants", "--q", "3", "--p", "3")
 quiet("report-table1")
 assert mpmath.mp.dps == dps, mpmath.mp.dps
 """
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
+    proc = subprocess.run([sys.executable, "-c", script], env=_src_env(),
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
@@ -216,10 +244,7 @@ mods = sorted(m for m in sys.modules if m == "ordcensus" or m.startswith("ordcen
 print(json.dumps([mods, [m for m in ("dataclasses", "inspect", "fractions")
                          if m in sys.modules]]))
 """
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
+    proc = subprocess.run([sys.executable, "-c", script], env=_src_env(),
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     mods, stdlib = json.loads(proc.stdout)

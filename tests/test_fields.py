@@ -1,9 +1,11 @@
+import copy
+import pickle
 import random
 
 import pytest
 
 from ordcensus.errors import DomainError
-from ordcensus.fields import FieldSpec, default_modulus, is_prime
+from ordcensus.fields import FieldSpec, default_modulus, extension, is_prime
 
 
 def test_is_prime():
@@ -68,8 +70,24 @@ def test_trace_surjective_and_additive():
 
 def test_bad_modulus_rejected():
     with pytest.raises(DomainError):
-        FieldSpec(2, 2, modulus=(0, 0))  # t^2 is reducible
-    with pytest.raises(DomainError):
         FieldSpec(4)  # not prime
     with pytest.raises(DomainError):
         FieldSpec(2, 21)  # q > 2^20
+
+
+def test_one_field_object_per_order():
+    assert FieldSpec(2) is FieldSpec(2, 1)
+    assert FieldSpec(2, 4) is FieldSpec(2, 4)
+    assert extension(FieldSpec(2), 4)[0] is extension(FieldSpec(2, 2), 2)[0] is FieldSpec(2, 4)
+    for _ in range(2):  # a refused order is not cached
+        with pytest.raises(DomainError):
+            FieldSpec(4)
+
+
+def test_pickle_and_copy_give_back_the_field_without_its_tables():
+    F = FieldSpec(2, 12)
+    F.mul(5, 7), F.trace(5)  # build the tables
+    data = pickle.dumps(F)
+    assert len(data) < 200
+    for twin in (pickle.loads(data), copy.copy(F), copy.deepcopy(F)):
+        assert twin is F

@@ -145,7 +145,7 @@ def test_extension_is_the_shared_absolute_field():
     for base in (F2, F4, FieldSpec(3, 2)):
         for k in (1, 2, 3):
             E, embed = fields.extension(base, k)
-            assert E is fields._absolute(base.p, base.k * k)
+            assert E is FieldSpec(base.p, base.k * k)
             assert E.q == base.q ** k
             # the images of F_q form a subfield: a ring isomorphism onto them
             assert len(set(embed)) == base.q
@@ -153,6 +153,18 @@ def test_extension_is_the_shared_absolute_field():
                 for b in range(base.q):
                     assert embed[base.add(a, b)] == E.add(embed[a], embed[b])
                     assert embed[base.mul(a, b)] == E.mul(embed[a], embed[b])
+
+
+def test_cross_validate_reconstructs_f_once(monkeypatch):
+    # N/D does not depend on k: one reconstruction serves all 2g sweeps
+    calls = []
+    reconstruct = orc.reconstruct
+    monkeypatch.setattr(orc, "reconstruct", lambda pf: calls.append(pf) or reconstruct(pf))
+    orc._fraction.cache_clear()
+    c = as_cover((X, (1,)), (X1, (1,)), (places_of_degree(F2, 2)[0], (1,)))
+    report = orc.cross_validate(c)
+    assert report.genus == 3 and report.agree
+    assert len(calls) == 1
 
 
 def test_guard_fires_before_any_sweep(monkeypatch):

@@ -206,10 +206,13 @@ def test_local_to_global_at_a_degree_10_place_builds_no_field(monkeypatch):
     # elements; the numerator is the one that a construction of that field,
     # with a root found in FieldSpec(2, 20), gave
     from ordcensus import fields
+    of_order = fields._of_order
 
-    def no_field(*args):
-        raise AssertionError("field built")
-    monkeypatch.setattr(fields, "_absolute", no_field)
+    def no_field(p, k):
+        if p ** k > F4.q:
+            raise AssertionError("field built")
+        return of_order(p, k)
+    monkeypatch.setattr(fields, "_of_order", no_field)
     place = Place(MonicPoly.from_text(F4, "1,0,0,0,0,0,0,2,1,0,1"))
     assert local_to_global(place, (123456, 0, 987654)) == (
         1, 3, 1, 1, 1, 2, 0, 2, 3, 3, 1, 0, 1, 1, 0, 1, 2, 3, 1, 2, 2, 0, 2, 3, 2, 3, 1, 1, 3, 2)

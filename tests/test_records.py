@@ -100,6 +100,23 @@ def test_l_polynomial_rejects_a_non_integral_newton_step():
     ({"q": 2, "branch": [{"place": "0,1", "local": [1]}]}, "must contain 'p'"),
     # x + 1 over F_4 has norm 4: index 4 names no element of its residue field
     ({"q": 4, "p": 2, "branch": [{"place": "1,1", "local": [4]}]}, "out of range"),
+    # missing keys
+    ({"q": 2, "p": 2, "branch": [{"place": "0,1"}]}, "bad cover data"),
+    ({"q": 2, "p": 2, "branch": [{"local": [1]}]}, "bad cover data"),
+    ({"q": 2, "n": 3}, "bad cover data"),
+    # non-integer indices and n
+    ({"q": 2, "p": 2, "branch": [{"place": "0,1", "local": [1.5]}]}, "bad cover data"),
+    ({"q": 2, "p": 2, "branch": [{"place": "0,1", "local": ["1"]}]}, "bad cover data"),
+    ({"q": 2, "n": 3.0, "parts": ["0,1", "1"]}, "bad cover data"),
+    # a branch, parts or place of the wrong type
+    ({"q": 2, "p": 2, "branch": "0,1"}, "bad cover data"),
+    ({"q": 2, "p": 2, "branch": {"place": "0,1", "local": [1]}}, "bad cover data"),
+    ({"q": 2, "n": 3, "parts": "0,1"}, "bad cover data"),
+    ({"q": 2, "p": 2, "branch": [{"place": 1, "local": [1]}]}, "bad cover data"),
+    # infinity coefficients outside [0, q)
+    ({"q": 2, "p": 2, "infinity": [5]}, "bad cover data"),
+    ({"q": 2, "p": 2, "infinity": [-1]}, "bad cover data"),
+    ({"q": 4, "p": 2, "infinity": [7]}, "bad cover data"),
 ])
 def test_cover_data_without_a_field_kind_or_in_range_index_is_refused(data, message):
     from ordcensus.serialize import cover_from_dict
