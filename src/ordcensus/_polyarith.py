@@ -153,27 +153,3 @@ def pow_mod(K, a, e, m):
         e >>= 1
     return result
 
-
-def xgcd(K, a, b):
-    """Extended gcd: returns (g, u, v) with u*a + v*b = g, g monic."""
-    r0, r1 = a, b
-    s0, s1 = (K.one,), ()
-    t0, t1 = (), (K.one,)
-    while r1:
-        q, r = divmod_(K, r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, sub(K, s0, mul(K, q, s1))
-        t0, t1 = t1, sub(K, t0, mul(K, q, t1))
-    if r0:
-        lead = K.inv(r0[-1])
-        r0 = scale(K, r0, lead)
-        s0 = scale(K, s0, lead)
-        t0 = scale(K, t0, lead)
-    return r0, s0, t0
-
-
-def inv_mod(K, a, m):
-    g, u, _ = xgcd(K, a, m)
-    if deg(g) != 0:
-        raise DomainError("polynomial is not invertible modulo m")
-    return mod(K, u, m)

@@ -36,9 +36,9 @@ from .fields import FieldSpec
 class ASCover(namedtuple("ASCover", "field branch infinity_part", defaults=(None,))):
     """Branch data of an Artin-Schreier cover in partial-fraction normal form.
 
-    ``branch`` is the sorted tuple of (Place, local part), each local part
-    a tuple of residue-field indices; ``infinity_part`` is (c_1, ...,
-    c_{d_inf}) over F_q, or None when infinity is unramified.
+    ``branch`` is the sorted tuple of (Place, local part), one per place,
+    each local part a tuple of residue-field indices; ``infinity_part`` is
+    (c_1, ..., c_{d_inf}) over F_q, or None when infinity is unramified.
     """
 
     __slots__ = ()
@@ -53,6 +53,8 @@ class ASCover(namedtuple("ASCover", "field branch infinity_part", defaults=(None
         p = self.field.p
         if not self.branch and self.infinity_part is None:
             raise DomainError("branch data must be nonempty when infinity is unramified")
+        if len({place for place, _ in self.branch}) != len(self.branch):
+            raise DomainError("a place occurs twice in the branch data")
         for place, coeffs in self.branch:
             _check_local_part(p, coeffs)
         if self.infinity_part is not None:

@@ -5,11 +5,11 @@ p-rank as the degree of L mod p.
 Each F_{q^k} swept is ``fields.extension``, the field ``FieldSpec(p, n)``
 of order q^k = p^n, and the cover's coefficients are lifted through its
 images of F_q.  An Artin-Schreier cover's f is put over one denominator,
-f = N/D, by ``polys.reconstruct``, which reads the cover's local parts as
-they are, residue-field indices, and computes over F_q, once per cover;
-each sweep lifts N and D to its F_{q^k} and evaluates them at each x.
-Besides the field arithmetic, that partial-fraction reconstruction is all
-the counting code shares with the combinatorial classification it checks;
+f = N/D, by ``polys.reconstruct``, which sums the cover's local parts as
+they are, residue-field indices, over F_q, once per cover; each sweep lifts
+N and D to its F_{q^k} and evaluates them at each x.  Besides the field
+arithmetic, putting the local parts over one denominator is all the
+counting code shares with the combinatorial classification it checks;
 disagreement means a real bug.
 Each cover loads only the module of its own kind.
 """
@@ -24,7 +24,7 @@ from types import SimpleNamespace
 from .errors import DomainError, ResourceGuardError, InvariantViolation
 from ._polyarith import evaluate
 from .fields import MAX_Q, FieldSpec, extension
-from .polys import PartialFraction, reconstruct
+from .polys import reconstruct
 
 MAX_GENUS = 6
 
@@ -90,7 +90,7 @@ def _fraction(c) -> tuple:
     per cover and lifted to each F_{q^k} swept."""
     # the polynomial part sum c_j x^j (no constant term) is the pole at infinity
     inf = () if c.infinity_part is None else (0,) + c.infinity_part
-    return reconstruct(PartialFraction(c.field, inf, c.branch))
+    return reconstruct(c.field, inf, c.branch)
 
 
 def count_points_as(c, k: int) -> int:

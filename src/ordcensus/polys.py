@@ -1,5 +1,5 @@
 """Monic polynomials over F_q: enumeration, irreducibles, factorization,
-squarefree tests and exact partial-fraction decomposition.
+squarefree tests, and local parts put over one denominator.
 
 A :class:`MonicPoly` stores only its lower coefficients (lowest degree
 first); the leading 1 is implicit, so ``len(coeffs) == degree``.  The degree
@@ -24,14 +24,14 @@ places of each degree up to half of what remains, and ``factor`` and
 built without a second test; ``Place(poly)`` called from outside validates
 its polynomial and raises ``DomainError`` on a reducible one.
 
-Partial fractions compute the local part at a place Q over its residue
-field F_q[t]/(Q) with the arithmetic of :mod:`_polyarith` over F_q: an
-element is a polynomial in t reduced mod Q, written as its index (the
-coefficients read as base-q digits, lowest power first), the encoding
-``ASCover`` holds.  ``local_expansion`` turns a numerator over Q^e into
-indices and ``local_to_global`` turns them back, summing over the
-conjugates of t with the traces of ``ext_field_for``; no field of order
-q^deg Q is built.
+Local parts at a place Q are computed over its residue field F_q[t]/(Q)
+with the arithmetic of :mod:`_polyarith` over F_q: an element is a
+polynomial in t reduced mod Q, written as its index (the coefficients read
+as base-q digits, lowest power first), the encoding ``ASCover`` holds.
+``local_to_global`` turns the indices into a numerator over Q^e, summing
+over the conjugates of t with the traces of ``ext_field_for``; no field of
+order q^deg Q is built.  ``reconstruct`` sums those numerators over the
+places into one fraction N/D.
 
 Text format (used by the CLI): comma-separated coefficient representatives,
 lowest degree first, with the leading 1 written explicitly.  Over F_2,
@@ -370,7 +370,7 @@ def is_nth_power_free(f: MonicPoly, n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Partial fractions
+# Local parts
 # ---------------------------------------------------------------------------
 
 _EXT_CACHE: dict = {}
@@ -385,18 +385,6 @@ def ext_field_for(place: Place) -> tuple:
     return _EXT_CACHE[place]
 
 
-class PartialFraction(namedtuple("PartialFraction", "field polynomial_part parts")):
-    """num/den = polynomial_part + sum over places of the local parts.
-
-    ``polynomial_part`` is a raw coefficient tuple over the base field.
-    ``parts`` is the sorted tuple of (Place, (c_1, ..., c_e)): the local
-    part sum_j c_j/(x - t)^j at the place Q, each c_j an index in F_q[t]/(Q),
-    the encoding ``ASCover`` holds.  c_e is nonzero.
-    """
-
-    __slots__ = ()
-
-
 # An element of F_q[t]/(Q) is a raw coefficient tuple in t, reduced mod Q;
 # a polynomial in x over F_q[t]/(Q) is a list of elements, low degree first.
 
@@ -405,28 +393,23 @@ def _element(K: FieldSpec, n: int, d: int) -> tuple:
     return pa.trim(K, [n // K.q ** m % K.q for m in range(d)])
 
 
-def _index(K: FieldSpec, r: tuple) -> int:
-    return sum(c * K.q ** m for m, c in enumerate(r))
-
-
 def _rmul(K: FieldSpec, Q: tuple, a: tuple, b: tuple) -> tuple:
     return pa.mod(K, pa.mul(K, a, b), Q)
 
 
-def _xmul(K: FieldSpec, Q: tuple, f: list, g: list, n: int | None = None) -> list:
-    """f g over F_q[t]/(Q), mod x^n when n is given."""
-    n = len(f) + len(g) - 1 if n is None else n
-    out = [()] * n
-    for i, a in enumerate(f[:n]):
-        for j, b in enumerate(g[:n - i]):
+def _xmul(K: FieldSpec, Q: tuple, f: list, g: list) -> list:
+    """f g over F_q[t]/(Q)."""
+    out = [()] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
             out[i + j] = pa.add(K, out[i + j], pa.mul(K, a, b))
     return [pa.mod(K, c, Q) for c in out]
 
 
-def _horner(K: FieldSpec, Q: tuple, cs, a: tuple, n: int) -> list:
-    """sum_i cs[i] (x + a)^(len(cs) - 1 - i) over F_q[t]/(Q), mod x^n."""
-    out = [()] * n
-    for c in cs:  # out (x + a) + c
+def _horner(K: FieldSpec, Q: tuple, cs, a: tuple) -> list:
+    """sum_i cs[i] (x + a)^(len(cs) - 1 - i) over F_q[t]/(Q)."""
+    out = [()] * len(cs)
+    for c in cs:  # out (x + a) + c; the degree stays below len(cs)
         out = [pa.add(K, lo, _rmul(K, Q, a, hi)) for lo, hi in zip([c] + out, out)]
     return out
 
@@ -441,43 +424,8 @@ def _split(K: FieldSpec, Q: tuple) -> tuple:
     return t, s[::-1]
 
 
-def _series_inv(K: FieldSpec, Q: tuple, b: list, e: int) -> list:
-    """Inverse mod u^e of a power series over F_q[t]/(Q), its constant term
-    inverted by ``inv_mod`` mod Q."""
-    c0 = pa.inv_mod(K, b[0], Q)
-    out = [c0]
-    for i in range(1, e):
-        acc = ()
-        for j in range(1, i + 1):
-            acc = pa.add(K, acc, pa.mul(K, b[j], out[i - j]))
-        out.append(_rmul(K, Q, pa.neg(K, c0), acc))
-    return out
-
-
-def local_expansion(place: Place, e: int, numerator: tuple) -> tuple:
-    """The local part (c_1, ..., c_e) of numerator/place^e, as indices.
-
-    numerator is a raw coefficient tuple over the base field with
-    deg < e * deg(place) and coprime to the place.  With place = (x - t) S
-    over F_q[t]/(place), c_j is the coefficient of u^(e-j) in
-    numerator(t + u) / S(t + u)^e mod u^e.
-    """
-    K, Q = place.field, place.poly.full
-    t, S = _split(K, Q)
-    a = _horner(K, Q, [pa.trim(K, (c,)) for c in reversed(numerator)], t, e)
-    s = _horner(K, Q, S[::-1], t, e)
-    s_pow = [(1,)]
-    for _ in range(e):
-        s_pow = _xmul(K, Q, s_pow, s, e)
-    r = _xmul(K, Q, a, _series_inv(K, Q, s_pow, e), e)
-    coeffs = tuple(_index(K, r[e - j]) for j in range(1, e + 1))
-    if not coeffs[-1]:
-        raise DomainError("internal: top local coefficient vanished")
-    return coeffs
-
-
 def local_to_global(place: Place, coeffs: tuple) -> tuple:
-    """Inverse of local_expansion: the numerator A with A/place^e = local part.
+    """The numerator A over the base field with A/place^e = local part.
 
     ``coeffs`` is (c_1, ..., c_e), indices in F_q[t]/(place).  With
     place = (x - t) S over it, the local part at t is
@@ -491,43 +439,20 @@ def local_to_global(place: Place, coeffs: tuple) -> tuple:
     K, Q = place.field, place.poly.full
     s = ext_field_for(place)
     t, S = _split(K, Q)
-    b = _horner(K, Q, [_element(K, c, place.degree) for c in coeffs], pa.neg(K, t), len(coeffs))
+    b = _horner(K, Q, [_element(K, c, place.degree) for c in coeffs], pa.neg(K, t))
     for _ in coeffs:
         b = _xmul(K, Q, b, S)
     return pa.trim(K, [reduce(K.add, map(K.mul, r, s), K.zero) for r in b])
 
 
-def partial_fractions(num: tuple, den: MonicPoly) -> PartialFraction:
-    """Decompose num/den; num is a raw coefficient tuple, den monic nonzero."""
-    K = den.field
-    num = pa.trim(K, tuple(num))
-    if not num:
-        raise DomainError("numerator must be nonzero")
-    if pa.deg(pa.gcd(K, num, den.full)) > 0:
-        raise DomainError("numerator and denominator are not coprime")
-    poly_part, rem = pa.divmod_(K, num, den.full)
-    parts = []
-    for place, mult in factor(den):
-        m_full = pow_monic(place.poly, mult).full
-        other, r = pa.divmod_(K, den.full, m_full)
-        assert r == ()
-        a = pa.mod(K, pa.mul(K, rem, pa.inv_mod(K, other, m_full)), m_full)
-        parts.append((place, local_expansion(place, mult, a)))
-    parts.sort(key=lambda pc: pc[0])
-    return PartialFraction(K, poly_part, tuple(parts))
-
-
-def reconstruct(pf: PartialFraction) -> tuple:
-    """Return (num, den) raw tuples equal to the decomposition as a fraction."""
-    K = pf.field
-    den: tuple = (1,)
-    for place, coeffs in pf.parts:
-        den = pa.mul(K, den, pow_monic(place.poly, len(coeffs)).full)
-    num = pa.mul(K, pf.polynomial_part, den)
-    for place, coeffs in pf.parts:
-        a = local_to_global(place, coeffs)
-        m_full = pow_monic(place.poly, len(coeffs)).full
-        other, r = pa.divmod_(K, den, m_full)
-        assert r == ()
-        num = pa.add(K, num, pa.mul(K, a, other))
+def reconstruct(K: FieldSpec, polynomial_part: tuple, parts) -> tuple:
+    """f = N/D as raw tuples (N, D) over K, for f = polynomial_part plus
+    the local parts ``parts``, the sorted (Place, (c_1, ..., c_e)) that
+    ``ASCover.branch`` holds: D = prod Q^e, and each place adds its local
+    part A_Q/Q^e to the running sum, N Q^e + A_Q D over D Q^e."""
+    num, den = polynomial_part, (1,)
+    for place, coeffs in parts:
+        q_e = pow_monic(place.poly, len(coeffs)).full
+        num = pa.add(K, pa.mul(K, num, q_e), pa.mul(K, local_to_global(place, coeffs), den))
+        den = pa.mul(K, den, q_e)
     return num, den

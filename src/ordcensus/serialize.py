@@ -41,7 +41,7 @@ def cover_to_dict(c) -> dict:
 
 def cover_from_dict(data: dict):
     """The cover the data describe.  Data of the wrong shape (a missing key,
-    a non-integer index or n, a branch or parts that is not a list, an
+    a non-integer q, p, n or index, a branch or parts that is not a list, an
     infinity coefficient outside [0, q)) raise DomainError."""
     try:
         return _cover_from_dict(data)
@@ -58,7 +58,7 @@ def _list(value, key: str) -> list:
 
 
 def _cover_from_dict(data: dict):
-    q = int(data["q"])
+    q = index(data["q"])
     if "n" in data:
         from .superelliptic import SECover
         field = field_from_qp(q, 2)
@@ -66,7 +66,7 @@ def _cover_from_dict(data: dict):
         return SECover(field, index(data["n"]), parts)
     if "p" in data:
         from .artin_schreier import ASCover
-        field = field_from_qp(q, int(data["p"]))
+        field = field_from_qp(q, index(data["p"]))
         branch = []
         for entry in _list(data.get("branch", []), "branch"):
             place = Place(MonicPoly.from_text(field, entry["place"]))

@@ -415,6 +415,7 @@ def random_se_cover(field: FieldSpec, n: int, m: int, rng) -> SECover:
     squarefree pairwise-coprime monic parts of those degrees.  The tuples
     with a nonempty family, each kept at the first member of its family, are
     listed once per (field, n, m)."""
+    require_odd_prime(n)
     _guard_monic_count(field, m, "random cover")
     tuples = _sample_tuples(field, n, m)
     if not tuples:

@@ -138,6 +138,19 @@ def test_census_closed_forms():
     assert table.rows[4][1] == 4
 
 
+@pytest.mark.parametrize("field", [F2, FieldSpec(2, 2), FieldSpec(2, 3)], ids=["F2", "F4", "F8"])
+def test_p2_census_closed_form(field):
+    # p = 2: a_m = 0 for odd m, a_m = (q - 1) q^(m-1) for even m, and
+    # (q^2 - 1) q^(m-2) with infinity included
+    q = field.q
+    for include_infinity, closed in ((False, lambda m: (q - 1) * q ** (m - 1)),
+                                     (True, lambda m: (q * q - 1) * q ** (m - 2))):
+        rows = asc.census_analytic(field, 100, include_infinity).rows
+        assert sorted(rows) == list(range(2, 101))
+        for m, (a, _) in rows.items():
+            assert a == (closed(m) if m % 2 == 0 else 0), (q, include_infinity, m)
+
+
 def test_census_guard():
     with pytest.raises(ResourceGuardError):
         asc.census_enumerated(FieldSpec(2, 4), 8)  # 16^8 > 2^22

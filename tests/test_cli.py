@@ -174,6 +174,29 @@ def test_malformed_cover_file_is_a_usage_error(capsys, tmp_path):
         assert err.startswith("error: bad cover data")
 
 
+def test_cover_with_a_repeated_place_is_a_usage_error(capsys, tmp_path):
+    # the place x listed twice over F_2 is no branch data, not a Weil-bound fault
+    cover = tmp_path / "cover.json"
+    cover.write_text(json.dumps({"q": 2, "p": 2, "branch": [{"place": "0,1", "local": [1]},
+                                                            {"place": "0,1", "local": [1]}]}))
+    for command in ("classify", "oracle"):
+        code, out, err = run(capsys, command, "--cover", str(cover))
+        assert code == 2, command
+        assert out == ""
+        assert "place occurs twice" in err
+
+
+@pytest.mark.parametrize("n", ["1", "2", "4", "9"])
+def test_classify_sample_with_n_not_an_odd_prime_exits_at_once(n):
+    # every draw of SECover with such an n is refused, so sampling never ends
+    proc = subprocess.run([sys.executable, "-m", "ordcensus.cli", "classify", "--sample", "1",
+                           "--q", "2", "--n", n, "--max-m", "3"],
+                          env=_src_env(), capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "n must be an odd prime" in proc.stderr
+
+
 def test_census_max_m_with_x_bound_is_usage_error(capsys):
     code, out, err = run(capsys, "census", "as", "--q", "2", "--p", "2",
                          "--max-m", "3", "--x-bound", "8")

@@ -159,7 +159,8 @@ def test_cross_validate_reconstructs_f_once(monkeypatch):
     # N/D does not depend on k: one reconstruction serves all 2g sweeps
     calls = []
     reconstruct = orc.reconstruct
-    monkeypatch.setattr(orc, "reconstruct", lambda pf: calls.append(pf) or reconstruct(pf))
+    monkeypatch.setattr(orc, "reconstruct",
+                        lambda *args: calls.append(args) or reconstruct(*args))
     orc._fraction.cache_clear()
     c = as_cover((X, (1,)), (X1, (1,)), (places_of_degree(F2, 2)[0], (1,)))
     report = orc.cross_validate(c)

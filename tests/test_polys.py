@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -9,9 +10,9 @@ from ordcensus.errors import DomainError, InvariantViolation, ResourceGuardError
 from ordcensus.fields import FieldSpec, count_irreducibles, embedding, mobius
 from ordcensus.polys import (MonicPoly, Place, enumerate_monic,
                              factor, gcd_monic, is_irreducible,
-                             is_nth_power_free, is_squarefree, local_expansion,
+                             is_nth_power_free, is_squarefree,
                              local_to_global, monic_rank, mul_monic, omega,
-                             partial_fractions, place_sieve, places_of_degree, poly_one,
+                             place_sieve, places_of_degree, poly_one,
                              poly_x, pow_monic, reconstruct)
 
 F2 = FieldSpec(2)
@@ -117,23 +118,6 @@ def test_sieve_guards_fire_before_any_work(monkeypatch):
         place_sieve(F2, 23)
 
 
-def test_local_expansion_inverse():
-    rng = random.Random(2718)
-    for field in (F2, F4, F3, FieldSpec(3, 2)):
-        for d in range(1, 4):
-            for place in places_of_degree(field, d)[:2]:
-                for e in (1, 2, 3):
-                    den = pow_monic(place.poly, e)
-                    while True:
-                        num = tuple(rng.randrange(field.q) for _ in range(den.degree))
-                        num = pa.trim(field, num)
-                        if num and pa.deg(pa.gcd(field, num, place.poly.full)) == 0:
-                            break
-                    coeffs = local_expansion(place, e, num)
-                    assert len(coeffs) == e
-                    assert local_to_global(place, coeffs) == num
-
-
 # The tests below check the arithmetic of local parts, which runs over
 # F_q[t]/(Q), against the field F_{q^d} = FieldSpec(p, k d) and the roots of
 # Q found there by brute force: the two share only FieldSpec arithmetic.
@@ -171,10 +155,21 @@ def test_ext_field_for_is_the_trace_of_the_powers_of_t(field, d_max):
                 assert images[s] == tr, (place.poly, m)
 
 
+def _local_value(E, images, q, place, roots, coeffs, x):
+    """sum over the roots beta of the place of sum_j c_j(beta)/(x - beta)^j
+    in E, c_j(beta) the element with index c_j at t = beta."""
+    total = 0
+    for beta in roots:
+        u = E.inv(E.sub(x, beta))
+        for j, n in enumerate(coeffs, 1):
+            c = _value(E, [images[n // q ** i % q] for i in range(place.degree)], beta)
+            total = E.add(total, E.mul(c, E.pow(u, j)))
+    return total
+
+
 def test_local_to_global_matches_the_definition():
-    # sum over the roots beta of Q of sum_j c_j(beta)/(x - beta)^j is
-    # A(x)/Q(x)^e at every x of F_{q^d} that is not a root, c_j(beta) the
-    # element with index c_j at t = beta
+    # the local part of the place is A(x)/Q(x)^e at every x of F_{q^d} that
+    # is not a root
     rng = random.Random(1618)
     for field in (F2, F3, F4):
         q = field.q
@@ -188,17 +183,45 @@ def test_local_to_global_matches_the_definition():
                         rng.randrange(1, q ** d),)
                     num = [images[c] for c in local_to_global(place, coeffs)]
                     den = [images[c] for c in pow_monic(place.poly, e).full]
-                    at = {beta: [_value(E, [images[n // q ** i % q] for i in range(d)], beta)
-                                 for n in coeffs] for beta in roots}
                     for x in range(E.q):
-                        if x in roots:
-                            continue
-                        total = 0
-                        for beta, cs in at.items():
-                            u = E.inv(E.sub(x, beta))
-                            for j, c in enumerate(cs, 1):
-                                total = E.add(total, E.mul(c, E.pow(u, j)))
-                        assert total == E.mul(_value(E, num, x), E.inv(_value(E, den, x)))
+                        if x not in roots:
+                            assert _local_value(E, images, q, place, roots, coeffs, x) == E.mul(
+                                _value(E, num, x), E.inv(_value(E, den, x)))
+
+
+@pytest.mark.parametrize("field", [F2, F3, F4], ids=["F2", "F3", "F4"])
+def test_reconstruct_is_the_sum_of_the_parts(field):
+    # N/D = P + the local parts of 2-3 places of mixed degree, at every x of
+    # the compositum F_{q^D} that is no pole, and D = prod Q^e exactly
+    rng = random.Random(field.q)
+    q = field.q
+    for _ in range(4):
+        n = rng.randint(2, 3)
+        places = ()
+        while len(places) < n or len({pl.degree for pl in places}) < 2:
+            places = {rng.choice(places_of_degree(field, rng.randint(1, 3))) for _ in range(n)}
+        parts = tuple((pl, tuple(rng.randrange(pl.norm) for _ in range(e - 1))
+                       + (rng.randrange(1, pl.norm),))
+                      for pl, e in ((pl, rng.randint(1, 3)) for pl in sorted(places)))
+        poly = tuple(rng.randrange(q) for _ in range(rng.randint(0, 2))) + (rng.randrange(1, q),)
+        num, den = reconstruct(field, poly, parts)
+        expected_den = (1,)
+        for pl, coeffs in parts:
+            expected_den = pa.mul(field, expected_den, pow_monic(pl.poly, len(coeffs)).full)
+        assert den == expected_den
+        D = math.lcm(*(pl.degree for pl in places))
+        E = FieldSpec(field.p, field.k * D)
+        images = embedding(field, E)
+        roots = {pl: _roots(E, images, pl) for pl in places}
+        poles = {beta for rs in roots.values() for beta in rs}
+        for x in range(E.q):
+            if x in poles:
+                continue
+            total = _value(E, [images[c] for c in poly], x)
+            for pl, coeffs in parts:
+                total = E.add(total, _local_value(E, images, q, pl, roots[pl], coeffs, x))
+            assert total == E.mul(_value(E, [images[c] for c in num], x),
+                                  E.inv(_value(E, [images[c] for c in den], x)))
 
 
 def test_local_to_global_at_a_degree_10_place_builds_no_field(monkeypatch):
@@ -229,42 +252,6 @@ def test_derivative_is_the_derivation_with_x_prime_1(field):
         assert pa.derivative(field, pa.mul(field, f, g)) == pa.add(
             field, pa.mul(field, pa.derivative(field, f), g),
             pa.mul(field, f, pa.derivative(field, g)))
-
-
-def test_partial_fractions_simple():
-    # 1/(x(x+1)) = 1/x + 1/(x+1) over F_2
-    den = MonicPoly.from_text(F2, "0,1,1")
-    pf = partial_fractions((1,), den)
-    assert pf.polynomial_part == ()
-    assert len(pf.parts) == 2
-    for place, coeffs in pf.parts:
-        assert place.degree == 1
-        assert len(coeffs) == 1
-    num, d = reconstruct(pf)
-    assert (num, d) == ((1,), den.full)
-
-
-def test_partial_fractions_roundtrip_random():
-    rng = random.Random(99)
-    for field in (F2, F3, F4):
-        for _ in range(25):
-            d = rng.randint(1, 5)
-            den = MonicPoly(field, tuple(rng.randrange(field.q) for _ in range(d)))
-            num = pa.trim(field, tuple(rng.randrange(field.q) for _ in range(d + 2)))
-            if not num or pa.deg(pa.gcd(field, num, den.full)) > 0:
-                continue
-            pf = partial_fractions(num, den)
-            got_num, got_den = reconstruct(pf)
-            assert got_den == den.full
-            assert got_num == num
-
-
-def test_partial_fractions_rejects_common_factor():
-    den = MonicPoly.from_text(F2, "0,1,1")  # x(x+1)
-    with pytest.raises(DomainError):
-        partial_fractions((0, 1), den)  # numerator x shares a factor
-    with pytest.raises(DomainError):
-        partial_fractions((), den)
 
 
 def test_squarefree_matches_factorization():
@@ -329,23 +316,6 @@ def test_factor_multiplicativity_random():
         for place, mult in factor(f) + factor(g):
             combined[place] = combined.get(place, 0) + mult
         assert dict(factor(mul_monic(f, g))) == combined
-
-
-def test_partial_fractions_roundtrip_bulk():
-    # 500 successful roundtrips with deg(den) <= 8
-    rng = random.Random(577)
-    done = 0
-    while done < 500:
-        field = (F2, F4)[done % 2]
-        d = rng.randint(1, 8)
-        den = MonicPoly(field, tuple(rng.randrange(field.q) for _ in range(d)))
-        num = pa.trim(field, tuple(rng.randrange(field.q) for _ in range(d)))
-        if not num or pa.deg(pa.gcd(field, num, den.full)) > 0:
-            continue
-        pf = partial_fractions(num, den)
-        got_num, got_den = reconstruct(pf)
-        assert (got_num, got_den) == (num, den.full)
-        done += 1
 
 
 def test_poly_helpers():

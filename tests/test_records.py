@@ -76,6 +76,8 @@ def test_validation_fires_on_construction():
         Place(MonicPoly(F2, (0, 0)))  # x^2
     with pytest.raises(DomainError, match="multiple of p"):
         asc.ASCover(F2, ((x, (1, 1)),))
+    with pytest.raises(DomainError, match="place occurs twice"):
+        asc.ASCover(F2, ((x, (1,)), (x, (1,))))
     with pytest.raises(DomainError, match="not squarefree"):
         se.SECover(F2, 3, (MonicPoly(F2, (1, 0)), MonicPoly(F2, ())))  # (x+1)^2
     with pytest.raises(DomainError, match="b <= a"):
@@ -117,6 +119,11 @@ def test_l_polynomial_rejects_a_non_integral_newton_step():
     ({"q": 2, "p": 2, "infinity": [5]}, "bad cover data"),
     ({"q": 2, "p": 2, "infinity": [-1]}, "bad cover data"),
     ({"q": 4, "p": 2, "infinity": [7]}, "bad cover data"),
+    # q and p are integers too, not truncated floats or strings
+    ({"q": 4.7, "p": 2.5, "branch": [{"place": "0,1", "local": [1]}]}, "bad cover data"),
+    ({"q": 4, "p": 2.0, "branch": [{"place": "0,1", "local": [1]}]}, "bad cover data"),
+    ({"q": "2", "p": 2, "branch": [{"place": "0,1", "local": [1]}]}, "bad cover data"),
+    ({"q": 2.0, "n": 3, "parts": ["0,1", "1"]}, "bad cover data"),
 ])
 def test_cover_data_without_a_field_kind_or_in_range_index_is_refused(data, message):
     from ordcensus.serialize import cover_from_dict
