@@ -174,7 +174,7 @@ def _load_cover(path: str):
 
 
 def cmd_classify(args) -> int:
-    from .fields import field_from_qp
+    from .fields import field_from_qp, require_odd_prime
     from .serialize import cover_to_dict
     if args.cover is not None:
         if any(getattr(args, k) is not None for k in SAMPLE_DEFAULTS):
@@ -189,6 +189,7 @@ def cmd_classify(args) -> int:
                              for k, d in SAMPLE_DEFAULTS.items())
         rng = random.Random(seed)
         field = field_from_qp(q, 2)
+        require_odd_prime(n)  # checked here too, as --sample 0 draws nothing
         covers = [superelliptic.random_se_cover(field, n, max_m, rng)
                   for _ in range(args.sample)]
     reports = []

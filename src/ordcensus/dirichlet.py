@@ -3,7 +3,8 @@ truncated Euler products over places with rigorous tail bounds.
 
 All the limiting constants (phi(1), psi_p(1), the modified-family
 probability, the CEZB product, Phi_k/phi_k, L_{n-2}, kappa_n) live here,
-as does the one integer Euler-coefficient engine behind the exact censuses.
+as does the one integer Euler-coefficient engine behind the exact censuses,
+``euler_coefficients``, a single logarithmic-derivative recurrence.
 
 Every float Euler product over places runs through ``euler_product``,
 grouped by degree: the degree-d local factor is raised to I_d, the number
@@ -24,8 +25,9 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from functools import cache
+from operator import mul
 
-from .errors import DomainError
+from .errors import DomainError, InvariantViolation
 from .fields import count_irreducibles, field_from_qp, require_odd_prime
 
 WORKING_DPS = 30  # products are quoted to 6 digits; keep ample headroom
@@ -49,30 +51,28 @@ def series_multiply(a: list, b: list, N: int) -> list:
     return out
 
 
-def series_pow(a: list, e: int, N: int) -> list:
-    """a^e truncated at degree N, by binary powering."""
-    result = [1] + [0] * N
-    while e:
-        if e & 1:
-            result = series_multiply(result, a, N)
-        e >>= 1
-        if e:
-            a = series_multiply(a, a, N)
-    return result
-
-
 def euler_coefficients(q: int, local, M: int) -> list:
-    """c_0..c_M of prod over places Q of F_q[x] of the local factors.
-
-    ``local(d)`` is the degree-d local factor as an int list in v = u^d.
-    It is raised to I_d, the number of places of degree d, in v, truncated
-    at M // d, then spread onto u^d.
+    """c_0..c_M of prod over places Q of F_q[x] of F_d = ``local(d)``, an int
+    list in v = u^d with F_d(0) = 1, d = deg Q.  By the logarithmic derivative
+    (Knuth, TAOCP vol. 2, 4.7): r_d = v F_d'/F_d to order M // d is
+    r[n] = n f[n] - sum_{0<i<n} f[i] r[n-i]; with I_d places of degree d,
+    w_k = sum_{d | k} d I_d r_d[k/d]; c_0 = 1 and n c_n = sum_{k<=n} w_k c_{n-k}.
+    InvariantViolation if some F_d(0) is not 1 or a division by n is inexact.
     """
-    coeffs = [1] + [0] * M
+    w = [0] * (M + 1)
     for d in range(1, M + 1):
-        spread = [0] * (M + 1)
-        spread[::d] = series_pow(local(d), count_irreducibles(q, d), M // d)
-        coeffs = series_multiply(spread, coeffs, M)
+        f, r = local(d)[: M // d + 1], [0] * (M // d + 1)
+        if f[0] != 1:
+            raise InvariantViolation(f"the degree-{d} local factor has constant term {f[0]}")
+        for n in range(1, len(r)):
+            r[n] = (n * f[n] if n < len(f) else 0) - sum(map(mul, f[1:n], r[n - 1 : 0 : -1]))
+        scale = d * count_irreducibles(q, d)
+        w[d::d] = [x + scale * y for x, y in zip(w[d::d], r[1:])]
+    coeffs = [1] + [0] * M
+    for n in range(1, M + 1):
+        coeffs[n], rem = divmod(sum(map(mul, w[1 : n + 1], reversed(coeffs[:n]))), n)
+        if rem:
+            raise InvariantViolation(f"Euler coefficient c_{n} is not an integer")
     return coeffs
 
 
@@ -185,9 +185,8 @@ def psi_p_at_1(p: int, q: int) -> EulerProductValue:
     if p == 2:
         with mp.workdps(WORKING_DPS):
             return EulerProductValue(1 - 1 / mpf(q), 0, mpf(0))
-    # local factor (1 + (p-2)x - (p-1)x^2) (1-x)^{p-2} with x = 1/|Q|
-    poly = series_multiply([1, p - 2, -(p - 1)], series_pow([1, -1], p - 2, p), p)
-    return _local_polynomial_product(q, poly)
+    # local factor (1 + (p-2)x - (p-1)x^2) (1-x)^{p-2} = (1 + (p-1)x) (1-x)^{p-1}
+    return phi_k_at_1(q, p - 1)
 
 
 def ordinary_probability_as(q: int, p: int, include_infinity: bool):
@@ -223,7 +222,7 @@ def phi_k_at_1(q: int, k: int) -> EulerProductValue:
         raise DomainError("k must be >= 0")
     if k == 0:
         return EulerProductValue(mpf(1), 0, mpf(0))
-    poly = series_multiply([1, k], series_pow([1, -1], k, k + 1), k + 1)
+    poly = series_multiply([1, k], [(-1) ** j * math.comb(k, j) for j in range(k + 1)], k + 1)
     return _local_polynomial_product(q, poly)
 
 

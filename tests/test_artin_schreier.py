@@ -29,6 +29,19 @@ def test_cover_validation():
         asc.ASCover(F2, ((X, (1, 1, 1)),), None)  # c_2 must vanish
 
 
+def test_cover_refuses_places_out_of_order():
+    # the same places in two orders would be two unequal covers
+    assert X < X1
+    asc.ASCover(F2, (simple_pole(X), simple_pole(X1)))
+    with pytest.raises(DomainError, match="sorted order"):
+        asc.ASCover(F2, (simple_pole(X1), simple_pole(X)))
+    # cover JSON may list them in either order: loading sorts them
+    from ordcensus.serialize import cover_from_dict
+    data = {"q": 2, "p": 2, "branch": [{"place": "1,1", "local": [1]},
+                                       {"place": "0,1", "local": [1]}]}
+    assert cover_from_dict(data) == asc.ASCover(F2, (simple_pole(X), simple_pole(X1)))
+
+
 def test_genus_and_m():
     # f = 1/x + 1/(x+1): two simple poles, m = 4, g = 1
     c = asc.ASCover(F2, (simple_pole(X), simple_pole(X1)), None)

@@ -1,10 +1,14 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ordcensus.cli import main
 
@@ -91,6 +95,25 @@ def test_census_guard_exit_code(capsys):
                        "--max-m", "10", "--mode", "enumerate")
     assert code == 3
     assert "guard" in err
+
+
+@pytest.mark.parametrize("q, bound, edge", [
+    ("2", ("--max-m", "100000"), "2714"),
+    ("2", ("--max-m", "2715"), "2714"),
+    ("2", ("--x-bound", str(10 ** 1000)), "2714"),   # 10^1000 > 2^3321
+    ("1048576", ("--max-m", "701"), "700"),          # 701 * 20 bits > 14000
+])
+def test_census_as_analytic_guard_fires_before_any_series(capsys, monkeypatch, q, bound, edge):
+    from ordcensus import dirichlet
+
+    def no_work(*args):
+        raise AssertionError("Euler coefficients computed before the guard")
+    monkeypatch.setattr(dirichlet, "euler_coefficients", no_work)
+    code, out, err = run(capsys, "census", "as", "--q", q, "--p", "2", *bound)
+    assert (code, out) == (3, "")
+    assert err.startswith(f"resource guard: analytic census guard exceeded at q = {q}")
+    with pytest.raises(AssertionError, match="before the guard"):
+        main(["census", "as", "--q", q, "--p", "2", "--max-m", edge])
 
 
 def test_cover_place_past_the_sieve_guard_exits_3(capsys, monkeypatch, tmp_path):
@@ -186,10 +209,12 @@ def test_cover_with_a_repeated_place_is_a_usage_error(capsys, tmp_path):
         assert "place occurs twice" in err
 
 
-@pytest.mark.parametrize("n", ["1", "2", "4", "9"])
-def test_classify_sample_with_n_not_an_odd_prime_exits_at_once(n):
-    # every draw of SECover with such an n is refused, so sampling never ends
-    proc = subprocess.run([sys.executable, "-m", "ordcensus.cli", "classify", "--sample", "1",
+@pytest.mark.parametrize("n, sample", [("1", "1"), ("2", "1"), ("4", "1"), ("9", "1"),
+                                       ("2", "0")], ids=["1", "2", "4", "9", "2-sample-0"])
+def test_classify_sample_with_n_not_an_odd_prime_exits_at_once(n, sample):
+    # every draw of SECover with such an n is refused, so sampling never
+    # ends; and with no draw at all, n is still checked
+    proc = subprocess.run([sys.executable, "-m", "ordcensus.cli", "classify", "--sample", sample,
                            "--q", "2", "--n", n, "--max-m", "3"],
                           env=_src_env(), capture_output=True, text=True, timeout=30)
     assert proc.returncode == 2
@@ -611,3 +636,70 @@ def test_options_a_command_would_ignore_are_usage_errors(tmp_path, capsys, argv)
         main([str(path) if a == "COVER" else a for a in argv])
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+# places over F_2, F_3 and F_4, of degree 1 and 2
+_PLACES = {2: ["0,1", "1,1", "1,1,1"], 3: ["0,1", "1,1", "2,1", "1,0,1"],
+           4: ["0,1", "1,1", "2,1", "3,1"]}
+_FAULTS = [None] * 4 + ["q", "p", "n", "place", "index", "repeat", "infinity", "shape"]
+_BAD = ["2", 2.0, None, True, -1, 0, 1, 6, 2 ** 40, [2], {}, "", "x", "1,-1", "0,1,0", "0,0,1"]
+
+
+@st.composite
+def _hostile_covers(draw):
+    """Cover JSON of small genus over F_2, F_3 and F_4: valid covers, and
+    covers with one fault (a bad q, p or n, a bad place text, a repeated
+    place, an out-of-range or non-integer index, a bad infinity part, or
+    data of the wrong shape).  Places are listed in any order."""
+    fault = draw(st.sampled_from(_FAULTS))
+    if fault == "shape":
+        return draw(st.sampled_from([[], "cover", 3, {}, {"q": 2}, {"q": 2, "p": 2, "branch": {}}]))
+    bad = st.sampled_from(_BAD) | st.text(max_size=4)
+    if draw(st.booleans()):
+        q, n = draw(st.sampled_from([2, 4])), draw(st.sampled_from([3, 5]))
+        places = draw(st.lists(st.sampled_from(_PLACES[q]), unique=True, max_size=n - 1))
+        entries = draw(st.permutations(places + ["1"] * (n - 1 - len(places))))
+        data = {"q": q, "n": n, "parts": entries}
+    else:
+        q, p = draw(st.sampled_from([(2, 2), (3, 3), (4, 2)]))
+        entries = []
+        for text in draw(st.lists(st.sampled_from(_PLACES[q]), unique=True, max_size=2)):
+            norm = q ** text.count(",")
+            order = draw(st.sampled_from([d for d in (1, 2, 3) if d % p]))
+            local = [0 if j % p == 0 else draw(st.integers(0, norm - 1)) for j in range(1, order)]
+            entries.append({"place": text, "local": local + [draw(st.integers(1, norm - 1))]})
+        data = {"q": q, "p": p, "branch": draw(st.permutations(entries))}
+        if not entries or draw(st.booleans()):
+            data["infinity"] = [draw(st.integers(1, q - 1))]
+    if fault in ("q", "p", "n"):
+        data[fault] = draw(bad)
+    elif fault == "infinity":
+        data["infinity"] = draw(st.lists(st.integers(-1, q) | bad, max_size=3) | bad)
+    elif fault and entries:
+        i = draw(st.integers(0, len(entries) - 1))
+        if fault == "repeat":
+            entries.append(entries[i])
+        elif "parts" in data:
+            entries[i] = draw(bad)
+        elif fault == "place":
+            entries[i]["place"] = draw(bad)
+        else:
+            local = entries[i]["local"]
+            local[draw(st.integers(0, len(local) - 1))] = draw(st.integers(-2, 20) | bad)
+    return data
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_hostile_covers())
+def test_hostile_cover_json_exits_0_2_or_3(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cover.json")
+        with open(path, "w") as fh:
+            json.dump(data, fh)
+        for command in ("classify", "oracle"):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([command, "--cover", path])
+            assert code in (0, 2, 3), (command, data, err.getvalue())
+            assert "Traceback" not in err.getvalue()
+            assert (code == 0) == (out.getvalue() != ""), (command, data)

@@ -1,8 +1,13 @@
+from fractions import Fraction
+
 import pytest
 from mpmath import mpf
 
 from ordcensus import dirichlet as dd
-from ordcensus.errors import DomainError
+from ordcensus.artin_schreier import admissible_pole_orders, count_local_parts
+from ordcensus.errors import DomainError, InvariantViolation
+from ordcensus.fields import FieldSpec
+from ordcensus.polys import places_of_degree
 
 TABLE1_PHI = {2: 0.314148, 4: 0.593976, 8: 0.776577, 16: 0.882162, 32: 0.939367}
 TABLE1_PAS = {2: 0.314148, 4: 0.514777, 8: 0.702617, 16: 0.833730, 32: 0.911820}
@@ -12,9 +17,7 @@ TABLE1_CEZB = {2: 0.419422, 4: 0.737512, 8: 0.873264, 16: 0.937270, 32: 0.968720
 def test_series_multiply_and_pow():
     a = [1, 1]                                  # 1 + u
     assert dd.series_multiply(a, a, 4) == [1, 2, 1, 0, 0]
-    assert dd.series_pow(a, 3, 4) == [1, 3, 3, 1, 0]
-    assert dd.series_pow(a, 3, 2) == [1, 3, 3]  # truncated at degree 2
-    assert dd.series_pow(a, 0, 4) == [1, 0, 0, 0, 0]
+    assert dd.series_multiply(a, [1, 2, 1], 2) == [1, 3, 3]  # truncated at degree 2
 
 
 def test_euler_coefficients_closed_form():
@@ -24,6 +27,40 @@ def test_euler_coefficients_closed_form():
         c = dd.euler_coefficients(q, lambda d: [1, 1], M)
         assert c[:2] == [1, q]
         assert c[2:] == [q ** m - q ** (m - 1) for m in range(2, M + 1)]
+
+
+def _as_local_factors(q, p, M):
+    def all_covers(d):
+        coeffs = [1] + [0] * (M // d)
+        for k in admissible_pole_orders(p, M // d):
+            coeffs[k] = count_local_parts(q ** d, k - 1, p)
+        return coeffs
+    return all_covers, lambda d: [1, 0, q ** d - 1]
+
+
+@pytest.mark.parametrize("field, M", [(FieldSpec(2), 12), (FieldSpec(3), 8), (FieldSpec(2, 2), 6)])
+def test_euler_coefficients_match_the_product_over_places(field, M):
+    # one series_multiply per place listed by places_of_degree: nothing
+    # shared with the logarithmic-derivative recurrence
+    q = field.q
+    factors = [*_as_local_factors(q, field.p, M), lambda d: [1, 2], lambda d: [1, 4]]
+    for local in factors:
+        product = [1] + [0] * M
+        for d in range(1, M + 1):
+            spread = [0] * (M + 1)
+            for j, x in enumerate(local(d)[: M // d + 1]):
+                spread[j * d] = x
+            for _ in places_of_degree(field, d):
+                product = dd.series_multiply(spread, product, M)
+        assert dd.euler_coefficients(q, local, M) == product
+
+
+def test_euler_coefficients_refuse_what_is_not_an_integer_series():
+    with pytest.raises(InvariantViolation, match="degree-1 local factor has constant term 2"):
+        dd.euler_coefficients(2, lambda d: [2, 1], 4)
+    # prod_Q (1 + |Q|^{-s}/2) over F_3 has u-coefficient 3/2
+    with pytest.raises(InvariantViolation, match="c_1 is not an integer"):
+        dd.euler_coefficients(3, lambda d: [1, Fraction(1, 2)], 4)
 
 
 def test_cumulative_ratios():
