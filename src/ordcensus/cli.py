@@ -38,6 +38,8 @@ EXIT_INVARIANT = 4
 
 # classify --sample reads these when --q, --n, --max-m or --seed is not given
 SAMPLE_DEFAULTS = {"q": 2, "n": 3, "max_m": 4, "seed": 0}
+# a cover costs ~(n-1)^2 + 400 steps of ~0.4 us to draw and classify: ~9 s at the edge
+MAX_SAMPLE_COST = 25 * 10 ** 6
 
 TABLE1 = {
     # q: (phi(1), P(AS) modified family, CEZB)
@@ -190,6 +192,9 @@ def cmd_classify(args) -> int:
         rng = random.Random(seed)
         field = field_from_qp(q, 2)
         require_odd_prime(n)  # checked here too, as --sample 0 draws nothing
+        if args.sample * ((n - 1) ** 2 + 400) > MAX_SAMPLE_COST:
+            raise ResourceGuardError(f"classify --sample guarded at N ((n-1)^2 + 400) <= "
+                                     f"{MAX_SAMPLE_COST:,}, got N = {args.sample}, n = {n}")
         covers = [superelliptic.random_se_cover(field, n, max_m, rng)
                   for _ in range(args.sample)]
     reports = []

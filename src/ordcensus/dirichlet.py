@@ -4,7 +4,7 @@ truncated Euler products over places with rigorous tail bounds.
 All the limiting constants (phi(1), psi_p(1), the modified-family
 probability, the CEZB product, Phi_k/phi_k, L_{n-2}, kappa_n) live here,
 as does the one integer Euler-coefficient engine behind the exact censuses,
-``euler_coefficients``, a single logarithmic-derivative recurrence.
+``euler_coefficients``, Newton's identities of :mod:`fields` run both ways.
 
 Every float Euler product over places runs through ``euler_product``,
 grouped by degree: the degree-d local factor is raised to I_d, the number
@@ -25,10 +25,10 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from functools import cache
-from operator import mul
 
 from .errors import DomainError, InvariantViolation
-from .fields import count_irreducibles, field_from_qp, require_odd_prime
+from .fields import (count_irreducibles, field_from_qp, from_log_derivative, log_derivative,
+                     require_odd_prime)
 
 WORKING_DPS = 30  # products are quoted to 6 digits; keep ample headroom
 
@@ -53,27 +53,20 @@ def series_multiply(a: list, b: list, N: int) -> list:
 
 def euler_coefficients(q: int, local, M: int) -> list:
     """c_0..c_M of prod over places Q of F_q[x] of F_d = ``local(d)``, an int
-    list in v = u^d with F_d(0) = 1, d = deg Q.  By the logarithmic derivative
-    (Knuth, TAOCP vol. 2, 4.7): r_d = v F_d'/F_d to order M // d is
-    r[n] = n f[n] - sum_{0<i<n} f[i] r[n-i]; with I_d places of degree d,
-    w_k = sum_{d | k} d I_d r_d[k/d]; c_0 = 1 and n c_n = sum_{k<=n} w_k c_{n-k}.
-    InvariantViolation if some F_d(0) is not 1 or a division by n is inexact.
+    list in v = u^d with F_d(0) = 1, d = deg Q.  With I_d places of degree d
+    and r_d = v F_d'/F_d to order M // d (``fields.log_derivative``),
+    w_k = sum_{d | k} d I_d r_d[k/d] is k times the u^k coefficient of the log
+    of the product, inverted by ``fields.from_log_derivative``.
+    InvariantViolation if some F_d(0) is not 1 or some c_n is not an integer.
     """
     w = [0] * (M + 1)
     for d in range(1, M + 1):
-        f, r = local(d)[: M // d + 1], [0] * (M // d + 1)
+        f = local(d)[: M // d + 1]
         if f[0] != 1:
             raise InvariantViolation(f"the degree-{d} local factor has constant term {f[0]}")
-        for n in range(1, len(r)):
-            r[n] = (n * f[n] if n < len(f) else 0) - sum(map(mul, f[1:n], r[n - 1 : 0 : -1]))
         scale = d * count_irreducibles(q, d)
-        w[d::d] = [x + scale * y for x, y in zip(w[d::d], r[1:])]
-    coeffs = [1] + [0] * M
-    for n in range(1, M + 1):
-        coeffs[n], rem = divmod(sum(map(mul, w[1 : n + 1], reversed(coeffs[:n]))), n)
-        if rem:
-            raise InvariantViolation(f"Euler coefficient c_{n} is not an integer")
-    return coeffs
+        w[d::d] = [x + scale * y for x, y in zip(w[d::d], log_derivative(f, M // d)[1:])]
+    return from_log_derivative(w, M, "c")
 
 
 def cumulative_ratios(rows: dict, m_values):

@@ -25,8 +25,9 @@ field and the images of F_q.
 The residue field F_q[t]/(h) of a place has no object here; :mod:`polys`
 computes in it over F_q, its elements polynomials in t reduced mod h.
 
-``count_irreducibles`` lives here with the other number-theory helpers,
-so the Euler products of :mod:`dirichlet` need no polynomial code.
+The number-theory helpers live here, once each (``count_irreducibles``,
+Rabin's test ``is_irreducible_over``, Newton's identities ``log_derivative``
+and ``from_log_derivative``), so :mod:`dirichlet` needs no polynomial code.
 """
 
 from __future__ import annotations
@@ -34,26 +35,22 @@ from __future__ import annotations
 import itertools
 import math
 from functools import cache, cached_property
+from operator import mul
 
 from . import _polyarith as pa
-from .errors import DomainError
+from .errors import DomainError, InvariantViolation, ResourceGuardError
 
 MAX_Q = 2 ** 20
+MAX_PRIME_TEST = 2 ** 40  # trial division to sqrt(n): ~2^20 steps, ~0.2 s
+MAX_RABIN_COST = 10 ** 5  # about 1 s for the slowest fields (odd p, k > 1, q ~ 2^19)
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    """Primality by the trial division of ``prime_factors``;
+    ResourceGuardError, before any division, for n > MAX_PRIME_TEST."""
+    if n > MAX_PRIME_TEST:
+        raise ResourceGuardError(f"primality test guarded at n <= 2^40, got {n}")
+    return n > 1 and prime_factors(n) == [n]
 
 
 def require_odd_prime(n: int) -> None:
@@ -92,6 +89,29 @@ def count_irreducibles(q: int, d: int) -> int:
         if d % e == 0:
             total += mobius(e) * q ** (d // e)
     return total // d
+
+
+def log_derivative(f: list, N: int) -> list:
+    """r_0..r_N of v f'/f for an integer series f with f[0] = 1, by Newton's
+    identities: r[n] = n f[n] - sum_{0<i<n} f[i] r[n-i] (f[n] = 0 past its end)."""
+    r = [0] * (N + 1)
+    for n in range(1, N + 1):
+        r[n] = (n * f[n] if n < len(f) else 0) - sum(map(mul, f[1:n], r[n - 1 : 0 : -1]))
+    return r
+
+
+def from_log_derivative(w: list, N: int, name: str) -> list:
+    """Its inverse: c_0 = 1 and n c_n = sum_{0<k<=n} w_k c_{n-k} up to c_N;
+    InvariantViolation naming the first ``name``_n that is not an integer."""
+    c = [1] + [0] * N
+    for n in range(1, N + 1):
+        total = sum(map(mul, w[1 : n + 1], c[n - 1 :: -1]))
+        c[n], rem = divmod(total, n)
+        if rem:
+            from fractions import Fraction
+            raise InvariantViolation(f"{name}_{n} is not an integer: Newton's identities "
+                                     f"give {name}_{n} = {Fraction(total, n)}")
+    return c
 
 
 def field_from_qp(q: int, p: int) -> FieldSpec:
@@ -352,21 +372,20 @@ def extension(base: FieldSpec, k: int) -> tuple:
     return E, embedding(base, E)
 
 
-def _is_irreducible_prime_field(p: int, modulus_low: tuple) -> bool:
-    """Rabin irreducibility test for a monic polynomial over F_p."""
-    K = FieldSpec(p, 1)
-    k = len(modulus_low)
-    f = tuple(modulus_low) + (1,)
-    x = (0, 1)
-    xq = pa.pow_mod(K, x, p ** k, f)
-    if pa.trim(K, pa.sub(K, xq, x)) != ():
+def is_irreducible_over(K: FieldSpec, f: tuple) -> bool:
+    """Rabin's test (SIAM J. Comput. 9, 1980) for the monic raw tuple f of
+    degree D >= 1 over K of order q: f is irreducible iff x^(q^D) = x mod f
+    and gcd(x^(q^(D/l)) - x, f) = 1 for each prime l | D.  Its D log2 q
+    squarings cost ~D^3 log2 q; ResourceGuardError before them above MAX_RABIN_COST."""
+    D = pa.deg(f)
+    if D ** 3 * math.log2(K.q) > MAX_RABIN_COST:
+        raise ResourceGuardError(f"irreducibility test of degree {D} over F_{K.q} guarded "
+                                 f"at D^3 log2 q <= {MAX_RABIN_COST:,}")
+    x = pa.mod(K, (0, 1), f)
+    if pa.sub(K, pa.pow_mod(K, x, K.q ** D, f), x):
         return False
-    for ell in prime_factors(k):
-        xe = pa.pow_mod(K, x, p ** (k // ell), f)
-        g = pa.gcd(K, pa.sub(K, xe, x), f)
-        if pa.deg(g) != 0:
-            return False
-    return True
+    return all(pa.gcd(K, pa.sub(K, pa.pow_mod(K, x, K.q ** (D // ell), f), x), f) == (1,)
+               for ell in prime_factors(D))
 
 
 @cache
@@ -380,6 +399,6 @@ def default_modulus(p: int, k: int) -> tuple:
         return (0,)
     # c_0 = 0 means x divides the polynomial, so the search starts at c_0 = 1
     for coeffs in itertools.product(range(1, p), *[range(p)] * (k - 1)):
-        if _is_irreducible_prime_field(p, coeffs):
+        if is_irreducible_over(FieldSpec(p), coeffs + (1,)):
             return coeffs
     raise RuntimeError("unreachable: irreducible polynomials exist in every degree")

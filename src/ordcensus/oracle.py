@@ -1,6 +1,7 @@
 """Independent p-rank oracle: exact point counts over F_{q^k}, the
 L-polynomial via Newton's identities and the functional equation, and the
-p-rank as the degree of L mod p.
+p-rank as the degree of L mod p.  Newton's identities are those of
+:mod:`fields`, which the Euler products of :mod:`dirichlet` also run.
 
 Each F_{q^k} swept is ``fields.extension``, the field ``FieldSpec(p, n)``
 of order q^k = p^n, and the cover's coefficients are lifted through its
@@ -16,14 +17,13 @@ Each cover loads only the module of its own kind.
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from functools import cache
 from types import SimpleNamespace
 
 from .errors import DomainError, ResourceGuardError, InvariantViolation
 from ._polyarith import evaluate
-from .fields import MAX_Q, FieldSpec, extension
+from .fields import MAX_Q, FieldSpec, extension, from_log_derivative, log_derivative
 from .polys import reconstruct
 
 MAX_GENUS = 6
@@ -149,38 +149,22 @@ def count_points_se(c, k: int) -> int:
 
 
 def l_polynomial(counts: PointCounts) -> LPolynomial:
-    """Recover L from N_1..N_g by Newton's identities + functional equation."""
+    """Recover L from N_1..N_g and the functional equation: T L'/L =
+    sum_k (N_k - q^k - 1) T^k, inverted by ``fields.from_log_derivative``."""
     g, q = counts.genus, counts.q
     if len(counts.counts) < g:
         raise DomainError(f"need at least N_1..N_{g}")
-    s = [None] + [q ** k + 1 - counts.counts[k - 1] for k in range(1, g + 1)]
-    coeffs = [1]
-    for k in range(1, g + 1):
-        acc = s[k]
-        for i in range(1, k):
-            acc += coeffs[i] * s[k - i]
-        a_k, r = divmod(-acc, k)  # k a_k = -acc must divide exactly
-        if r:
-            d = math.gcd(acc, k)
-            raise InvariantViolation(f"Newton identity gave non-integer a_{k} = "
-                                     f"{-acc // d}/{k // d}: point-count bug")
-        coeffs.append(a_k)
-    for i in range(g - 1, -1, -1):
-        coeffs.append(q ** (g - i) * coeffs[i])
+    w = [0] + [n_k - q ** k - 1 for k, n_k in enumerate(counts.counts[:g], 1)]
+    coeffs = from_log_derivative(w, g, "a")
+    coeffs += [q ** (g - i) * coeffs[i] for i in range(g - 1, -1, -1)]
     return LPolynomial(q, g, tuple(coeffs))
 
 
 def counts_from_l(l_poly: LPolynomial, k_max: int) -> tuple:
-    """N_1..N_{k_max} implied by L, via Newton's identities run forward."""
-    g, q = l_poly.genus, l_poly.q
-    a = list(l_poly.coeffs) + [0] * max(0, k_max - 2 * g)
-    s = [0] * (k_max + 1)
-    for k in range(1, k_max + 1):
-        acc = k * a[k]
-        for i in range(1, k):
-            acc += a[i] * s[k - i]
-        s[k] = -acc
-    return tuple(q ** k + 1 - s[k] for k in range(1, k_max + 1))
+    """N_1..N_{k_max} implied by L: N_k = q^k + 1 + r_k for r = T L'/L,
+    ``fields.log_derivative``."""
+    r = log_derivative(l_poly.coeffs, k_max)
+    return tuple(l_poly.q ** k + 1 + r[k] for k in range(1, k_max + 1))
 
 
 def p_rank(l_poly: LPolynomial, p: int) -> int:

@@ -7,22 +7,22 @@ zero polynomial is the constant 1.  The zero polynomial is never a
 MonicPoly; raw coefficient tuples (see :mod:`_polyarith`) are used wherever
 general polynomials are needed.
 
-Places (monic irreducibles) and the places of every squarefree monic of
-one degree come from sieves on positions (``enumerate_monic`` order, read as
-base-p digits), where multiplication by a place P is an affine map over F_p
-whose table ``_times_place`` lists with ``fields.linear_table``; no product
-is multiplied out, and there is no division, gcd or irreducibility test.
-``places_of_degree`` marks every product P*C with deg P <= d/2 in one byte
-per position, and the unmarked positions are the places.  ``place_sieve``
-multiplies each place P only into the cofactors whose smallest place is at
-least P, so each reducible polynomial is reached once, from its smallest
-place, and it records that place and the places of every squarefree monic.
+The places (monic irreducibles) of one degree, and the places of every
+squarefree monic of that degree, come from one sieve on positions
+(``enumerate_monic`` order, read as base-p digits), where multiplication by
+a place P is an affine map over F_p whose table ``_times_place`` lists with
+``fields.linear_table``; no product is multiplied out, and there is no
+division, gcd or irreducibility test.  ``place_sieve`` multiplies each place
+P only into the cofactors whose smallest place is at least P, so each
+reducible polynomial is reached once, from its smallest place, and it
+records that place and the places of every squarefree monic;
+``places_of_degree`` lists the positions it never reaches.
 
 Trial division only factors single polynomials: ``_factors`` divides by the
-places of each degree up to half of what remains, and ``factor`` and
-``is_irreducible`` read its output.  Places these routines have found are
-built without a second test; ``Place(poly)`` called from outside validates
-its polynomial and raises ``DomainError`` on a reducible one.
+places of each degree up to half of what remains, and ``factor`` reads its
+output.  Places these routines find are built without a second test;
+``Place(poly)`` called from outside checks its polynomial by Rabin's test,
+``is_irreducible``, and raises ``DomainError`` on a reducible one.
 
 Local parts at a place Q are computed over its residue field F_q[t]/(Q)
 with the arithmetic of :mod:`_polyarith` over F_q: an element is a
@@ -47,7 +47,7 @@ from functools import reduce
 
 from . import _polyarith as pa
 from .errors import DomainError, InvariantViolation, ResourceGuardError
-from .fields import FieldSpec, count_irreducibles, linear_table
+from .fields import FieldSpec, count_irreducibles, is_irreducible_over, linear_table
 
 
 class MonicPoly(namedtuple("MonicPoly", "field coeffs")):
@@ -168,32 +168,17 @@ def _place(poly: MonicPoly) -> Place:
 
 
 def places_of_degree(field: FieldSpec, d: int) -> tuple:
-    """All places of degree d >= 1, sorted: the monic f of degree d that no
-    product P*C reaches, P a place of degree <= d/2.
-
-    The sieve holds one byte per monic of degree d and the places; nothing
-    is kept for the reducible ones.  The number of unmarked positions is
-    checked against ``count_irreducibles(q, d)`` (InvariantViolation).
-    """
+    """All places of degree d >= 1, sorted: the positions that
+    ``place_sieve(field, d)`` never reaches, which it has counted against
+    ``count_irreducibles``."""
     key = (field, d)
     if key not in _PLACES_CACHE:
         _check_sieve(field, d, f"enumerating irreducibles of degree {d} over F_{field.q}")
         q = field.q
-        reached = bytearray(q ** d)
-        for e in range(1, d // 2 + 1):
-            for place in places_of_degree(field, e):
-                for i in _times_place(place.poly, d - e):
-                    reached[i] = 1
-        places = []
-        i = reached.find(0)
-        while i >= 0:
-            places.append(_place(MonicPoly(field, _coeffs_at(i, q, d))))
-            i = reached.find(0, i + 1)
-        if len(places) != count_irreducibles(q, d):
-            raise InvariantViolation(
-                f"place sieve left {len(places)} monic polynomials of degree {d} over F_{q} "
-                f"unmarked, expected {count_irreducibles(q, d)} places")
-        _PLACES_CACHE[key] = tuple(places)
+        first = (q ** d - 1) // (q - 1)
+        _PLACES_CACHE[key] = tuple(_place(MonicPoly(field, _coeffs_at(i, q, d)))
+                                   for i, r in enumerate(place_sieve(field, d)[0])
+                                   if r == first + i)
     return _PLACES_CACHE[key]
 
 
@@ -224,7 +209,8 @@ def _factors(f: MonicPoly):
 
 
 def is_irreducible(f: MonicPoly) -> bool:
-    return f.degree > 0 and next(_factors(f))[0].poly == f
+    """Rabin's test, ``fields.is_irreducible_over``; degree 0 is not a place."""
+    return f.degree > 0 and is_irreducible_over(f.field, f.full)
 
 
 def factor(f: MonicPoly) -> tuple:
@@ -275,10 +261,10 @@ def monic_rank(f: MonicPoly) -> int:
 
 
 def _check_sieve(field: FieldSpec, d: int, what: str):
-    """The checks of both sieves, before any work: degree d >= 1 and q^d <=
-    2^22 positions (ResourceGuardError naming ``what``).  Coefficients need
-    no check: every field's codes are 0..q-1, so a code's base-p digits are
-    its coordinates."""
+    """The checks of the sieve and of ``places_of_degree``, before any work:
+    degree d >= 1 and q^d <= 2^22 positions (ResourceGuardError naming
+    ``what``).  Coefficients need no check: every field's codes are 0..q-1,
+    so a code's base-p digits are its coordinates."""
     if d < 1:
         raise DomainError("the place sieves need degree >= 1")
     if field.q ** d > 2 ** 22:

@@ -271,6 +271,7 @@ def verify_kernel_lemma(n: int) -> bool:
 # ---------------------------------------------------------------------------
 
 MAX_TUPLE_DEGREE = 16
+MAX_TUPLE_COST = 5 * 10 ** 7  # census_se takes ~4-5 s at the edge, for any n
 
 
 def _guard_monic_count(field: FieldSpec, m: int, what: str):
@@ -281,23 +282,35 @@ def _guard_monic_count(field: FieldSpec, m: int, what: str):
             f"{what} guarded at q^m <= 2^{MAX_TUPLE_DEGREE}, got {field.q}^{m}")
 
 
+def _guard_tuple_count(n: int, m: int, what: str):
+    """Raise ResourceGuardError, before any tuple is listed, unless the
+    C(m+n-2, n-2) degree tuples with sum m, whose ordinarity tests take
+    (n-1)^2 steps each, cost at most MAX_TUPLE_COST."""
+    cost = math.comb(m + n - 2, n - 2) * (n - 1) ** 2
+    if cost > MAX_TUPLE_COST:
+        raise ResourceGuardError(f"{what} guarded at C(m+n-2, n-2) (n-1)^2 <= "
+                                 f"{MAX_TUPLE_COST:,}, got {cost:,} at n = {n}, m = {m}")
+
+
 def _tuple_family_positions(field: FieldSpec, e: tuple):
     """The tuples of F_e (e nonempty) as sieve positions, parts in the order
     of e: squarefree parts whose place sets are pairwise disjoint, i.e. which
-    are pairwise coprime."""
+    are pairwise coprime.  A part of degree 0 is 1, at position 0."""
     _guard_monic_count(field, sum(e), "tuple family enumeration")
-    pools = [[(i, s) for i, s in enumerate(place_sieve(field, d)[1]) if s] if d else [(0, ())]
-             for d in e]
-    last = len(e) - 1
+    live = [j for j, d in enumerate(e) if d]
+    pools = [[(i, s) for i, s in enumerate(place_sieve(field, e[j])[1]) if s] for j in live]
+    out = [0] * len(e)
+    last = len(live) - 1
 
-    def rec(idx, used, chosen):
+    def rec(idx, used):
         for i, s in pools[idx]:
             if used.isdisjoint(s):
+                out[live[idx]] = i
                 if idx == last:
-                    yield chosen + (i,)
+                    yield tuple(out)
                 else:
-                    yield from rec(idx + 1, used.union(s), chosen + (i,))
-    yield from rec(0, frozenset(), ())
+                    yield from rec(idx + 1, used.union(s))
+    yield from rec(0, frozenset()) if live else [tuple(out)]
 
 
 def enumerate_tuple_family(field: FieldSpec, e: tuple):
@@ -325,15 +338,11 @@ def count_tuple_family(field: FieldSpec, e: tuple) -> int:
 
 
 def degree_tuples(n: int, m: int):
-    """All (e_1, ..., e_{n-1}) of non-negative integers with sum m."""
-    def rec(slots, total):
-        if slots == 1:
-            yield (total,)
-            return
-        for first in range(total + 1):
-            for rest in rec(slots - 1, total - first):
-                yield (first,) + rest
-    yield from rec(n - 1, m)
+    """All (e_1, ..., e_{n-1}) of non-negative integers with sum m, in
+    lexicographic order: stars and bars, with n - 2 bars among m + n - 2 slots."""
+    for bars in itertools.combinations(range(m + n - 2), n - 2):
+        ends = (-1,) + bars + (m + n - 2,)
+        yield tuple(b - a - 1 for a, b in zip(ends, ends[1:]))
 
 
 def enumerate_se_covers(field: FieldSpec, n: int, m: int):
@@ -378,10 +387,12 @@ def census_se(field: FieldSpec, n: int, m_max: int):
     (route i), the omega sum over squarefree H (route ii) and the Euler
     product (route iii); InvariantViolation if they disagree.  b(m) is the
     tuple-family sum over the ordinary degree tuples.  Routes (i) and (ii)
-    enumerate all q^m monic polynomials, so q^m_max is guarded first.
+    enumerate all q^m monic polynomials, and (i) and b(m) every degree tuple,
+    so q^m_max and the tuples at m_max are guarded first.
     """
     require_odd_prime(n)
     _guard_monic_count(field, m_max, "census_se")
+    _guard_tuple_count(n, m_max, "census_se")
     euler = census_a_euler(field, n, m_max)
     rows = {}
     for m in range(0, m_max + 1):
@@ -417,6 +428,7 @@ def random_se_cover(field: FieldSpec, n: int, m: int, rng) -> SECover:
     listed once per (field, n, m)."""
     require_odd_prime(n)
     _guard_monic_count(field, m, "random cover")
+    _guard_tuple_count(n, m, "random cover")
     tuples = _sample_tuples(field, n, m)
     if not tuples:
         raise DomainError(f"no admissible degree tuples with sum {m}")

@@ -117,8 +117,9 @@ def test_census_as_analytic_guard_fires_before_any_series(capsys, monkeypatch, q
 
 
 def test_cover_place_past_the_sieve_guard_exits_3(capsys, monkeypatch, tmp_path):
-    # x^4 + x + 8 has no root in F_4096, so testing it needs the places of
-    # degree 2: 4096^2 > 2^22 positions, refused before that sieve starts
+    # x^4 + x^3 + x + 2 is irreducible over F_4096; trial division would
+    # need the places of degree 2 (4096^2 > 2^22 positions), Rabin's test
+    # needs no sieve, and the oracle then refuses its sweeps over F_4096^k
     from ordcensus import polys
 
     def refuse(*args):
@@ -127,10 +128,10 @@ def test_cover_place_past_the_sieve_guard_exits_3(capsys, monkeypatch, tmp_path)
     monkeypatch.setattr(polys, "_times_place", refuse)
     cover = tmp_path / "cover.json"
     cover.write_text(json.dumps({"q": 4096, "p": 2,
-                                 "branch": [{"place": "8,1,0,0,1", "local": [1]}]}))
+                                 "branch": [{"place": "2,1,0,1,1", "local": [1]}]}))
     code, out, err = run(capsys, "oracle", "--cover", str(cover))
     assert code == 3
-    assert "irreducibles of degree 2 over F_4096" in err
+    assert "point-count sweep q^k = 4096^6" in err
     assert out == ""
 
 
@@ -220,6 +221,65 @@ def test_classify_sample_with_n_not_an_odd_prime_exits_at_once(n, sample):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "n must be an odd prime" in proc.stderr
+
+
+P = 10 ** 18 + 3  # a prime: trial division to its square root would run for hours
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify-kernel", "--n", str(P)),
+    ("constants", "--q", str(P), "--p", str(P)),
+    ("census", "se", "--q", "2", "--n", str(P), "--max-m", "0"),
+    ("classify", "--sample", "0", "--q", "2", "--n", str(P)),
+    ("classify", "--cover", "COVER"),
+], ids=["verify-kernel", "constants", "census-se", "classify-sample", "classify-cover"])
+def test_a_huge_prime_is_refused_before_trial_division(tmp_path, argv):
+    cover = tmp_path / "cover.json"
+    cover.write_text(json.dumps({"q": 2, "n": P, "parts": ["0,1", "1"]}))
+    proc = subprocess.run([sys.executable, "-m", "ordcensus.cli",
+                           *(str(cover) if a == "COVER" else a for a in argv)],
+                          env=_src_env(), capture_output=True, text=True, timeout=30)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == f"resource guard: primality test guarded at n <= 2^40, got {P}\n"
+
+
+@pytest.mark.parametrize("argv, edge", [
+    (("census", "se", "--n", "101", "--max-m", "6"), ("census", "se", "--n", "101", "--max-m", "1")),
+    # C(101, 99) 100^2 = 50,500,000 is the first count over the limit at n = 101
+    (("census", "se", "--n", "101", "--max-m", "2"), ("census", "se", "--n", "101", "--max-m", "1")),
+    (("census", "se", "--n", "997", "--max-m", "3"), ("census", "se", "--n", "997", "--max-m", "0")),
+    (("classify", "--sample", "1", "--n", "1009", "--max-m", "3"),
+     ("classify", "--sample", "1", "--n", "1009", "--max-m", "0")),
+])
+def test_degree_tuples_are_guarded_before_any_route(capsys, monkeypatch, argv, edge):
+    from ordcensus import superelliptic
+
+    def no_work(*args):
+        raise AssertionError("degree tuples listed before the guard")
+    monkeypatch.setattr(superelliptic, "degree_tuples", no_work)
+    superelliptic._sample_tuples.cache_clear()
+    code, out, err = run(capsys, *argv, "--q", "2")
+    assert (code, out) == (3, "")
+    assert "guarded at C(m+n-2, n-2) (n-1)^2 <= 50,000,000" in err
+    with pytest.raises(AssertionError, match="before the guard"):
+        main([*edge, "--q", "2"])
+
+
+@pytest.mark.parametrize("n, edge", [("3", 61881), ("401", 155)])
+def test_classify_sample_size_is_guarded_before_the_first_draw(capsys, monkeypatch, n, edge):
+    # N ((n-1)^2 + 400) <= 25,000,000
+    from ordcensus import superelliptic
+
+    def no_draw(*args):
+        raise AssertionError("drew a cover before the guard")
+    monkeypatch.setattr(superelliptic, "random_se_cover", no_draw)
+    for sample in ("100000000", str(edge + 1)):
+        code, out, err = run(capsys, "classify", "--sample", sample, "--q", "2", "--n", n,
+                             "--max-m", "1")
+        assert (code, out) == (3, "")
+        assert err.startswith("resource guard: classify --sample guarded at N ((n-1)^2 + 400)")
+    with pytest.raises(AssertionError, match="before the guard"):
+        main(["classify", "--sample", str(edge), "--q", "2", "--n", n, "--max-m", "1"])
 
 
 def test_census_max_m_with_x_bound_is_usage_error(capsys):

@@ -4,14 +4,34 @@ import random
 
 import pytest
 
-from ordcensus.errors import DomainError
-from ordcensus.fields import FieldSpec, default_modulus, extension, is_prime
+from ordcensus.errors import DomainError, ResourceGuardError
+from ordcensus.fields import (FieldSpec, default_modulus, extension, from_log_derivative,
+                              is_prime, log_derivative)
 
 
 def test_is_prime():
     assert [n for n in range(2, 20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
     assert not is_prime(1)
     assert not is_prime(0)
+
+
+def test_is_prime_guards_before_its_trial_division():
+    assert is_prime(2 ** 40 - 87)  # the largest prime it tests, ~0.1 s
+    with pytest.raises(ResourceGuardError, match="primality test guarded at n <= 2"):
+        is_prime(2 ** 40 + 1)
+
+
+def test_newton_recurrences_invert_each_other():
+    # v (1 - v)'/(1 - v) = -v - v^2 - ...
+    assert log_derivative([1, -1], 5) == [0, -1, -1, -1, -1, -1]
+    rng = random.Random(22)
+    for _ in range(40):
+        N = rng.randrange(0, 25)
+        f = [1] + [rng.randrange(-10 ** 6, 10 ** 6) for _ in range(N)]
+        r = log_derivative(f, N)
+        assert from_log_derivative(r, N, "c") == f
+        # a series that stops early is padded with zeros
+        assert from_log_derivative(log_derivative(f[:3], N), N, "c") == (f[:3] + [0] * N)[: N + 1]
 
 
 def test_prime_field_arithmetic():

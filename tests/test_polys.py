@@ -277,6 +277,31 @@ def test_place_sieve_matches_factor(monkeypatch, field, d_max):
             assert s == (ranks if is_squarefree(f) else ()), f
 
 
+@pytest.mark.parametrize("field,d_max", [(F4, 5), (FieldSpec(2, 3), 3), (FieldSpec(3, 2), 3),
+                                         (FieldSpec(2, 4), 2)])
+def test_rabin_test_agrees_with_the_place_sieve(field, d_max):
+    # Rabin's test over F_q, q not prime, on every monic polynomial of degree
+    # up to d_max, against the sieve, which leaves exactly the places
+    # unreached, each its own smallest place
+    for d in range(1, d_max + 1):
+        least = place_sieve(field, d)[0]
+        for f, r in zip(enumerate_monic(field, d), least):
+            assert is_irreducible(f) == (r == monic_rank(f)), f
+
+
+def test_rabin_test_is_guarded_before_any_squaring(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("squared past the guard")
+
+    monkeypatch.setattr(pa, "pow_mod", refuse)
+    # D^3 log2 q: 47^3 > 10^5 >= 46^3 over F_2, 37^3 * 2 > 10^5 >= 36^3 * 2 over F_4
+    for field, edge in ((F2, 46), (F4, 36)):
+        with pytest.raises(ResourceGuardError, match=f"degree {edge + 1} over F_{field.q}"):
+            is_irreducible(MonicPoly(field, (1,) + (0,) * edge))
+        with pytest.raises(AssertionError, match="past the guard"):
+            is_irreducible(MonicPoly(field, (1,) + (0,) * (edge - 1)))
+
+
 @pytest.mark.parametrize("field", [F2, F3, F4])
 def test_place_sieve_disjoint_iff_coprime(field):
     # the coprimality test the tuple families read from the sieve, against gcd
