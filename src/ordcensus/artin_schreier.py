@@ -29,7 +29,7 @@ import math
 from bisect import bisect_right
 from collections import namedtuple
 
-from .errors import DomainError, ResourceGuardError
+from .errors import DomainError, ResourceGuardError, InvariantViolation
 from .fields import FieldSpec
 
 
@@ -81,7 +81,8 @@ def genus(c: ASCover) -> int:
     p = c.field.p
     total = -2 + m_invariant(c)
     g2 = (p - 1) * total
-    assert g2 % 2 == 0 and g2 >= 0
+    if g2 % 2 or g2 < 0:
+        raise InvariantViolation(f"Artin-Schreier genus formula gave {g2}/2")
     return g2 // 2
 
 
@@ -194,12 +195,8 @@ def _cover_families(field: FieldSpec, m: int, include_infinity: bool):
         inf_orders += admissible_pole_orders(p, m)
     for k_inf in inf_orders:
         rem = m - (k_inf or 0)
-        if k_inf is None and rem == 0:
-            continue
         inf_pool = [None] if k_inf is None else pool(q, k_inf - 1)
         for assignment in _branch_assignments(field, rem):
-            if not assignment and k_inf is None:
-                continue
             local_pools = [pool(pl.norm, k - 1) for pl, k in assignment]
             yield assignment, inf_pool, local_pools
 

@@ -38,7 +38,8 @@ EXIT_INVARIANT = 4
 
 # classify --sample reads these when --q, --n, --max-m or --seed is not given
 SAMPLE_DEFAULTS = {"q": 2, "n": 3, "max_m": 4, "seed": 0}
-# a cover costs ~(n-1)^2 + 400 steps of ~0.4 us to draw and classify: ~9 s at the edge
+# a cover is charged (n-1)^2 + 400 steps of ~0.4 us to draw and classify: an upper
+# bound, as its eigenspace sums take (n-1)(k+1) steps for k non-constant parts
 MAX_SAMPLE_COST = 25 * 10 ** 6
 
 TABLE1 = {

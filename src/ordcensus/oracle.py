@@ -234,10 +234,11 @@ def cross_validate(c) -> OracleReport:
 
 
 def assert_agreement(c) -> OracleReport:
-    """cross_validate, raising InvariantViolation with the cover on failure."""
+    """cross_validate, raising InvariantViolation with the cover JSON on failure."""
     report = cross_validate(c)
     if not report.agree:
+        import json
         from .serialize import cover_to_dict
         raise InvariantViolation(f"oracle disagreement: {report.detail}; "
-                                 f"cover = {cover_to_dict(c)}")
+                                 f"cover = {json.dumps(cover_to_dict(c))}")
     return report

@@ -1,7 +1,8 @@
 """Superelliptic covers y^n = f_1 f_2^2 ... f_{n-1}^{n-1} over F_q of
-characteristic 2: genus, eigenspace dimensions, a-number, the
-degree-symmetry ordinarity criterion, the kernel verifier for the
-fractional-part matrix, and the census counting identities.
+characteristic 2: genus, eigenspace dimensions, a-number and the
+degree-symmetry ordinarity criterion, each read in O(n) from the nonzero
+degrees of the parts, the kernel verifier for the fractional-part matrix,
+and the census counting identities.
 """
 
 from __future__ import annotations
@@ -36,11 +37,12 @@ class SECover(namedtuple("SECover", "field n parts")):
             raise DomainError("n must be coprime to the characteristic")
         if len(self.parts) != self.n - 1:
             raise DomainError(f"expected {self.n - 1} parts")
-        for f in self.parts:
-            if f.degree > 0 and not is_squarefree(f):
+        live = [f for f in self.parts if f.degree > 0]  # a constant part is 1
+        for f in live:
+            if not is_squarefree(f):
                 raise DomainError(f"part {f} is not squarefree")
-        for f, g in itertools.combinations(self.parts, 2):
-            if f.degree > 0 and g.degree > 0 and gcd_monic(f, g).degree > 0:
+        for f, g in itertools.combinations(live, 2):
+            if gcd_monic(f, g).degree > 0:
                 raise DomainError("parts are not pairwise coprime")
 
     @property
@@ -54,7 +56,7 @@ class SECover(namedtuple("SECover", "field n parts")):
 
     @property
     def n_infinity(self) -> int:
-        return (-self.weighted_degree) % self.n
+        return _n_infinity(self.n, self.degrees)
 
     @property
     def epsilon(self) -> int:
@@ -66,18 +68,36 @@ class SECover(namedtuple("SECover", "field n parts")):
         return sum(self.degrees) + self.epsilon
 
 
+def _n_infinity(n: int, degs: tuple) -> int:
+    """n_inf = (-sum i deg f_i) mod n, 0 when infinity is unramified."""
+    return (-sum(i * d for i, d in enumerate(degs, start=1))) % n
+
+
+def _branch_exponents(n: int, degs: tuple) -> dict:
+    """{j: x_j} over the nonzero x_j, x the degrees plus 1 at j = n_inf: the
+    x_j geometric branch points where F has order j mod n."""
+    x = {j: d for j, d in enumerate(degs, start=1) if d}
+    n_inf = _n_infinity(n, degs)
+    if n_inf:
+        x[n_inf] = x.get(n_inf, 0) + 1
+    return x
+
+
+def _eigen_sums(n: int, degs: tuple) -> list:
+    """[n (d_i + 1) for i = 1..n-1], each sum_j x_j ((i j) mod n) over the nonzero x_j."""
+    x = _branch_exponents(n, degs)
+    return [sum(xj * (i * j % n) for j, xj in x.items()) for i in range(1, n)]
+
+
 def genus_se(c: SECover) -> int:
     """Genus, computed from both ramification formulas and cross-checked."""
     n = c.n
-    m = c.branch_count
+    x = _branch_exponents(n, c.degrees)
+    m = sum(x.values())  # the branch count
     if m < 2:
         raise DomainError("the equation does not define a curve (fewer than 2 branch points)")
-    # general form: -n+1 + (1/2) sum deg(f_i)(n - gcd(n,i)) + (1/2) eps (n - gcd(n, n_inf))
-    twice = -2 * (n - 1)
-    for i, d in enumerate(c.degrees, start=1):
-        twice += d * (n - math.gcd(n, i))
-    if c.epsilon:
-        twice += n - math.gcd(n, c.n_infinity)
+    # general form: -n+1 + (1/2) sum_j x_j (n - gcd(n, j))
+    twice = -2 * (n - 1) + sum(xj * (n - math.gcd(n, j)) for j, xj in x.items())
     if twice % 2 != 0:
         raise InvariantViolation("ramification genus formula gave a half-integer")
     g_general = twice // 2
@@ -101,22 +121,17 @@ def eigen_degrees(c: SECover) -> EigenDegrees:
     n = c.n
     if c.branch_count < 2:
         raise DomainError("eigenspace dimensions require at least 2 branch points")
-    degs = c.degrees
-    n_inf = c.n_infinity
     out = []
-    for i in range(1, n):
-        # n * d_i = sum_j deg(f_j) ((i j) mod n) + ((i n_inf) mod n) - n
-        total = sum(degs[j - 1] * ((i * j) % n) for j in range(1, n))
-        total += (i * n_inf) % n - n
+    for s in _eigen_sums(n, c.degrees):
+        total = s - n
         if total % n:
             raise InvariantViolation(f"eigenspace dimension is not an integer: {total}/{n}")
         if total < 0:
             raise InvariantViolation(f"negative eigenspace dimension: {total // n}")
         out.append(total // n)
-    ed = EigenDegrees(tuple(out))
     if sum(out) != genus_se(c):
         raise InvariantViolation("eigenspace dimensions do not sum to the genus")
-    return ed
+    return EigenDegrees(tuple(out))
 
 
 def sigma_permutation(n: int, p: int) -> dict:
@@ -150,10 +165,7 @@ def ordinary_degree_tuple(n: int, degs: tuple) -> bool:
     degree-symmetry condition of :func:`degree_symmetry_criterion`; for
     n = 7 the symmetric condition is strictly weaker (see that function).
     """
-    n_inf = (-sum(i * d for i, d in enumerate(degs, start=1))) % n
-    x = [degs[j - 1] + (1 if j == n_inf else 0) for j in range(1, n)]
-    # compare n * (d_i + 1) = sum_j x_j ((i j) mod n), an integer
-    d = [sum(xj * ((i * j) % n) for j, xj in enumerate(x, start=1)) for i in range(1, n)]
+    d = _eigen_sums(n, degs)
     sigma = sigma_permutation(n, 2)
     return all(d[i - 1] == d[sigma[i] - 1] for i in range(1, n))
 
@@ -166,13 +178,8 @@ def degree_symmetry_criterion(n: int, degs: tuple) -> bool:
     exactly when 2 is a primitive root mod n; y^7 = x^3 (x+1)^6 over F_2 is
     ordinary (p-rank 3 = g, by point counting) without being symmetric.
     """
-    n_inf = (-sum(i * d for i, d in enumerate(degs, start=1))) % n
-    if n_inf == 0:
-        return all(degs[i - 1] == degs[n - i - 1] for i in range(1, n))
-    i = n_inf
-    if degs[i - 1] + 1 != degs[n - i - 1]:
-        return False
-    return all(degs[j - 1] == degs[n - j - 1] for j in range(1, n) if j not in (i, n - i))
+    x = _branch_exponents(n, degs)  # the condition is x_j = x_{n-j} for every j
+    return all(x.get(n - j) == xj for j, xj in x.items())
 
 
 def is_ordinary_se(c: SECover) -> bool:
@@ -271,7 +278,7 @@ def verify_kernel_lemma(n: int) -> bool:
 # ---------------------------------------------------------------------------
 
 MAX_TUPLE_DEGREE = 16
-MAX_TUPLE_COST = 5 * 10 ** 7  # census_se takes ~4-5 s at the edge, for any n
+MAX_TUPLE_COST = 5 * 10 ** 7  # census se --q 2 --n 11 --max-m 13, just under it, takes ~30 s
 
 
 def _guard_monic_count(field: FieldSpec, m: int, what: str):
@@ -284,8 +291,8 @@ def _guard_monic_count(field: FieldSpec, m: int, what: str):
 
 def _guard_tuple_count(n: int, m: int, what: str):
     """Raise ResourceGuardError, before any tuple is listed, unless the
-    C(m+n-2, n-2) degree tuples with sum m, whose ordinarity tests take
-    (n-1)^2 steps each, cost at most MAX_TUPLE_COST."""
+    C(m+n-2, n-2) degree tuples with sum m cost at most MAX_TUPLE_COST at
+    (n-1)^2 steps each, an upper bound on an ordinarity test's (n-1)(m+1)."""
     cost = math.comb(m + n - 2, n - 2) * (n - 1) ** 2
     if cost > MAX_TUPLE_COST:
         raise ResourceGuardError(f"{what} guarded at C(m+n-2, n-2) (n-1)^2 <= "
@@ -352,13 +359,6 @@ def enumerate_se_covers(field: FieldSpec, n: int, m: int):
             yield SECover(field, n, parts)
 
 
-def census_a_tuples(field: FieldSpec, n: int, m: int) -> int:
-    """Route (i): a(m) as the sum of |F_e| over degree tuples with sum m,
-    each family enumerated part by part, coprimality read from the place
-    sieve as disjoint place sets."""
-    return sum(count_tuple_family(field, e) for e in degree_tuples(n, m))
-
-
 def census_a_omega(field: FieldSpec, n: int, m: int) -> int:
     """Route (ii): a(m) = sum over squarefree monic H of degree m of
     (n-1)^omega(H), with omega read from the place sieve."""
@@ -374,21 +374,15 @@ def census_a_euler(field: FieldSpec, n: int, m_max: int) -> list:
     return euler_coefficients(field.q, lambda d: [1, n - 1], m_max)
 
 
-def census_b_tuples(field: FieldSpec, n: int, m: int) -> int:
-    """Ordinary count b(m): sum of |F_e| over tuples passing the symmetry criterion."""
-    return sum(count_tuple_family(field, e)
-               for e in degree_tuples(n, m) if ordinary_degree_tuple(n, e))
-
-
 def census_se(field: FieldSpec, n: int, m_max: int):
     """Exact (a(m), b(m)) for m <= m_max, with the three a-routes compared.
 
     Returns a dict m -> (a_m, b_m).  a(m) comes from the tuple families
     (route i), the omega sum over squarefree H (route ii) and the Euler
-    product (route iii); InvariantViolation if they disagree.  b(m) is the
-    tuple-family sum over the ordinary degree tuples.  Routes (i) and (ii)
-    enumerate all q^m monic polynomials, and (i) and b(m) every degree tuple,
-    so q^m_max and the tuples at m_max are guarded first.
+    product (route iii); InvariantViolation if they disagree.  One walk over
+    the degree tuples e sums |F_e| into route (i) and, for the ordinary e,
+    into b(m).  Routes (i) and (ii) enumerate all q^m monic polynomials, and
+    (i) every degree tuple, so q^m_max and the tuples at m_max are guarded.
     """
     require_odd_prime(n)
     _guard_monic_count(field, m_max, "census_se")
@@ -396,13 +390,18 @@ def census_se(field: FieldSpec, n: int, m_max: int):
     euler = census_a_euler(field, n, m_max)
     rows = {}
     for m in range(0, m_max + 1):
-        a_i = census_a_tuples(field, n, m)
+        a_i = b = 0
+        for e in degree_tuples(n, m):
+            count = count_tuple_family(field, e)
+            a_i += count
+            if count and ordinary_degree_tuple(n, e):
+                b += count
         a_ii = census_a_omega(field, n, m)
         a_iii = euler[m]
         if not a_i == a_ii == a_iii:
             raise InvariantViolation(
                 f"census routes disagree at m={m}: {a_i}, {a_ii}, {a_iii}")
-        rows[m] = (a_i, census_b_tuples(field, n, m))
+        rows[m] = (a_i, b)
     return rows
 
 

@@ -308,6 +308,16 @@ def test_census_both_names_first_differing_row(capsys, monkeypatch):
     assert "m=8" not in err and "(128," not in err  # one row, not both tables
 
 
+def test_census_se_names_the_row_where_the_routes_disagree(capsys, monkeypatch):
+    from ordcensus import superelliptic
+    omega = superelliptic.census_a_omega
+    monkeypatch.setattr(superelliptic, "census_a_omega",
+                        lambda field, n, m: omega(field, n, m) + (m == 3))
+    code, out, err = run(capsys, "census", "se", "--q", "2", "--n", "3", "--max-m", "5")
+    assert (code, out) == (4, "")
+    assert err == "invariant violation: census routes disagree at m=3: 12, 13, 12\n"
+
+
 def test_only_constants_load_mpmath(tmp_path):
     # a fresh process: tests/test_dirichlet.py imports mpmath into this one
     cover = tmp_path / "cover.json"
@@ -566,6 +576,23 @@ def test_classify_routes_disagreeing_exits_4(tmp_path, capsys, monkeypatch):
     assert "classification routes disagree" in err
 
 
+def test_classify_cover_with_few_parts_at_a_large_n(tmp_path):
+    # the invariants sum over the two non-constant parts, not over all
+    # (n-1)^2 index pairs, which would take minutes at n = 20011
+    n = 20011
+    parts = ["1"] * (n - 1)
+    parts[0], parts[n // 2] = "0,1", "1,1"
+    cover = tmp_path / "cover.json"
+    cover.write_text(json.dumps({"q": 2, "n": n, "parts": parts}))
+    proc = subprocess.run([sys.executable, "-m", "ordcensus.cli", "classify", "--cover", str(cover)],
+                          env=_src_env(), capture_output=True, text=True, timeout=30)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    data = json.loads(proc.stdout)
+    assert (data["m"], data["genus"]) == (3, (n - 1) // 2)
+    assert len(data["d_i"]) == n - 1 and sum(data["d_i"]) == data["genus"]
+    assert (data["a_number"] == 0) == data["ordinary"]
+
+
 def test_oracle_missing_file(capsys):
     code, _, err = run(capsys, "oracle", "--cover", "/nonexistent.json")
     assert code == 2
@@ -576,6 +603,15 @@ def test_verify_kernel(capsys):
     assert code == 0
     data = json.loads(out)
     assert data == {"n": 7, "rank": 4, "pass": True}
+
+
+def test_verify_kernel_failure_prints_its_report_and_exits_4(capsys, monkeypatch):
+    from ordcensus import superelliptic
+    monkeypatch.setattr(superelliptic, "verify_kernel_lemma", lambda n: False)
+    code, out, err = run(capsys, "verify-kernel", "--n", "7")
+    assert code == 4
+    assert json.loads(out) == {"n": 7, "rank": 4, "pass": False}
+    assert err == "invariant violation: kernel lemma verification failed for n = 7\n"
 
 
 def test_verify_kernel_guard(capsys):

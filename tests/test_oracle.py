@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from ordcensus import superelliptic as se
 from ordcensus.errors import DomainError, InvariantViolation, ResourceGuardError
 from ordcensus.fields import FieldSpec
 from ordcensus.polys import MonicPoly, Place, places_of_degree
+from ordcensus.serialize import cover_from_dict
 
 F2 = FieldSpec(2)
 F4 = FieldSpec(2, 2)
@@ -126,6 +128,18 @@ def test_cross_validate_n7_counterexample():
 def test_assert_agreement_passes():
     r = orc.assert_agreement(as_cover((X, (1,)), (X1, (1,))))
     assert r.agree
+
+
+def test_assert_agreement_names_the_cover_as_json(monkeypatch):
+    c = se_cover(F2, 3, "1,1,1", "0,1,1")  # ordinary, genus 2, a-number 0
+    monkeypatch.setattr(se, "a_number", lambda c: 1)
+    r = orc.cross_validate(c)
+    assert not r.agree
+    assert r.detail == "a-number 1 inconsistent with p-rank 2 of genus 2"
+    with pytest.raises(InvariantViolation, match="a-number 1 inconsistent") as exc:
+        orc.assert_agreement(c)
+    cover = str(exc.value).split("; cover = ")[1]
+    assert cover_from_dict(json.loads(cover)) == c
 
 
 def test_resource_guards():

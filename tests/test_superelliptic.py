@@ -2,14 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ordcensus import superelliptic as se
 from ordcensus.errors import DomainError, ResourceGuardError
 from ordcensus.fields import FieldSpec
-from ordcensus.polys import MonicPoly
+from ordcensus.polys import MonicPoly, mul_monic, poly_one
 
 F2 = FieldSpec(2)
 F4 = FieldSpec(2, 2)
+F32 = FieldSpec(2, 5)
 
 
 def mk(field, *texts):
@@ -116,6 +118,65 @@ def test_symmetry_vs_orbit_criterion():
     # the explicit counterexample: y^7 = x^3 (x+1)^6
     assert se.ordinary_degree_tuple(7, (0, 0, 1, 0, 0, 1))
     assert not se.degree_symmetry_criterion(7, (0, 0, 1, 0, 0, 1))
+
+
+def dense_eigen_degrees(n, degs):
+    """d_i summed over all (n-1)^2 index pairs: the reference for the sparse sums."""
+    n_inf = (-sum(i * d for i, d in enumerate(degs, start=1))) % n
+    out = []
+    for i in range(1, n):
+        total = sum(degs[j - 1] * ((i * j) % n) for j in range(1, n))
+        total += (i * n_inf) % n - n
+        assert total % n == 0 and total >= 0
+        out.append(total // n)
+    return tuple(out)
+
+
+def dense_ordinary(n, degs):
+    n_inf = (-sum(i * d for i, d in enumerate(degs, start=1))) % n
+    x = [degs[j - 1] + (1 if j == n_inf else 0) for j in range(1, n)]
+    d = [sum(xj * ((i * j) % n) for j, xj in enumerate(x, start=1)) for i in range(1, n)]
+    sigma = se.sigma_permutation(n, 2)
+    return all(d[i - 1] == d[sigma[i] - 1] for i in range(1, n))
+
+
+def dense_symmetry(n, degs):
+    n_inf = (-sum(i * d for i, d in enumerate(degs, start=1))) % n
+    if n_inf == 0:
+        return all(degs[i - 1] == degs[n - i - 1] for i in range(1, n))
+    i = n_inf
+    if degs[i - 1] + 1 != degs[n - i - 1]:
+        return False
+    return all(degs[j - 1] == degs[n - j - 1] for j in range(1, n) if j not in (i, n - i))
+
+
+@st.composite
+def sparse_covers(draw):
+    """A cover over F_32 with one to eight non-constant parts of degree 1 to 4,
+    each a product of distinct linear factors x + a, so that the parts are
+    squarefree and pairwise coprime.  About half the draws set deg f_{n-i} =
+    deg f_i, so that ordinary tuples occur at every n, and indices near 0 and
+    n are favoured, so that n_inf and the mirror images fall among the parts."""
+    n = draw(st.sampled_from([3, 5, 7, 11, 13, 101, 1009]))
+    index = st.integers(1, n - 1) | st.integers(1, min(3, n - 1)) | st.integers(max(1, n - 3), n - 1)
+    indices = draw(st.lists(index, min_size=1, max_size=4, unique=True))
+    degrees = {i: draw(st.integers(1, 4)) for i in indices}
+    if draw(st.booleans()):
+        degrees.update({n - i: d for i, d in list(degrees.items()) if n - i not in degrees})
+    roots = iter(draw(st.permutations(range(32))))
+    parts = [poly_one(F32)] * (n - 1)
+    for i, d in degrees.items():
+        for _ in range(d):
+            parts[i - 1] = mul_monic(parts[i - 1], MonicPoly(F32, (next(roots),)))
+    return se.SECover(F32, n, tuple(parts))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(sparse_covers())
+def test_sparse_degree_rules_equal_the_dense_formulas(c):
+    assert se.eigen_degrees(c).d == dense_eigen_degrees(c.n, c.degrees)
+    assert se.ordinary_degree_tuple(c.n, c.degrees) == dense_ordinary(c.n, c.degrees)
+    assert se.degree_symmetry_criterion(c.n, c.degrees) == dense_symmetry(c.n, c.degrees)
 
 
 def test_two_route_agreement_random():
