@@ -21,12 +21,13 @@ There is one field per order: ``FieldSpec(p, k)`` is the field of order
 p^k, with the modulus ``default_modulus(p, k)``, built once and shared by
 every caller (pickling or copying it gives back the same object).  A subfield
 F_q is a table of images in it: the oracle's F_{q^k} is ``extension``, that
-field and the images of F_q.
+field and the images of F_q, and ``frobenius_orbits`` lists one element of
+each orbit of x -> x^q on it, with the orbit's size.
 The residue field F_q[t]/(h) of a place has no object here; :mod:`polys`
 computes in it over F_q, its elements polynomials in t reduced mod h.
 
 The number-theory helpers live here, once each (``count_irreducibles``,
-Rabin's test ``is_irreducible_over``, Newton's identities ``log_derivative``
+Ben-Or's test ``is_irreducible_over``, Newton's identities ``log_derivative``
 and ``from_log_derivative``), so :mod:`dirichlet` needs no polynomial code.
 """
 
@@ -42,7 +43,7 @@ from .errors import DomainError, InvariantViolation, ResourceGuardError
 
 MAX_Q = 2 ** 20
 MAX_PRIME_TEST = 2 ** 40  # trial division to sqrt(n): ~2^20 steps, ~0.2 s
-MAX_RABIN_COST = 10 ** 5  # about 1 s for the slowest fields (odd p, k > 1, q ~ 2^19)
+MAX_RABIN_COST = 10 ** 5  # ~0.3 s at the edge (odd p, k > 1, q ~ 2^19; 2-vCPU VM)
 
 
 def is_prime(n: int) -> bool:
@@ -372,20 +373,46 @@ def extension(base: FieldSpec, k: int) -> tuple:
     return E, embedding(base, E)
 
 
+def frobenius_orbits(E: FieldSpec, q: int):
+    """(x, orbit size) for one x in each orbit of x -> x^q on E = F_{q^k}:
+    0 once, then a representative g^j of each orbit on E*, whose logs walk
+    j -> j q mod (|E| - 1), visited indices marked in a bytearray.  The sizes
+    divide k and sum to |E|; for k = 1 every element is its own orbit."""
+    yield 0, 1
+    if E.q == q:
+        for x in range(1, q):
+            yield x, 1
+        return
+    n = E.q - 1
+    seen = bytearray(n)
+    j = 0
+    while j >= 0:
+        size = 0
+        i = j
+        while not seen[i]:
+            seen[i] = 1
+            size += 1
+            i = i * q % n
+        yield E.exp(j), size
+        j = seen.find(0, j + 1)
+
+
 def is_irreducible_over(K: FieldSpec, f: tuple) -> bool:
-    """Rabin's test (SIAM J. Comput. 9, 1980) for the monic raw tuple f of
-    degree D >= 1 over K of order q: f is irreducible iff x^(q^D) = x mod f
-    and gcd(x^(q^(D/l)) - x, f) = 1 for each prime l | D.  Its D log2 q
-    squarings cost ~D^3 log2 q; ResourceGuardError before them above MAX_RABIN_COST."""
+    """Ben-Or's test (FOCS 1981) for the monic raw tuple f of degree D >= 1
+    over K of order q: f is irreducible iff gcd(x^(q^i) - x, f) = 1 for
+    i = 1..D/2, and it stops at the first i that finds a factor, the degree
+    of f's smallest one.  Its D/2 powerings by q cost ~D^3 log2 q at most;
+    ResourceGuardError before them above MAX_RABIN_COST."""
     D = pa.deg(f)
     if D ** 3 * math.log2(K.q) > MAX_RABIN_COST:
         raise ResourceGuardError(f"irreducibility test of degree {D} over F_{K.q} guarded "
                                  f"at D^3 log2 q <= {MAX_RABIN_COST:,}")
-    x = pa.mod(K, (0, 1), f)
-    if pa.sub(K, pa.pow_mod(K, x, K.q ** D, f), x):
-        return False
-    return all(pa.gcd(K, pa.sub(K, pa.pow_mod(K, x, K.q ** (D // ell), f), x), f) == (1,)
-               for ell in prime_factors(D))
+    x = h = (0, 1)  # reduced mod f whenever the loop runs, D >= 2
+    for _ in range(D // 2):
+        h = pa.pow_mod(K, h, K.q, f)
+        if pa.gcd(K, pa.sub(K, h, x), f) != (1,):
+            return False
+    return True
 
 
 @cache

@@ -8,10 +8,13 @@ of order q^k = p^n, and the cover's coefficients are lifted through its
 images of F_q.  An Artin-Schreier cover's f is put over one denominator,
 f = N/D, by ``polys.reconstruct``, which sums the cover's local parts as
 they are, residue-field indices, over F_q, once per cover; each sweep lifts
-N and D to its F_{q^k} and evaluates them at each x.  Besides the field
-arithmetic, putting the local parts over one denominator is all the
-counting code shares with the combinatorial classification it checks;
-disagreement means a real bug.
+N and D to its F_{q^k}.  As f has coefficients in F_q, f(x^q) = f(x)^q, so
+x and x^q give the same trace of f(x), and the same n-th-power status of
+prod f_i(x)^i: a sweep evaluates at one x per orbit of x -> x^q, from
+``fields.frobenius_orbits``, and counts it once per element of the orbit.
+Besides the field arithmetic, putting the local parts over one denominator
+is all the counting code shares with the combinatorial classification it
+checks; disagreement means a real bug.
 Each cover loads only the module of its own kind.
 """
 
@@ -23,7 +26,8 @@ from types import SimpleNamespace
 
 from .errors import DomainError, ResourceGuardError, InvariantViolation
 from ._polyarith import evaluate
-from .fields import MAX_Q, FieldSpec, extension, from_log_derivative, log_derivative
+from .fields import (MAX_Q, FieldSpec, extension, frobenius_orbits, from_log_derivative,
+                     log_derivative)
 from .polys import reconstruct
 
 MAX_GENUS = 6
@@ -95,7 +99,8 @@ def _fraction(c) -> tuple:
 
 def count_points_as(c, k: int) -> int:
     """Points over F_{q^k} of the smooth projective model of the ASCover
-    y^p - y = f."""
+    y^p - y = f: p for each x where Tr f(x) = 0, one evaluation per
+    Frobenius orbit weighted by its size."""
     from .artin_schreier import genus
     field = c.field
     p = field.p
@@ -103,11 +108,11 @@ def count_points_as(c, k: int) -> int:
     E, embed = extension(field, k)
     num, den = ([embed[a] for a in f] for f in _fraction(c))
     total = 0
-    for x in range(E.q):
+    for x, size in frobenius_orbits(E, field.q):
         dv = evaluate(E, den, x)
         # D(x) = 0 at the poles, counted place by place below
         if dv and E.trace(E.mul(evaluate(E, num, x), E.inv(dv))) == 0:
-            total += p
+            total += p * size
     # each pole place is totally ramified: one point per root in F_{q^k}
     for pl, _ in c.branch:
         if k % pl.degree == 0:
@@ -118,7 +123,8 @@ def count_points_as(c, k: int) -> int:
 
 def count_points_se(c, k: int) -> int:
     """Points over F_{q^k} of the smooth projective model of the SECover
-    y^n = prod f_i^i."""
+    y^n = prod f_i^i: 1, 0 or n above each x, one evaluation per Frobenius
+    orbit weighted by its size."""
     from .superelliptic import genus_se
     field = c.field
     n = c.n
@@ -128,19 +134,19 @@ def count_points_se(c, k: int) -> int:
     split = (E.q - 1) % n == 0
     parts = [([embed[a] for a in f.full], i) for i, f in enumerate(c.parts, 1) if f.degree]
     total = 0
-    for x in range(E.q):
+    for x, size in frobenius_orbits(E, field.q):
         log_v = 0
         for raw, i in parts:
             fv = evaluate(E, raw, x)
             if fv == 0:
-                total += 1  # totally ramified (gcd(n, i) = 1 for prime n)
+                total += size  # totally ramified (gcd(n, i) = 1 for prime n)
                 break
             log_v += i * E.log(fv)
         else:
             if not split:
-                total += 1  # n-th power map is a bijection
+                total += size  # n-th power map is a bijection
             elif log_v % n == 0:
-                total += n
+                total += n * size
     if c.epsilon:
         total += 1
     else:

@@ -21,7 +21,7 @@ records that place and the places of every squarefree monic;
 Trial division only factors single polynomials: ``_factors`` divides by the
 places of each degree up to half of what remains, and ``factor`` reads its
 output.  Places these routines find are built without a second test;
-``Place(poly)`` called from outside checks its polynomial by Rabin's test,
+``Place(poly)`` called from outside checks its polynomial by Ben-Or's test,
 ``is_irreducible``, and raises ``DomainError`` on a reducible one.
 
 Local parts at a place Q are computed over its residue field F_q[t]/(Q)
@@ -209,7 +209,7 @@ def _factors(f: MonicPoly):
 
 
 def is_irreducible(f: MonicPoly) -> bool:
-    """Rabin's test, ``fields.is_irreducible_over``; degree 0 is not a place."""
+    """Ben-Or's test, ``fields.is_irreducible_over``; degree 0 is not a place."""
     return f.degree > 0 and is_irreducible_over(f.field, f.full)
 
 

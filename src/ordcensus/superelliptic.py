@@ -146,8 +146,8 @@ def a_number(c: SECover) -> int:
     """g - sum_i min(d_i, d_{sigma(i)}), via the Cartier-rank bound."""
     if c.field.p != 2:
         raise DomainError("the a-number formula here is specific to characteristic 2")
-    g = genus_se(c)
     d = eigen_degrees(c).d
+    g = sum(d)  # eigen_degrees checks it against genus_se
     sigma = sigma_permutation(c.n, 2)
     rank = sum(min(d[i - 1], d[sigma[i] - 1]) for i in range(1, c.n))
     a = g - rank

@@ -118,7 +118,7 @@ def test_census_as_analytic_guard_fires_before_any_series(capsys, monkeypatch, q
 
 def test_cover_place_past_the_sieve_guard_exits_3(capsys, monkeypatch, tmp_path):
     # x^4 + x^3 + x + 2 is irreducible over F_4096; trial division would
-    # need the places of degree 2 (4096^2 > 2^22 positions), Rabin's test
+    # need the places of degree 2 (4096^2 > 2^22 positions), Ben-Or's test
     # needs no sieve, and the oracle then refuses its sweeps over F_4096^k
     from ordcensus import polys
 

@@ -6,7 +6,7 @@ import pytest
 
 from ordcensus.errors import DomainError, ResourceGuardError
 from ordcensus.fields import (FieldSpec, default_modulus, extension, from_log_derivative,
-                              is_prime, log_derivative)
+                              is_irreducible_over, is_prime, log_derivative)
 
 
 def test_is_prime():
@@ -111,3 +111,31 @@ def test_pickle_and_copy_give_back_the_field_without_its_tables():
     assert len(data) < 200
     for twin in (pickle.loads(data), copy.copy(F), copy.deepcopy(F)):
         assert twin is F
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_ben_or_rejects_repeated_and_equal_degree_factors(p):
+    """g^2, g^3 and g h with deg g = deg h = D/2, g irreducible: the inputs
+    whose smallest factor sits at the last step i = D/2, or repeats, against
+    sympy's gf_irreducible_p, which shares no code with it."""
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_irreducible_p, gf_mul
+
+    K = FieldSpec(p)
+    rng = random.Random(300 + p)
+
+    def monic(d):  # dense list, highest degree first
+        return [1] + [rng.randrange(p) for _ in range(d)]
+
+    def irreducible(d):
+        return next(f for f in iter(lambda: monic(d), None) if gf_irreducible_p(f, p, ZZ))
+
+    for half in (1, 2, 3, 5, 7):
+        g = irreducible(half)
+        for h in (irreducible(half), monic(half)):
+            for f in (gf_mul(g, g, p, ZZ), gf_mul(gf_mul(g, g, p, ZZ), g, p, ZZ),
+                      gf_mul(g, h, p, ZZ)):
+                assert is_irreducible_over(K, tuple(reversed(f))) is False
+                assert not gf_irreducible_p(f, p, ZZ)
+        f = irreducible(2 * half)
+        assert is_irreducible_over(K, tuple(reversed(f))) is True

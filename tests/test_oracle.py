@@ -1,13 +1,16 @@
 import json
+import math
 import random
+from functools import reduce
 
 import pytest
 
 from ordcensus import artin_schreier as asc
 from ordcensus import oracle as orc
 from ordcensus import superelliptic as se
+from ordcensus._polyarith import evaluate
 from ordcensus.errors import DomainError, InvariantViolation, ResourceGuardError
-from ordcensus.fields import FieldSpec
+from ordcensus.fields import FieldSpec, extension, frobenius_orbits
 from ordcensus.polys import MonicPoly, Place, places_of_degree
 from ordcensus.serialize import cover_from_dict
 
@@ -303,3 +306,60 @@ def test_report_names_the_first_count_off_the_l_polynomial(monkeypatch):
     assert not report.agree
     assert report.detail == (f"L-polynomial does not reproduce the point counts: "
                              f"N_{g + 1} = {counts[g] + 2} but L gives {counts[g]}")
+
+
+def plain_count(c, k):
+    """N_k by its definition: the points above every x in F_{q^k}, one above
+    each root of a branch place, and those above infinity."""
+    E, embed = extension(c.field, k)
+    total = 0
+    if type(c).kind == "artin-schreier":
+        p = c.field.p
+        num, den = ([embed[a] for a in f] for f in orc._fraction(c))
+        for x in range(E.q):
+            dv = evaluate(E, den, x)
+            if not dv:
+                total += 1
+            elif E.trace(E.mul(evaluate(E, num, x), E.inv(dv))) == 0:
+                total += p
+        return total + (1 if c.infinity_part is not None else p)
+    # y^n = v has gcd(n, |E| - 1) roots if v is a nonzero n-th power, else none
+    roots = math.gcd(c.n, E.q - 1)
+    parts = [([embed[a] for a in f.full], i) for i, f in enumerate(c.parts, 1)]
+    for x in range(E.q):
+        v = reduce(E.mul, (E.pow(evaluate(E, f, x), i) for f, i in parts), 1)
+        if not v:
+            total += 1
+        elif E.pow(v, (E.q - 1) // roots) == 1:
+            total += roots
+    return total + (1 if c.epsilon else roots)
+
+
+def test_orbit_sums_equal_the_plain_sweep():
+    """count_points_as/se, one evaluation per Frobenius orbit, against the
+    sweep over every element, for every k <= 2g, on seeded covers whose
+    coefficients leave F_2 (over F_4) and whose n-th powers split for some
+    k and not for others.  The orbit sizes divide k and sum to q^k."""
+    rng = random.Random(2024)
+    F3 = FieldSpec(3)
+    covers = []
+    for field, ms in [(F2, (4, 6, 8, 10)), (F3, (3, 4, 5)), (F4, (4, 6, 8))]:
+        for m in ms:
+            covers += rng.sample(list(asc.enumerate_covers(field, m, True)), 2)
+    for field, n, d_max, branches in [(F2, 3, 5, (3, 5)), (F2, 5, 4, (3, 4)),
+                                      (F4, 3, 4, (3, 4)), (F4, 5, 3, (3, 3))]:
+        pool = [c for d in range(d_max + 1) for c in se.enumerate_se_covers(field, n, d)
+                if branches[0] <= c.branch_count <= branches[1]]
+        covers += rng.sample(pool, 2 if field is F2 else 1)
+    swept = set()
+    for c in covers:
+        count, g, _, _ = orc._count_fn(c)
+        for k in range(1, 2 * g + 1):
+            assert count(c, k) == plain_count(c, k), (c, k)
+            swept.add((c.field, k))
+    for field, k in swept:
+        E = extension(field, k)[0]
+        orbits = list(frobenius_orbits(E, field.q))
+        assert all(k % size == 0 for _, size in orbits)
+        assert sum(size for _, size in orbits) == E.q
+        assert len({x for x, _ in orbits}) == len(orbits)

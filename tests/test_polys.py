@@ -280,7 +280,7 @@ def test_place_sieve_matches_factor(monkeypatch, field, d_max):
 @pytest.mark.parametrize("field,d_max", [(F4, 5), (FieldSpec(2, 3), 3), (FieldSpec(3, 2), 3),
                                          (FieldSpec(2, 4), 2)])
 def test_rabin_test_agrees_with_the_place_sieve(field, d_max):
-    # Rabin's test over F_q, q not prime, on every monic polynomial of degree
+    # Ben-Or's test over F_q, q not prime, on every monic polynomial of degree
     # up to d_max, against the sieve, which leaves exactly the places
     # unreached, each its own smallest place
     for d in range(1, d_max + 1):
