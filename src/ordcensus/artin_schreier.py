@@ -30,7 +30,7 @@ from bisect import bisect_right
 from collections import namedtuple
 
 from .errors import DomainError, ResourceGuardError, InvariantViolation
-from .fields import FieldSpec
+from .fields import FieldSpec, power_exceeds
 
 
 class ASCover(namedtuple("ASCover", "field branch infinity_part", defaults=(None,))):
@@ -244,7 +244,7 @@ MAX_ENUM = 2 ** 22
 
 def census_enumerated(field: FieldSpec, m_max: int,
                       include_infinity: bool = False) -> CensusTable:
-    if field.q ** m_max > MAX_ENUM:
+    if power_exceeds(field.q, m_max, MAX_ENUM):
         raise ResourceGuardError(
             f"census enumeration guard exceeded: q^m_max = {field.q}^{m_max} > {MAX_ENUM}")
     rows = {}

@@ -193,6 +193,8 @@ def cmd_classify(args) -> int:
         rng = random.Random(seed)
         field = field_from_qp(q, 2)
         require_odd_prime(n)  # checked here too, as --sample 0 draws nothing
+        if max_m < 0:
+            raise DomainError("--max-m must be >= 0")
         if args.sample * ((n - 1) ** 2 + 400) > MAX_SAMPLE_COST:
             raise ResourceGuardError(f"classify --sample guarded at N ((n-1)^2 + 400) <= "
                                      f"{MAX_SAMPLE_COST:,}, got N = {args.sample}, n = {n}")

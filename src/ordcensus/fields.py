@@ -54,6 +54,12 @@ def is_prime(n: int) -> bool:
     return n > 1 and prime_factors(n) == [n]
 
 
+def power_exceeds(q: int, m: int, limit: int) -> bool:
+    """q^m > limit, for q >= 2 and limit >= 1, without computing a huge
+    q^m: once m reaches the bit length of limit, q^m >= 2^m > limit."""
+    return m >= limit.bit_length() or q ** m > limit
+
+
 def require_odd_prime(n: int) -> None:
     if n % 2 == 0 or not is_prime(n):
         raise DomainError("n must be an odd prime")
@@ -306,7 +312,7 @@ def _of_order(p: int, k: int) -> FieldSpec:
         raise DomainError(f"{p} is not prime")
     if k < 1:
         raise DomainError("extension degree must be >= 1")
-    if p ** k > MAX_Q:
+    if power_exceeds(p, k, MAX_Q):
         raise DomainError(f"q = {p}^{k} exceeds the enumeration limit {MAX_Q}")
     field = object.__new__(FieldSpec)
     field.p = p
@@ -377,12 +383,9 @@ def frobenius_orbits(E: FieldSpec, q: int):
     """(x, orbit size) for one x in each orbit of x -> x^q on E = F_{q^k}:
     0 once, then a representative g^j of each orbit on E*, whose logs walk
     j -> j q mod (|E| - 1), visited indices marked in a bytearray.  The sizes
-    divide k and sum to |E|; for k = 1 every element is its own orbit."""
+    divide k and sum to |E|; for k = 1 every element is its own orbit, as
+    j q = j mod (q - 1)."""
     yield 0, 1
-    if E.q == q:
-        for x in range(1, q):
-            yield x, 1
-        return
     n = E.q - 1
     seen = bytearray(n)
     j = 0

@@ -27,7 +27,7 @@ from types import SimpleNamespace
 from .errors import DomainError, ResourceGuardError, InvariantViolation
 from ._polyarith import evaluate
 from .fields import (MAX_Q, FieldSpec, extension, frobenius_orbits, from_log_derivative,
-                     log_derivative)
+                     log_derivative, power_exceeds)
 from .polys import reconstruct
 
 MAX_GENUS = 6
@@ -84,7 +84,7 @@ def extension_field(field: FieldSpec, k: int) -> SimpleNamespace:
 def _guard(field: FieldSpec, g: int, k: int):
     if g > MAX_GENUS:
         raise ResourceGuardError(f"oracle guarded at genus <= {MAX_GENUS}, got {g}")
-    if field.q ** k > MAX_Q:
+    if power_exceeds(field.q, k, MAX_Q):
         raise ResourceGuardError(f"point-count sweep q^k = {field.q}^{k} exceeds {MAX_Q}")
 
 

@@ -28,10 +28,11 @@ Local parts at a place Q are computed over its residue field F_q[t]/(Q)
 with the arithmetic of :mod:`_polyarith` over F_q: an element is a
 polynomial in t reduced mod Q, written as its index (the coefficients read
 as base-q digits, lowest power first), the encoding ``ASCover`` holds.
-``local_to_global`` turns the indices into a numerator over Q^e, summing
-over the conjugates of t with the traces of ``ext_field_for``; no field of
-order q^deg Q is built.  ``reconstruct`` sums those numerators over the
-places into one fraction N/D.
+Over it Q = (x - t) S, the x^i coefficient of S being the tuple Q[i+1:], so
+c_j/(x - t)^j = c_j S^j/Q^j: ``local_to_global`` reads the numerator over
+Q^e off that, summing over the conjugates of t with the traces of
+``ext_field_for``; no field of order q^deg Q is built.  ``reconstruct`` sums
+those numerators over the places into one fraction N/D.
 
 Text format (used by the CLI): comma-separated coefficient representatives,
 lowest degree first, with the leading 1 written explicitly.  Over F_2,
@@ -47,7 +48,8 @@ from functools import reduce
 
 from . import _polyarith as pa
 from .errors import DomainError, InvariantViolation, ResourceGuardError
-from .fields import FieldSpec, count_irreducibles, is_irreducible_over, linear_table
+from .fields import (FieldSpec, count_irreducibles, is_irreducible_over, linear_table,
+                     power_exceeds)
 
 
 class MonicPoly(namedtuple("MonicPoly", "field coeffs")):
@@ -267,7 +269,7 @@ def _check_sieve(field: FieldSpec, d: int, what: str):
     so a code's base-p digits are its coordinates."""
     if d < 1:
         raise DomainError("the place sieves need degree >= 1")
-    if field.q ** d > 2 ** 22:
+    if power_exceeds(field.q, d, 2 ** 22):
         raise ResourceGuardError(what)
 
 
@@ -359,16 +361,11 @@ def is_nth_power_free(f: MonicPoly, n: int) -> bool:
 # Local parts
 # ---------------------------------------------------------------------------
 
-_EXT_CACHE: dict = {}
-
-
 def ext_field_for(place: Place) -> tuple:
     """The traces (s_0, ..., s_{d-1}) to the base field of 1, t, ...,
-    t^(d-1) in F_q[t]/(Q), for the place Q of degree d, built once per place:
-    s_m is the m-th power sum of Q's roots, ``_polyarith.power_sums``."""
-    if place not in _EXT_CACHE:
-        _EXT_CACHE[place] = pa.power_sums(place.field, place.poly.full)
-    return _EXT_CACHE[place]
+    t^(d-1) in F_q[t]/(Q), for the place Q of degree d: s_m is the m-th
+    power sum of Q's roots, ``_polyarith.power_sums``."""
+    return pa.power_sums(place.field, place.poly.full)
 
 
 # An element of F_q[t]/(Q) is a raw coefficient tuple in t, reduced mod Q;
@@ -392,43 +389,30 @@ def _xmul(K: FieldSpec, Q: tuple, f: list, g: list) -> list:
     return [pa.mod(K, c, Q) for c in out]
 
 
-def _horner(K: FieldSpec, Q: tuple, cs, a: tuple) -> list:
-    """sum_i cs[i] (x + a)^(len(cs) - 1 - i) over F_q[t]/(Q)."""
-    out = [()] * len(cs)
-    for c in cs:  # out (x + a) + c; the degree stays below len(cs)
-        out = [pa.add(K, lo, _rmul(K, Q, a, hi)) for lo, hi in zip([c] + out, out)]
-    return out
-
-
-def _split(K: FieldSpec, Q: tuple) -> tuple:
-    """t in F_q[t]/(Q), and S with Q = (x - t) S over F_q[t]/(Q), by
-    synthetic division: S_{d-1} = 1 and S_{i-1} = Q_i + t S_i."""
-    t = pa.mod(K, (0, 1), Q)
-    s = [(1,)]
-    for c in Q[-2:0:-1]:
-        s.append(pa.add(K, (c,), _rmul(K, Q, t, s[-1])))
-    return t, s[::-1]
-
-
 def local_to_global(place: Place, coeffs: tuple) -> tuple:
     """The numerator A over the base field with A/place^e = local part.
 
-    ``coeffs`` is (c_1, ..., c_e), indices in F_q[t]/(place).  With
-    place = (x - t) S over it, the local part at t is
-    sum_j c_j/(x - t)^j = P/place^e with P = B S^e and
-    B = sum_j c_j (x - t)^(e-j); the local part of the place is its sum over
-    the conjugates of t, so A is the trace to the base field of each
-    coefficient of P, sum_m r_m s_m for r = sum_m r_m t^m and the traces s
-    of ``ext_field_for``.  The returned raw tuple has coefficients in the
-    base field.
+    ``coeffs`` is (c_1, ..., c_e), indices in F_q[t]/(place).  Over it,
+    place = Q = (x - t) S with S = (Q(x) - Q(t))/(x - t), whose x^i
+    coefficient is Q_{i+1} + Q_{i+2} t + ... + Q_d t^(d-1-i): the tuple
+    ``Q[i+1:]``, of degree below d in t and so already reduced.  The local
+    part at t is sum_j c_j/(x - t)^j = sum_j c_j S^j/Q^j, and the local part
+    of the place is its sum over the conjugates of t; Q has base-field
+    coefficients, so A = sum_j Q^(e-j) T_j with T_j the trace of c_j S^j,
+    taken coefficient by coefficient as sum_m r_m s_m for r = sum_m r_m t^m
+    and the traces s of ``ext_field_for``.  A is built by Horner in Q,
+    A <- A Q + T_j, and is a raw tuple over the base field.
     """
-    K, Q = place.field, place.poly.full
+    K, Q, d = place.field, place.poly.full, place.degree
     s = ext_field_for(place)
-    t, S = _split(K, Q)
-    b = _horner(K, Q, [_element(K, c, place.degree) for c in coeffs], pa.neg(K, t))
-    for _ in coeffs:
-        b = _xmul(K, Q, b, S)
-    return pa.trim(K, [reduce(K.add, map(K.mul, r, s), K.zero) for r in b])
+    S = [Q[i + 1:] for i in range(d)]
+    power, a = [(1,)], ()
+    for n in coeffs:
+        power = _xmul(K, Q, power, S)
+        c = _element(K, n, d)
+        trace = [reduce(K.add, map(K.mul, _rmul(K, Q, c, r), s), K.zero) for r in power]
+        a = pa.add(K, pa.mul(K, a, Q), pa.trim(K, trace))
+    return a
 
 
 def reconstruct(K: FieldSpec, polynomial_part: tuple, parts) -> tuple:

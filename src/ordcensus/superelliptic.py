@@ -13,7 +13,7 @@ from collections import namedtuple
 from functools import cache
 
 from .errors import DomainError, ResourceGuardError, InvariantViolation
-from .fields import FieldSpec, require_odd_prime
+from .fields import FieldSpec, power_exceeds, require_odd_prime
 from .polys import MonicPoly, enumerate_monic, gcd_monic, is_squarefree, place_sieve
 
 
@@ -284,7 +284,7 @@ MAX_TUPLE_COST = 5 * 10 ** 7  # census se --q 2 --n 11 --max-m 13, just under it
 def _guard_monic_count(field: FieldSpec, m: int, what: str):
     """Raise ResourceGuardError, before any enumeration, unless the q^m monic
     polynomials of degree m number at most 2^MAX_TUPLE_DEGREE."""
-    if field.q ** m > 2 ** MAX_TUPLE_DEGREE:
+    if power_exceeds(field.q, m, 2 ** MAX_TUPLE_DEGREE):
         raise ResourceGuardError(
             f"{what} guarded at q^m <= 2^{MAX_TUPLE_DEGREE}, got {field.q}^{m}")
 
@@ -426,6 +426,8 @@ def random_se_cover(field: FieldSpec, n: int, m: int, rng) -> SECover:
     with a nonempty family, each kept at the first member of its family, are
     listed once per (field, n, m)."""
     require_odd_prime(n)
+    if m < 0:
+        raise DomainError("the degree sum m must be >= 0")
     _guard_monic_count(field, m, "random cover")
     _guard_tuple_count(n, m, "random cover")
     tuples = _sample_tuples(field, n, m)

@@ -411,12 +411,76 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     ("census", "as", "--q", "2", "--max-m", "-1"),
     ("census", "se", "--q", "2", "--max-m", "-1"),
     ("classify", "--sample", "-1", "--q", "2", "--n", "3", "--max-m", "3"),
+    ("classify", "--sample", "2", "--n", "3", "--max-m", "-2"),
+    ("classify", "--sample", "1", "--n", "5", "--max-m", "-4"),
+    ("classify", "--sample", "1", "--max-m", "-1"),
+    ("classify", "--sample", "0", "--max-m", "-2"),  # draws nothing, checks --max-m
 ])
 def test_negative_counts_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert "must be >= 0" in err
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 3), st.sampled_from([2, 4, 8]) | st.integers(-2, 9),
+       st.sampled_from([3, 5, 7]) | st.integers(-3, 8), st.integers(-6, 8))
+def test_small_sample_and_census_options_exit_0_2_or_3(sample, q, n, max_m):
+    # the valid q and n are drawn as often as the rest
+    for argv in (("classify", "--sample", sample, "--q", q, "--n", n, "--max-m", max_m),
+                 ("census", "se", "--q", q, "--n", n, "--max-m", max_m)):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([str(a) for a in argv])
+        assert code in (0, 2, 3), (argv, err.getvalue())
+        assert code == 2 or max_m >= 0, argv
+        assert (code == 0) == (out.getvalue() != ""), (argv, err.getvalue())
+
+
+def _run_capped(script: str, *argv) -> subprocess.CompletedProcess:
+    """``python -c script argv...`` in a fresh process whose address space is
+    capped at 1 GiB, so that a q^m with a huge m fails fast, not the machine."""
+    capped = "import resource, sys\nresource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))\n"
+    return subprocess.run([sys.executable, "-c", capped + script, *argv], env=_src_env(),
+                          capture_output=True, text=True, timeout=30)
+
+
+def test_a_huge_exponent_is_refused_before_its_power():
+    # q^m with m = 10^11 has ~10^11 bits, 12.5 GB: each guard must refuse m
+    # from its size, not from the power
+    m = 10 ** 11
+    for argv, message in [
+        (("census", "as", "--q", "3", "--p", "3", "--mode", "enumerate", "--max-m", str(m)),
+         f"census enumeration guard exceeded: q^m_max = 3^{m} > 4194304"),
+        (("census", "se", "--q", "2", "--n", "3", "--max-m", str(m)),
+         f"census_se guarded at q^m <= 2^16, got 2^{m}"),
+        (("classify", "--sample", "1", "--q", "2", "--n", "3", "--max-m", str(m)),
+         f"random cover guarded at q^m <= 2^16, got 2^{m}"),
+    ]:
+        proc = _run_capped("from ordcensus.cli import main\nsys.exit(main(sys.argv[1:]))", *argv)
+        assert (proc.returncode, proc.stdout) == (3, ""), (argv, proc.stderr)
+        assert proc.stderr == f"resource guard: {message}\n"
+    proc = _run_capped(f"""
+from ordcensus.errors import DomainError, ResourceGuardError
+from ordcensus.fields import FieldSpec
+from ordcensus.oracle import count_points_as
+from ordcensus.polys import places_of_degree
+from ordcensus.serialize import cover_from_dict
+F2 = FieldSpec(2)
+c = cover_from_dict({{"q": 2, "p": 2, "branch": [{{"place": "0,1", "local": [1]}}]}})
+for call, error in ((lambda: FieldSpec(2, {m}), DomainError),
+                    (lambda: places_of_degree(F2, {m}), ResourceGuardError),
+                    (lambda: count_points_as(c, {m}), ResourceGuardError)):
+    try:
+        call()
+    except error as exc:
+        print(exc)
+""")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines() == [f"q = 2^{m} exceeds the enumeration limit 1048576",
+                                        f"enumerating irreducibles of degree {m} over F_2",
+                                        f"point-count sweep q^k = 2^{m} exceeds 1048576"]
 
 
 def test_census_determinism(capsys):

@@ -307,6 +307,12 @@ def test_tuple_family_count_is_symmetric():
         assert se.count_tuple_family(F2, tuple(reversed(e))) == count
 
 
+def test_sampler_refuses_a_negative_degree_sum():
+    for m in (-1, -4):
+        with pytest.raises(DomainError, match="must be >= 0"):
+            se.random_se_cover(F2, 3, m, random.Random(0))
+
+
 def test_sampler_guards_on_number_of_monics():
     F8 = FieldSpec(2, 3)
     for field, m in ((F4, 9), (F8, 6), (F2, se.MAX_TUPLE_DEGREE + 1)):
