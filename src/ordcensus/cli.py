@@ -209,9 +209,9 @@ def cmd_classify(args) -> int:
                           "m": asc.m_invariant(c), "ordinary": asc.is_ordinary(c)})
         else:
             from . import superelliptic
-            entry.update({"kind": "superelliptic", "genus": superelliptic.genus_se(c),
-                          "m": c.branch_count,
-                          "d_i": list(superelliptic.eigen_degrees(c).d),
+            d = superelliptic.eigen_degrees(c).d  # checked against genus_se
+            entry.update({"kind": "superelliptic", "genus": sum(d),
+                          "m": c.branch_count, "d_i": list(d),
                           "a_number": superelliptic.a_number(c),
                           "ordinary": superelliptic.is_ordinary_se(c)})
             if (entry["a_number"] == 0) != entry["ordinary"]:

@@ -11,13 +11,15 @@ grouped by degree: the degree-d local factor is raised to I_d, the number
 of places of degree d, so D can be large even for q = 32.  That power
 multiplies the factor's rounding error by I_d, so the product runs at
 ``WORKING_DPS`` plus the number of digits of I_D, and the bound
-|v| (exp(tail) - 1) is taken with ``expm1``.  Unless a caller fixes D, it
-is the first of 8, 12, 16, ... with a tail bound below 1e-8.
-``cezb_constant`` stops after 120 factors, with a tail below q^-120.
+|v| (exp(tail) - 1) is taken with ``_expm1``, which keeps its relative
+precision.  Unless a caller fixes D, it is the first of 8, 12, 16, ... with
+a tail bound below 1e-8.  ``cezb_constant`` stops after 120 factors, with a
+tail below q^-120.
 
-mpmath is imported only by the functions that evaluate constants, which
-return mpmath ``mpf`` values, each under a local ``mp.workdps``: importing
-this module neither loads mpmath nor changes the global ``mp.dps``.
+The constants are ``decimal.Decimal`` values, each evaluated under its own
+``working_context``, a local decimal context: ``decimal`` is imported only
+by the functions that evaluate constants, and the caller's decimal context
+is neither read nor changed.
 """
 
 from __future__ import annotations
@@ -88,63 +90,83 @@ def cumulative_ratios(rows: dict, m_values):
 
 
 class EulerProductValue(namedtuple("EulerProductValue", "value truncation_degree error_bound")):
-    """A truncated Euler product: ``value`` and ``error_bound`` are mpmath
-    mpf, and the product runs over places of degree <= ``truncation_degree``."""
+    """A truncated Euler product: ``value`` and ``error_bound`` are
+    ``decimal.Decimal``, and the product runs over places of degree <=
+    ``truncation_degree``."""
 
     __slots__ = ()
 
 
-def _tail_bound(q: int, D: int, lead, decay: int):
+def working_context(extra_digits: int = 0):
+    """A local decimal context of WORKING_DPS + ``extra_digits`` significant
+    digits, rounding half-even, whatever the caller's context is."""
+    from decimal import ROUND_HALF_EVEN, Context, localcontext
+    return localcontext(Context(prec=WORKING_DPS + extra_digits, rounding=ROUND_HALF_EVEN))
+
+
+def _expm1(t):
+    """exp(t) - 1 to the current precision.  For small t the subtraction
+    cancels about -log10|t| leading digits, so exp(t) is taken with that many
+    more."""
+    from decimal import localcontext
+    with localcontext() as ctx:
+        ctx.prec += max(0, -t.adjusted()) + 2
+        r = t.exp() - 1
+    return +r
+
+
+def _tail_bound(q: int, D: int, lead, decay):
     """Bound on sum_{d>D} I_d |log(local factor at degree d)|.
 
     Valid when |local - 1| <= lead * |Q|^{-decay} and that quantity is
     <= 1/2 at degree D+1, so |log local| <= 2 lead |Q|^{-decay}.  Uses
     I_d <= q^d / d and sums the geometric tail.
     """
-    from mpmath import mp, mpf
-    with mp.workdps(WORKING_DPS):
-        qm = mpf(q)
-        if lead * qm ** (-decay * (D + 1)) > mpf("0.5"):
+    from decimal import Decimal
+    with working_context():
+        qm, decay = Decimal(q), Decimal(decay)
+        if lead * qm ** (-decay * (D + 1)) > Decimal("0.5"):
             raise DomainError("truncation degree too small for the tail bound")
         x = qm ** (-(decay - 1) * (D + 1))
-        return (2 * mpf(lead) / (D + 1)) * x / (1 - qm ** (-(decay - 1)))
+        return (2 * Decimal(lead) / (D + 1)) * x / (1 - qm ** (-(decay - 1)))
 
 
-def euler_product(q: int, local, lead, decay: int = 2,
+def euler_product(q: int, local, lead, decay=2,
                   D: int | None = None) -> EulerProductValue:
     """Evaluate prod over places of local(|Q|), grouped by degree.
 
     ``local`` maps the norm |Q| to the local factor.  ``lead`` and ``decay``
     give the bound |local(x) - 1| <= lead * x^{-decay} used for the tail.
     """
-    from mpmath import expm1, mp, mpf
-    with mp.workdps(WORKING_DPS):
-        if D is None:
-            D = 8
-            while _tail_bound(q, D, lead, decay) > mpf("1e-8"):
-                D += 4
-        tail = _tail_bound(q, D, lead, decay)
-    with mp.workdps(WORKING_DPS + len(str(count_irreducibles(q, D)))):
-        value = mpf(1)
+    from decimal import Decimal
+    if D is None:
+        D = 8
+        while _tail_bound(q, D, lead, decay) > Decimal("1e-8"):
+            D += 4
+    tail = _tail_bound(q, D, lead, decay)
+    with working_context(len(str(count_irreducibles(q, D)))):
+        value = Decimal(1)
         for d in range(1, D + 1):
-            value *= local(mpf(q) ** d) ** count_irreducibles(q, d)
-        return EulerProductValue(value, D, abs(value) * expm1(tail))
+            value *= local(Decimal(q) ** d) ** count_irreducibles(q, d)
+        return EulerProductValue(value, D, abs(value) * _expm1(tail))
 
 
 def zeta_affine(q: int, s):
     """zeta of the affine line: 1/(1 - q^{1-s}), for real s > 1."""
-    from mpmath import mp, mpf
-    with mp.workdps(WORKING_DPS):
-        s = mpf(s)
+    from decimal import Decimal
+    with working_context():
+        s = Decimal(s)
         if s <= 1:
             raise DomainError("zeta_affine has a pole at s = 1 and diverges for s < 1")
-        return 1 / (1 - mpf(q) ** (1 - s))
+        return 1 / (1 - Decimal(q) ** (1 - s))
 
 
 def zeta_affine_truncated(q: int, s, D: int) -> EulerProductValue:
     """Truncated Euler product for zeta_affine, with its tail bound."""
+    from decimal import Decimal
     if s <= 1:
         raise DomainError("zeta_affine has a pole at s = 1 and diverges for s < 1")
+    s = Decimal(s)
     # |log local| = |log(1 - |Q|^{-s})| <= 2 |Q|^{-s}: lead 1, decay s
     return euler_product(q, lambda x: 1 / (1 - x ** -s), lead=1, decay=s, D=D)
 
@@ -157,12 +179,11 @@ def phi_at_1(q: int, D: int | None = None) -> EulerProductValue:
 
 def _local_polynomial_product(q: int, poly: list, D: int | None = None) -> EulerProductValue:
     """prod over places of sum_j poly[j] |Q|^{-j}, whose 1/|Q| term cancels."""
-    from mpmath import mpf
     assert poly[0] == 1 and poly[1] == 0  # the 1/|Q| term cancels exactly
     lead = sum(abs(c) for c in poly[2:])
 
     def local(x):
-        acc = mpf(0)
+        acc = 0
         for c in reversed(poly):
             acc = acc / x + c
         return acc
@@ -173,11 +194,11 @@ def _local_polynomial_product(q: int, poly: list, D: int | None = None) -> Euler
 def psi_p_at_1(p: int, q: int) -> EulerProductValue:
     """psi_p(1), for q a power of the prime p (else DomainError).  For p=2
     this is 1/zeta(2) = 1 - 1/q exactly."""
-    from mpmath import mp, mpf
+    from decimal import Decimal
     field_from_qp(q, p)
     if p == 2:
-        with mp.workdps(WORKING_DPS):
-            return EulerProductValue(1 - 1 / mpf(q), 0, mpf(0))
+        with working_context():
+            return EulerProductValue(1 - 1 / Decimal(q), 0, Decimal(0))
     # local factor (1 + (p-2)x - (p-1)x^2) (1-x)^{p-2} = (1 + (p-1)x) (1-x)^{p-1}
     return phi_k_at_1(q, p - 1)
 
@@ -185,47 +206,46 @@ def psi_p_at_1(p: int, q: int) -> EulerProductValue:
 def ordinary_probability_as(q: int, p: int, include_infinity: bool):
     """Limiting probability that an Artin-Schreier cover is ordinary, for q
     a power of the prime p (else DomainError)."""
-    from mpmath import mp, mpf
+    from decimal import Decimal
     field_from_qp(q, p)
     if p >= 3:
-        return mpf(0)
-    with mp.workdps(WORKING_DPS):
-        zeta2 = zeta_affine(q, 2)
-        base = phi_at_1(q).value * zeta2
+        return Decimal(0)
+    base = phi_at_1(q).value
+    with working_context():
+        base *= zeta_affine(q, 2)
         if not include_infinity:
             return base
-        qi = 1 / mpf(q)
+        qi = 1 / Decimal(q)
         return (1 - qi + qi ** 2) / (1 + qi) * base
 
 
 def cezb_constant(q: int):
     """prod_{i=1}^{120} (1 + q^{-i})^{-1}, the random-Dieudonne-module prediction."""
-    from mpmath import mp, mpf
-    with mp.workdps(WORKING_DPS):
-        value = mpf(1)
+    from decimal import Decimal
+    with working_context():
+        value = Decimal(1)
         for i in range(1, 121):
-            value /= 1 + mpf(q) ** (-i)
+            value /= 1 + Decimal(q) ** (-i)
         return value
 
 
 def phi_k_at_1(q: int, k: int) -> EulerProductValue:
     """phi_k(1) = prod over places of (1 + k|Q|^{-1}) (1 - |Q|^{-1})^k."""
-    from mpmath import mpf
+    from decimal import Decimal
     if k < 0:
         raise DomainError("k must be >= 0")
     if k == 0:
-        return EulerProductValue(mpf(1), 0, mpf(0))
+        return EulerProductValue(Decimal(1), 0, Decimal(0))
     poly = series_multiply([1, k], [(-1) ** j * math.comb(k, j) for j in range(k + 1)], k + 1)
     return _local_polynomial_product(q, poly)
 
 
 def l_constant(n: int, q: int) -> EulerProductValue:
     """L_{n-2} = prod_{j=1}^{n-2} prod_Q (1 - j/((|Q|+1)(|Q|+j)))."""
-    from mpmath import mpf
     require_odd_prime(n)
 
     def local(x):
-        acc = mpf(1)
+        acc = 1
         for j in range(1, n - 1):
             acc *= 1 - j / ((x + 1) * (x + j))
         return acc
@@ -236,7 +256,8 @@ def l_constant(n: int, q: int) -> EulerProductValue:
 
 def kappa_constant(n: int, q: int):
     """kappa_n(q) = q phi_{n-1}(1) / (log(q) (n-2)!)."""
-    from mpmath import log, mp, mpf
+    from decimal import Decimal
     require_odd_prime(n)
-    with mp.workdps(WORKING_DPS):
-        return mpf(q) * phi_k_at_1(q, n - 1).value / (log(mpf(q)) * math.factorial(n - 2))
+    phi = phi_k_at_1(q, n - 1).value
+    with working_context():
+        return Decimal(q) * phi / (Decimal(q).ln() * math.factorial(n - 2))

@@ -318,8 +318,8 @@ def test_census_se_names_the_row_where_the_routes_disagree(capsys, monkeypatch):
     assert err == "invariant violation: census routes disagree at m=3: 12, 13, 12\n"
 
 
-def test_only_constants_load_mpmath(tmp_path):
-    # a fresh process: tests/test_dirichlet.py imports mpmath into this one
+def test_only_constants_load_decimal(tmp_path):
+    # a fresh process: tests/test_dirichlet.py imports decimal into this one
     cover = tmp_path / "cover.json"
     cover.write_text(json.dumps({"q": 2, "p": 2,
                                  "branch": [{"place": "0,1", "local": [0, 0, 1]}],
@@ -328,22 +328,48 @@ def test_only_constants_load_mpmath(tmp_path):
 import contextlib, io, sys
 from ordcensus.cli import main
 def quiet(*argv):
-    with contextlib.redirect_stdout(io.StringIO()):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
         assert main(list(argv)) == 0, argv
+    return out.getvalue()
 quiet("census", "as", "--q", "2", "--max-m", "6", "--mode", "both")
 quiet("census", "se", "--q", "2", "--n", "3", "--max-m", "4")
 quiet("classify", "--sample", "3", "--q", "2", "--n", "3", "--max-m", "3")
 quiet("oracle", "--cover", {str(cover)!r})
+assert "decimal" not in sys.modules
+constants = [("constants", "--q", "3", "--p", "3"), ("report-table1",)]
+outs = [quiet(*argv) for argv in constants]
+assert "decimal" in sys.modules
 assert "mpmath" not in sys.modules
-import mpmath
-dps = mpmath.mp.dps
-quiet("constants", "--q", "3", "--p", "3")
-quiet("report-table1")
-assert mpmath.mp.dps == dps, mpmath.mp.dps
+import decimal
+ctx = decimal.getcontext()
+ctx.prec, ctx.rounding, ctx.traps[decimal.Inexact] = 5, decimal.ROUND_FLOOR, True
+state = (ctx.prec, ctx.rounding, dict(ctx.traps), dict(ctx.flags))
+# the constants do not read the caller's context, nor change it
+assert [quiet(*argv) for argv in constants] == outs
+assert (ctx.prec, ctx.rounding, dict(ctx.traps), dict(ctx.flags)) == state
+assert decimal.getcontext() is ctx
 """
     proc = subprocess.run([sys.executable, "-c", script], env=_src_env(),
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_the_cli_runs_on_the_standard_library_alone(capsys, tmp_path):
+    # python -S leaves site-packages off sys.path
+    cover = tmp_path / "cover.json"
+    cover.write_text(json.dumps({"q": 2, "p": 2,
+                                 "branch": [{"place": "0,1", "local": [0, 0, 1]}],
+                                 "infinity": None}))
+    for argv in [("constants", "--q", "3", "--p", "3"), ("report-table1",),
+                 ("census", "as", "--q", "2", "--max-m", "8"),
+                 ("census", "se", "--q", "2", "--n", "3", "--max-m", "6"),
+                 ("classify", "--sample", "3", "--q", "2", "--n", "3", "--max-m", "4"),
+                 ("oracle", "--cover", str(cover))]:
+        proc = subprocess.run([sys.executable, "-S", "-m", "ordcensus.cli", *argv],
+                              env=_src_env(), capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 0, (argv, proc.stderr)
+        assert (0, proc.stdout) == run(capsys, *argv)[:2], argv
 
 
 def _modules_after(argv, cover):

@@ -1,7 +1,7 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from mpmath import mpf
 
 from ordcensus import dirichlet as dd
 from ordcensus.artin_schreier import admissible_pole_orders, count_local_parts
@@ -74,7 +74,7 @@ def test_cumulative_ratios():
 def test_zeta_affine():
     # zeta(2) over F_q is 1/(1 - q^{-1}) = q/(q-1)
     assert abs(dd.zeta_affine(2, 2) - 2) < 1e-25
-    assert abs(dd.zeta_affine(3, 2) - mpf(3) / 2) < 1e-25
+    assert abs(dd.zeta_affine(3, 2) - Decimal(3) / 2) < 1e-25
     with pytest.raises(DomainError):
         dd.zeta_affine(2, 1)
 
@@ -83,7 +83,7 @@ def test_zeta_affine_truncated_matches_closed_form():
     for q in (2, 3, 4):
         for s in (2, 3):
             ep = dd.zeta_affine_truncated(q, s, 25)
-            assert abs(ep.value - dd.zeta_affine(q, s)) <= ep.error_bound + mpf("1e-20")
+            assert abs(ep.value - dd.zeta_affine(q, s)) <= ep.error_bound + Decimal("1e-20")
 
 
 def test_phi_at_1_table():
@@ -96,7 +96,7 @@ def test_phi_at_1_table():
 def test_psi_2_exact():
     for q in (2, 4, 8):
         ep = dd.psi_p_at_1(2, q)
-        assert abs(ep.value - (1 - mpf(1) / q)) < 1e-25
+        assert abs(ep.value - (1 - Decimal(1) / q)) < 1e-25
         assert ep.error_bound == 0
 
 
@@ -138,7 +138,7 @@ def test_phi_k():
     assert dd.phi_k_at_1(2, 0).value == 1
     # phi_1(1) = prod (1+x)(1-x) = prod (1 - |Q|^{-2}) = 1/zeta(2)
     ep = dd.phi_k_at_1(2, 1)
-    assert abs(ep.value - mpf("0.5")) <= ep.error_bound + mpf("1e-20")
+    assert abs(ep.value - Decimal("0.5")) <= ep.error_bound + Decimal("1e-20")
     for k in (2, 4, 6):
         assert 0 < float(dd.phi_k_at_1(2, k).value) < 1
 
@@ -159,10 +159,35 @@ def test_kappa_constant():
         dd.kappa_constant(9, 2)
 
 
+def test_kappa_and_l_keep_their_floats():
+    # the floats of the 30-digit mpmath evaluation these constants replaced:
+    # no CLI output carries kappa_n or L_{n-2}
+    assert {(n, q): float(dd.kappa_constant(n, q))
+            for n, q in ((3, 2), (5, 2), (3, 4), (7, 3), (5, 9))} == {
+        (3, 2): 0.5231781053799122, (5, 2): 0.006766135436196392,
+        (3, 4): 1.3422170610138426, (7, 3): 0.00017373891182995155,
+        (5, 9): 0.25388328829377266}
+    got = {(n, q): dd.l_constant(n, q) for n, q in ((3, 2), (3, 8), (5, 2), (7, 4), (5, 9))}
+    assert {k: (float(ep.value), ep.truncation_degree, float(ep.error_bound))
+            for k, ep in got.items()} == {
+        (3, 2): (0.7252788571690697, 28, 7.453446321875289e-10),
+        (3, 8): (0.8987832261079753, 8, 6.802749857140725e-09),
+        (5, 2): (0.22511652979516544, 28, 9.253786771784765e-10),
+        (7, 4): (0.1290618827093009, 16, 4.242290996798885e-11),
+        (5, 9): (0.5956997167871506, 12, 6.489838946512701e-13)}
+
+
 def test_tail_bound_shrinks():
     b1 = dd._tail_bound(2, 20, 3, 2)
     b2 = dd._tail_bound(2, 40, 3, 2)
-    assert b2 < b1 < mpf("1e-4")
+    assert b2 < b1 < Decimal("1e-4")
+
+
+def test_expm1_keeps_its_relative_precision():
+    # exp(t) - 1 at 30 digits alone keeps 10 digits of t = 1e-20
+    with dd.working_context():
+        assert dd._expm1(Decimal("1e-20")) == Decimal("1.00000000000000000000500000000E-20")
+        assert dd._expm1(Decimal("0.5")) == Decimal("0.648721270700128146848650787814")
 
 
 def test_zeta_truncation_bound_sweep():
@@ -172,7 +197,7 @@ def test_zeta_truncation_bound_sweep():
             exact = dd.zeta_affine(q, s)
             for D in range(4, 15):
                 ep = dd.zeta_affine_truncated(q, s, D)
-                assert abs(ep.value - exact) <= ep.error_bound + mpf("1e-20")
+                assert abs(ep.value - exact) <= ep.error_bound + Decimal("1e-20")
 
 
 def test_euler_product_stabilization():
@@ -200,5 +225,5 @@ def test_euler_products_carry_their_rounding(monkeypatch):
     for (q, p), products in got.items():
         for ep, ref in zip(products, (dd.phi_at_1.__wrapped__(q), dd.psi_p_at_1(p, q))):
             assert ep.truncation_degree == ref.truncation_degree
-            assert abs(ep.value - ref.value) <= mpf("1e-25") * abs(ref.value), (q, p)
-            assert abs(ep.error_bound - ref.error_bound) <= mpf("1e-12") * ref.error_bound, (q, p)
+            assert abs(ep.value - ref.value) <= Decimal("1e-25") * abs(ref.value), (q, p)
+            assert abs(ep.error_bound - ref.error_bound) <= Decimal("1e-12") * ref.error_bound, (q, p)

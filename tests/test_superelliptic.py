@@ -267,6 +267,15 @@ def test_bdfl_ratio_report():
     assert 0.2 < v2 < 5
 
 
+def test_bdfl_ratio_report_keeps_its_floats():
+    # the floats of the 30-digit mpmath evaluation this report replaced
+    F8 = FieldSpec(2, 3)
+    assert [se.bdfl_ratio_report(F, e1, e2) for F, e1, e2 in
+            ((F2, 0, 0), (F2, 3, 3), (F4, 2, 1), (F4, 2, 2), (F8, 1, 1))] == [
+        5.515120095480131, 0.8617375149187705, 1.2092171737026511, 0.9069128802769884,
+        1.2715603825920152]
+
+
 def test_random_cover_determinism():
     a = se.random_se_cover(F2, 3, 4, random.Random(7))
     b = se.random_se_cover(F2, 3, 4, random.Random(7))
