@@ -42,14 +42,11 @@ class ASCover(namedtuple("ASCover", "field branch infinity_part", defaults=(None
     """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
     kind = "artin-schreier"
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        self.__post_init__()
-        return self
-
-    def __post_init__(self):
         p = self.field.p
         if not self.branch and self.infinity_part is None:
             raise DomainError("branch data must be nonempty when infinity is unramified")
@@ -62,6 +59,7 @@ class ASCover(namedtuple("ASCover", "field branch infinity_part", defaults=(None
             _check_local_part(p, coeffs)
         if self.infinity_part is not None:
             _check_local_part(p, self.infinity_part)
+        return self
 
 
 def _check_local_part(p: int, coeffs):
@@ -220,16 +218,14 @@ class CensusTable(namedtuple("CensusTable", "q p rows source")):
     """``rows`` maps m -> (a_m, b_m); ``source`` is "enumerated" or "analytic"."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        self.__post_init__()
-        return self
-
-    def __post_init__(self):
         for m, (a, b) in self.rows.items():
             if not (0 <= b <= a):
                 raise DomainError(f"census row m={m} violates 0 <= b <= a")
+        return self
 
     def cumulative_ratio(self, m_max: int) -> float:
         from .dirichlet import cumulative_ratios

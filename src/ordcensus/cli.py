@@ -169,9 +169,9 @@ def _load_cover(path: str):
     import json
     from .serialize import cover_from_dict
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:  # JSON is UTF-8, whatever the locale
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON, UTF-8 or int size
         raise DomainError(f"cannot read cover file {path}: {exc}") from exc
     return cover_from_dict(data)
 
@@ -253,7 +253,6 @@ def cmd_verify_kernel(args) -> int:
 
 def cmd_report_table1(args) -> int:
     from . import dirichlet
-    lines = ["q,phi1,phi1_dev,P_AS_modified,P_AS_modified_dev,cezb,cezb_dev"]
     rows = []
     for q, (phi_pub, pas_pub, cezb_pub) in TABLE1.items():
         phi1 = float(dirichlet.phi_at_1(q).value)
@@ -264,10 +263,8 @@ def cmd_report_table1(args) -> int:
                      "P_AS_modified": round(pas, 6),
                      "P_AS_modified_dev": round(abs(pas - pas_pub), 6),
                      "cezb": round(cezb, 6), "cezb_dev": round(abs(cezb - cezb_pub), 6)})
-        lines.append(",".join(str(rows[-1][k]) for k in
-                              ("q", "phi1", "phi1_dev", "P_AS_modified",
-                               "P_AS_modified_dev", "cezb", "cezb_dev")))
     if args.format == "csv":
+        lines = [",".join(rows[0])] + [",".join(map(str, row.values())) for row in rows]
         emit("\n".join(lines), args.output)
     else:
         emit_json(rows, args.output)

@@ -179,7 +179,8 @@ def phi_at_1(q: int, D: int | None = None) -> EulerProductValue:
 
 def _local_polynomial_product(q: int, poly: list, D: int | None = None) -> EulerProductValue:
     """prod over places of sum_j poly[j] |Q|^{-j}, whose 1/|Q| term cancels."""
-    assert poly[0] == 1 and poly[1] == 0  # the 1/|Q| term cancels exactly
+    if poly[0] != 1 or poly[1] != 0:  # the tail bound needs the 1/|Q| term to cancel
+        raise InvariantViolation(f"local polynomial {poly} must start 1, 0")
     lead = sum(abs(c) for c in poly[2:])
 
     def local(x):

@@ -37,30 +37,25 @@ class PointCounts(namedtuple("PointCounts", "q genus counts")):
     """``counts`` is (N_1, ..., N_k_max)."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        self.__post_init__()
-        return self
-
-    def __post_init__(self):
         for k, n_k in enumerate(self.counts, start=1):
             if abs(n_k - (self.q ** k + 1)) ** 2 > 4 * self.genus ** 2 * self.q ** k:
                 raise InvariantViolation(
                     f"Weil bound violated: N_{k} = {n_k}, q = {self.q}, g = {self.genus}")
+        return self
 
 
 class LPolynomial(namedtuple("LPolynomial", "q genus coeffs")):
     """``coeffs`` is (a_0, ..., a_{2g}), exact integers with a_0 = 1."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        self.__post_init__()
-        return self
-
-    def __post_init__(self):
         g, q = self.genus, self.q
         if len(self.coeffs) != 2 * g + 1 or self.coeffs[0] != 1:
             raise DomainError("L-polynomial must have a_0 = 1 and degree 2g")
@@ -69,6 +64,7 @@ class LPolynomial(namedtuple("LPolynomial", "q genus coeffs")):
                 raise InvariantViolation("functional equation fails")
         if sum(self.coeffs) <= 0:
             raise InvariantViolation("L(1) = #Jac must be positive")
+        return self
 
 
 def extension_field(field: FieldSpec, k: int) -> SimpleNamespace:

@@ -14,7 +14,7 @@ from functools import cache
 
 from .errors import DomainError, ResourceGuardError, InvariantViolation
 from .fields import FieldSpec, power_exceeds, require_odd_prime
-from .polys import MonicPoly, enumerate_monic, gcd_monic, is_squarefree, place_sieve
+from .polys import MonicPoly, _coeffs_at, gcd_monic, is_squarefree, place_sieve
 
 
 class SECover(namedtuple("SECover", "field n parts")):
@@ -24,14 +24,11 @@ class SECover(namedtuple("SECover", "field n parts")):
     """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
     kind = "superelliptic"
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        self.__post_init__()
-        return self
-
-    def __post_init__(self):
         require_odd_prime(self.n)
         if self.field.p == self.n:
             raise DomainError("n must be coprime to the characteristic")
@@ -44,6 +41,7 @@ class SECover(namedtuple("SECover", "field n parts")):
         for f, g in itertools.combinations(live, 2):
             if gcd_monic(f, g).degree > 0:
                 raise DomainError("parts are not pairwise coprime")
+        return self
 
     @property
     def degrees(self) -> tuple:
@@ -323,11 +321,9 @@ def _tuple_family_positions(field: FieldSpec, e: tuple):
 
 def enumerate_tuple_family(field: FieldSpec, e: tuple):
     """All tuples of monic squarefree pairwise-coprime polys of degrees e,
-    parts in the order of e."""
-    _guard_monic_count(field, sum(e), "tuple family enumeration")
-    monics = {d: tuple(enumerate_monic(field, d)) for d in set(e)}
+    parts in the order of e, each part read off its sieve position."""
     for positions in _tuple_family_positions(field, e):
-        yield tuple(monics[d][i] for d, i in zip(e, positions))
+        yield tuple(MonicPoly(field, _coeffs_at(i, field.q, d)) for d, i in zip(e, positions))
 
 
 _TUPLE_FAMILY_CACHE: dict = {}

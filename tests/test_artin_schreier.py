@@ -125,9 +125,9 @@ def test_census_enumerated_builds_one_cover_per_family(monkeypatch):
     built = []
 
     class CountingCover(asc.ASCover):
-        def __post_init__(self):
-            built.append(self)
-            super().__post_init__()
+        def __new__(cls, *args, **kwargs):
+            built.append(args)
+            return super().__new__(cls, *args, **kwargs)
 
     monkeypatch.setattr(asc, "ASCover", CountingCover)
     asc.census_enumerated(field, m_max, include_infinity=True)

@@ -198,6 +198,20 @@ def test_malformed_cover_file_is_a_usage_error(capsys, tmp_path):
         assert err.startswith("error: bad cover data")
 
 
+@pytest.mark.parametrize("content", [
+    b'{"q": 2, "p": 2, "infinity": [1], "note": "\xff"}',  # not UTF-8
+    b'{"q": 2, "p": 2, "infinity": [1], "n": ' + b"1" * 5000 + b"}",  # over the int limit
+], ids=["not-utf-8", "huge-int"])
+def test_undecodable_cover_file_is_a_usage_error(capsys, tmp_path, content):
+    cover = tmp_path / "cover.json"
+    cover.write_bytes(content)
+    for command in ("classify", "oracle"):
+        code, out, err = run(capsys, command, "--cover", str(cover))
+        assert code == 2, command
+        assert out == ""
+        assert err.startswith("error: cannot read cover file")
+
+
 def test_cover_with_a_repeated_place_is_a_usage_error(capsys, tmp_path):
     # the place x listed twice over F_2 is no branch data, not a Weil-bound fault
     cover = tmp_path / "cover.json"
@@ -577,7 +591,7 @@ def test_classify_sample_guard_fires_before_enumeration(capsys, monkeypatch, q, 
     def no_work(*args):
         raise AssertionError("monic polynomials enumerated before the guard")
     monkeypatch.setattr(polys, "enumerate_monic", no_work)
-    monkeypatch.setattr(superelliptic, "enumerate_monic", no_work)
+    monkeypatch.setattr(superelliptic, "_coeffs_at", no_work)
     code, _, err = run(capsys, "classify", "--sample", "1", "--q", str(q),
                        "--max-m", str(max_m))
     assert code == 3

@@ -183,6 +183,12 @@ def test_tail_bound_shrinks():
     assert b2 < b1 < Decimal("1e-4")
 
 
+def test_local_polynomial_product_refuses_an_uncancelled_first_term():
+    # the tail bound needs the 1/|Q| term to cancel; a raise survives python -O
+    with pytest.raises(InvariantViolation, match=r"\[1, 1\]"):
+        dd._local_polynomial_product(2, [1, 1])
+
+
 def test_expm1_keeps_its_relative_precision():
     # exp(t) - 1 at 30 digits alone keeps 10 digits of t = 1e-20
     with dd.working_context():

@@ -90,6 +90,37 @@ def test_validation_fires_on_construction():
         orc.LPolynomial(q=2, genus=1, coeffs=(2, 1, 2))
 
 
+def _invalid_replacements():
+    """(record, field changes, error, message): one change each that the
+    record's constructor refuses."""
+    x, x1 = MonicPoly(F2, (0,)), MonicPoly(F2, (1,))
+    return [
+        (asc.ASCover(F2, ((Place(x), (1,)),)), {"branch": ()}, DomainError, "nonempty"),
+        (asc.CensusTable(2, 2, {2: (1, 1)}, "analytic"), {"rows": {2: (1, 2)}},
+         DomainError, "b <= a"),
+        (se.SECover(F2, 3, (x, x1)), {"parts": (x, x)}, DomainError, "pairwise coprime"),
+        (orc.PointCounts(2, 1, (3, 5)), {"counts": (9,)}, InvariantViolation, "Weil bound"),
+        (orc.LPolynomial(2, 1, (1, 0, 2)), {"coeffs": (1, 0, 3)}, InvariantViolation,
+         "functional equation"),
+    ]
+
+
+@pytest.mark.parametrize("record, change, error, message", _invalid_replacements(),
+                         ids=["ASCover", "CensusTable", "SECover", "PointCounts",
+                              "LPolynomial"])
+def test_replace_and_make_run_the_constructor_checks(record, change, error, message):
+    fields = {**record._asdict(), **change}
+    with pytest.raises(error, match=message) as built:
+        type(record)(**fields)
+    with pytest.raises(error) as replaced:
+        record._replace(**change)
+    with pytest.raises(error) as made:
+        type(record)._make(fields.values())
+    for raised in (replaced, made):
+        assert type(raised.value) is type(built.value)
+        assert str(raised.value) == str(built.value)
+
+
 def test_l_polynomial_rejects_a_non_integral_newton_step():
     # s_1 = 0 and s_2 = 1, so 2 a_2 = -(s_2 + a_1 s_1) = -1; within the Weil bound
     counts = orc.PointCounts(2, 2, (3, 4))
