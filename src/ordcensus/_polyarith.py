@@ -1,13 +1,12 @@
-"""Generic polynomial arithmetic over any field object.
+"""Polynomial arithmetic over a :class:`fields.FieldSpec`.
 
-Polynomials are tuples of field-element representatives, lowest degree
-first, with no trailing zeros; the empty tuple is the zero polynomial.
-The field object must provide ``zero``, ``one`` and the element operations
-``add``, ``sub``, ``neg``, ``mul``, ``inv``.  Every field of the package
-is a :class:`fields.FieldSpec`, whose elements are integer codes with zero
-coded 0.  Over a prime field (``K.k == 1``) the codes are the residues
-mod p, and ``mul`` and ``divmod_`` do that arithmetic inline instead of
-calling the field's methods once per coefficient; the results are the same.
+Polynomials are tuples of field elements, lowest degree first, with no
+trailing zeros; the empty tuple is the zero polynomial.  Elements are
+``FieldSpec`` codes, integers with zero coded 0 and one coded 1, so they
+compare with the literals; the field supplies ``add``, ``sub``, ``neg``,
+``mul`` and ``inv``.  Over a prime field (``K.k == 1``) the codes are the
+residues mod p, and ``mul`` and ``divmod_`` do that arithmetic inline instead
+of calling the field's methods once per coefficient; the results are the same.
 :mod:`polys` computes in a residue field F_q[t]/(Q) with these functions
 over F_q, reducing mod Q.  ``power_sums`` gives the traces of the powers of
 t in F_p[t]/(f) or F_q[t]/(Q) from the modulus alone: the field trace of
@@ -17,10 +16,10 @@ t in F_p[t]/(f) or F_q[t]/(Q) from the modulus alone: the field trace of
 from .errors import DomainError
 
 
-def trim(K, c):
+def trim(c):
     c = tuple(c)
     n = len(c)
-    while n and c[n - 1] == K.zero:
+    while n and c[n - 1] == 0:
         n -= 1
     return c[:n]
 
@@ -36,7 +35,7 @@ def add(K, a, b):
     out = list(a)
     for i, x in enumerate(b):
         out[i] = K.add(out[i], x)
-    return trim(K, out)
+    return trim(out)
 
 
 def neg(K, a):
@@ -48,7 +47,7 @@ def sub(K, a, b):
 
 
 def scale(K, a, s):
-    if s == K.zero:
+    if s == 0:
         return ()
     return tuple(K.mul(x, s) for x in a)
 
@@ -56,20 +55,20 @@ def scale(K, a, s):
 def mul(K, a, b):
     if not a or not b:
         return ()
-    out = [K.zero] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     if K.k == 1:
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b, i):
                     out[j] += x * y
         p = K.p
-        return trim(K, [c % p for c in out])
+        return trim([c % p for c in out])
     for i, x in enumerate(a):
-        if x == K.zero:
+        if x == 0:
             continue
         for j, y in enumerate(b):
             out[i + j] = K.add(out[i + j], K.mul(x, y))
-    return trim(K, out)
+    return trim(out)
 
 
 def divmod_(K, a, b):
@@ -77,7 +76,7 @@ def divmod_(K, a, b):
         raise DomainError("division by the zero polynomial")
     binv = K.inv(b[-1])
     r = list(a)
-    q = [K.zero] * max(len(a) - len(b) + 1, 0)
+    q = [0] * max(len(a) - len(b) + 1, 0)
     db = deg(b)
     if K.k == 1:
         p = K.p
@@ -87,15 +86,15 @@ def divmod_(K, a, b):
                 q[i] = c
                 for j, y in enumerate(b, i):
                     r[j] = (r[j] - c * y) % p
-        return trim(K, q), trim(K, r)
+        return trim(q), trim(r)
     for i in range(len(a) - len(b), -1, -1):
         c = K.mul(r[i + db], binv)
-        if c == K.zero:
+        if c == 0:
             continue
         q[i] = c
         for j, y in enumerate(b):
             r[i + j] = K.sub(r[i + j], K.mul(c, y))
-    return trim(K, q), trim(K, r)
+    return trim(q), trim(r)
 
 
 def mod(K, a, b):
@@ -106,7 +105,7 @@ def monic(K, a):
     """Divide out the leading coefficient."""
     if not a:
         return ()
-    if a[-1] == K.one:
+    if a[-1] == 1:
         return a
     return scale(K, a, K.inv(a[-1]))
 
@@ -119,7 +118,7 @@ def gcd(K, a, b):
 
 def derivative(K, a):
     # i a_i is a_i times i mod p, the code of an element of F_p
-    return trim(K, [K.mul(i % K.p, a[i]) for i in range(1, len(a))])
+    return trim([K.mul(i % K.p, a[i]) for i in range(1, len(a))])
 
 
 def power_sums(K, f):
@@ -137,14 +136,14 @@ def power_sums(K, f):
 
 
 def evaluate(K, a, x):
-    acc = K.zero
+    acc = 0
     for c in reversed(a):
         acc = K.add(K.mul(acc, x), c)
     return acc
 
 
 def pow_mod(K, a, e, m):
-    result = (K.one,)
+    result = (1,)
     a = mod(K, a, m)
     while e:
         if e & 1:

@@ -68,8 +68,11 @@ def emit(text: str, output: str | None):
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        with open(path, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+        try:
+            with open(path, "w") as fh:
+                fh.write(text if text.endswith("\n") else text + "\n")
+        except OSError as exc:
+            raise DomainError(f"cannot write output file {path}: {exc}") from exc
 
 
 def emit_json(data, output: str | None):

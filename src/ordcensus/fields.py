@@ -11,6 +11,11 @@ values on the basis, the power sums of the modulus's roots
 (``_polyarith.power_sums``).  ``embedding`` maps a subfield's codes into a
 larger field.
 
+Base-b digits have one codec, ``digits(n, base, width)`` and its inverse
+``undigits``, least significant digit first: a code's coordinates are
+``digits(a, p, k)``, and :mod:`polys` reads its sieve positions and
+residue-field indices with the same pair.
+
 Every F_p-linear table here (the step x -> x g that lists the powers of g,
 the trace, a subfield's embedding) comes from ``linear_table``, which
 :mod:`polys` also uses for its place sieve: a code's base-p digits are its
@@ -43,7 +48,24 @@ from .errors import DomainError, InvariantViolation, ResourceGuardError
 
 MAX_Q = 2 ** 20
 MAX_PRIME_TEST = 2 ** 40  # trial division to sqrt(n): ~2^20 steps, ~0.2 s
-MAX_RABIN_COST = 10 ** 5  # ~0.3 s at the edge (odd p, k > 1, q ~ 2^19; 2-vCPU VM)
+MAX_BEN_OR_COST = 10 ** 5  # ~0.3 s at the edge (odd p, k > 1, q ~ 2^19; 2-vCPU VM)
+
+
+def digits(n: int, base: int, width: int) -> tuple:
+    """The ``width`` lowest base-``base`` digits of n, least significant first."""
+    out = []
+    for _ in range(width):
+        n, d = divmod(n, base)
+        out.append(d)
+    return tuple(out)
+
+
+def undigits(ds, base: int) -> int:
+    """The number with the base-``base`` digits ``ds``, least significant first."""
+    n = 0
+    for d in reversed(ds):
+        n = n * base + d
+    return n
 
 
 def is_prime(n: int) -> bool:
@@ -149,22 +171,6 @@ class FieldSpec:
 
     def __repr__(self):
         return f"FieldSpec(p={self.p}, k={self.k})"
-
-    # -- element encoding --------------------------------------------------
-
-    def digits(self, a: int) -> tuple:
-        p = self.p
-        out = []
-        for _ in range(self.k):
-            out.append(a % p)
-            a //= p
-        return tuple(out)
-
-    def undigits(self, ds) -> int:
-        a = 0
-        for d in reversed(tuple(ds)):
-            a = a * self.p + d
-        return a
 
     def elements(self):
         return range(self.q)
@@ -274,7 +280,7 @@ class FieldSpec:
         f = self.modulus + (1,)
         cofactors = [n // r for r in prime_factors(n)]
         for g in range(1, self.q):
-            x = pa.trim(fp, self.digits(g))
+            x = pa.trim(digits(g, self.p, self.k))
             if all(pa.pow_mod(fp, x, e, f) != (1,) for e in cofactors):
                 return g
         raise RuntimeError("unreachable: the multiplicative group is cyclic")
@@ -284,8 +290,8 @@ class FieldSpec:
         which ``linear_table`` builds from the images g t^i of the basis."""
         fp = FieldSpec(self.p)
         f = self.modulus + (1,)
-        gx = pa.trim(fp, self.digits(g))
-        rows = [self.undigits(pa.mod(fp, pa.mul(fp, (0,) * i + (1,), gx), f))
+        gx = pa.trim(digits(g, self.p, self.k))
+        rows = [undigits(pa.mod(fp, pa.mul(fp, (0,) * i + (1,), gx), f), self.p)
                 for i in range(self.k)]
         step = linear_table(self.p, self.k, rows)
         out = []
@@ -319,8 +325,6 @@ def _of_order(p: int, k: int) -> FieldSpec:
     field.k = k
     field.q = p ** k
     field.modulus = default_modulus(p, k)
-    field.zero = 0
-    field.one = 1
     return field
 
 
@@ -405,11 +409,11 @@ def is_irreducible_over(K: FieldSpec, f: tuple) -> bool:
     over K of order q: f is irreducible iff gcd(x^(q^i) - x, f) = 1 for
     i = 1..D/2, and it stops at the first i that finds a factor, the degree
     of f's smallest one.  Its D/2 powerings by q cost ~D^3 log2 q at most;
-    ResourceGuardError before them above MAX_RABIN_COST."""
+    ResourceGuardError before them above MAX_BEN_OR_COST."""
     D = pa.deg(f)
-    if D ** 3 * math.log2(K.q) > MAX_RABIN_COST:
+    if D ** 3 * math.log2(K.q) > MAX_BEN_OR_COST:
         raise ResourceGuardError(f"irreducibility test of degree {D} over F_{K.q} guarded "
-                                 f"at D^3 log2 q <= {MAX_RABIN_COST:,}")
+                                 f"at D^3 log2 q <= {MAX_BEN_OR_COST:,}")
     x = h = (0, 1)  # reduced mod f whenever the loop runs, D >= 2
     for _ in range(D // 2):
         h = pa.pow_mod(K, h, K.q, f)

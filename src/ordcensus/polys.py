@@ -26,13 +26,14 @@ output.  Places these routines find are built without a second test;
 
 Local parts at a place Q are computed over its residue field F_q[t]/(Q)
 with the arithmetic of :mod:`_polyarith` over F_q: an element is a
-polynomial in t reduced mod Q, written as its index (the coefficients read
-as base-q digits, lowest power first), the encoding ``ASCover`` holds.
-Over it Q = (x - t) S, the x^i coefficient of S being the tuple Q[i+1:], so
-c_j/(x - t)^j = c_j S^j/Q^j: ``local_to_global`` reads the numerator over
-Q^e off that, summing over the conjugates of t with the traces of
-``ext_field_for``; no field of order q^deg Q is built.  ``reconstruct`` sums
-those numerators over the places into one fraction N/D.
+polynomial in t reduced mod Q, written as its index, whose base-q digits
+(``fields.digits``, lowest power first) are its coefficients; that is the
+encoding ``ASCover`` holds.  Over it Q = (x - t) S, the x^i coefficient of
+S being the tuple Q[i+1:], so c_j/(x - t)^j = c_j S^j/Q^j:
+``local_to_global`` reads the numerator over Q^e off that, summing over the
+conjugates of t with the traces of ``ext_field_for``; no field of order
+q^deg Q is built.  ``reconstruct`` sums those numerators over the places
+into one fraction N/D.
 
 Text format (used by the CLI): comma-separated coefficient representatives,
 lowest degree first, with the leading 1 written explicitly.  Over F_2,
@@ -48,8 +49,8 @@ from functools import reduce
 
 from . import _polyarith as pa
 from .errors import DomainError, InvariantViolation, ResourceGuardError
-from .fields import (FieldSpec, count_irreducibles, is_irreducible_over, linear_table,
-                     power_exceeds)
+from .fields import (FieldSpec, count_irreducibles, digits, is_irreducible_over,
+                     linear_table, power_exceeds, undigits)
 
 
 class MonicPoly(namedtuple("MonicPoly", "field coeffs")):
@@ -102,10 +103,6 @@ class MonicPoly(namedtuple("MonicPoly", "field coeffs")):
 
 def poly_one(field: FieldSpec) -> MonicPoly:
     return MonicPoly(field, ())
-
-
-def poly_x(field: FieldSpec) -> MonicPoly:
-    return MonicPoly(field, (0,))
 
 
 def mul_monic(a: MonicPoly, b: MonicPoly) -> MonicPoly:
@@ -240,19 +237,14 @@ _SIEVE_CACHE: dict = {}
 
 
 def _position(coeffs, q: int) -> int:
-    """Position in ``enumerate_monic`` order: the base-q number c_0 ... c_{d-1}."""
-    pos = 0
-    for c in coeffs:
-        pos = pos * q + c
-    return pos
+    """Position in ``enumerate_monic`` order: the base-q number c_0 ... c_{d-1},
+    c_0 most significant."""
+    return undigits(coeffs[::-1], q)
 
 
 def _coeffs_at(pos: int, q: int, d: int) -> tuple:
     """The coefficients (c_0, ..., c_{d-1}) at a position; inverse of ``_position``."""
-    out = [0] * d
-    for j in range(d - 1, -1, -1):
-        pos, out[j] = divmod(pos, q)
-    return tuple(out)
+    return digits(pos, q, d)[::-1]
 
 
 def monic_rank(f: MonicPoly) -> int:
@@ -273,12 +265,9 @@ def _check_sieve(field: FieldSpec, d: int, what: str):
         raise ResourceGuardError(what)
 
 
-_CHUNK = 2 ** 12
-
-
-def _times_place(place: MonicPoly, n: int):
+def _times_place(place: MonicPoly, n: int) -> list:
     """The positions of place*C for the monic C of degree n, in
-    ``enumerate_monic`` order, as an iterator.
+    ``enumerate_monic`` order.
 
     A code's base-p digits are its coordinates, so C's position, read in
     base p, lists the coordinates of its coefficients c_j, and place*C =
@@ -286,20 +275,15 @@ def _times_place(place: MonicPoly, n: int):
     positions are the table of that map: base pos(place x^n), one row
     pos(t^b place x^j) per base-p digit of C's position (least significant
     first: j from n - 1 down, b from 0 up), t the generator of F_q.  The
-    table is listed in chunks of at most ``_CHUNK`` entries, one per entry of
-    the table of the high digits, so no more than a chunk is held at once.
+    table is listed whole: its q^n entries are at most 1/q of the sieve that
+    asks for it, which holds an entry per position.
     """
     K = place.field
     q, p = K.q, K.p
     # pos(t^b place x^j) is pos(t^b place) shifted by n - 1 - j places
     units = [_position([K.mul(p ** b, a) for a in place.full], q) for b in range(K.k)]
     rows = [u * q ** s for s in range(n) for u in units]
-    width = (place.degree + n) * K.k
-    low = 0
-    while low < len(rows) and p ** (low + 1) <= _CHUNK:
-        low += 1
-    highs = linear_table(p, width, rows[low:], _position(place.coeffs, q))
-    return itertools.chain.from_iterable(linear_table(p, width, rows[:low], h) for h in highs)
+    return linear_table(p, (place.degree + n) * K.k, rows, _position(place.coeffs, q))
 
 
 def place_sieve(field: FieldSpec, d: int) -> tuple:
@@ -351,12 +335,6 @@ def place_sieve(field: FieldSpec, d: int) -> tuple:
     return least, places
 
 
-def is_nth_power_free(f: MonicPoly, n: int) -> bool:
-    if n < 2:
-        raise DomainError("n must be >= 2")
-    return all(m < n for _, m in factor(f))
-
-
 # ---------------------------------------------------------------------------
 # Local parts
 # ---------------------------------------------------------------------------
@@ -370,11 +348,6 @@ def ext_field_for(place: Place) -> tuple:
 
 # An element of F_q[t]/(Q) is a raw coefficient tuple in t, reduced mod Q;
 # a polynomial in x over F_q[t]/(Q) is a list of elements, low degree first.
-
-def _element(K: FieldSpec, n: int, d: int) -> tuple:
-    """The element of F_q[t]/(Q), deg Q = d, with index n."""
-    return pa.trim(K, [n // K.q ** m % K.q for m in range(d)])
-
 
 def _rmul(K: FieldSpec, Q: tuple, a: tuple, b: tuple) -> tuple:
     return pa.mod(K, pa.mul(K, a, b), Q)
@@ -409,9 +382,9 @@ def local_to_global(place: Place, coeffs: tuple) -> tuple:
     power, a = [(1,)], ()
     for n in coeffs:
         power = _xmul(K, Q, power, S)
-        c = _element(K, n, d)
-        trace = [reduce(K.add, map(K.mul, _rmul(K, Q, c, r), s), K.zero) for r in power]
-        a = pa.add(K, pa.mul(K, a, Q), pa.trim(K, trace))
+        c = pa.trim(digits(n, K.q, d))
+        trace = [reduce(K.add, map(K.mul, _rmul(K, Q, c, r), s), 0) for r in power]
+        a = pa.add(K, pa.mul(K, a, Q), pa.trim(trace))
     return a
 
 

@@ -48,11 +48,6 @@ class SECover(namedtuple("SECover", "field n parts")):
         return tuple(f.degree for f in self.parts)
 
     @property
-    def weighted_degree(self) -> int:
-        """N = sum i deg(f_i)."""
-        return sum(i * f.degree for i, f in enumerate(self.parts, start=1))
-
-    @property
     def n_infinity(self) -> int:
         return _n_infinity(self.n, self.degrees)
 

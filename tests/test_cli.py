@@ -586,12 +586,12 @@ def test_sample_options_with_cover_are_usage_errors(tmp_path, capsys, option):
 
 @pytest.mark.parametrize("q,max_m", [(4, 9), (8, 6), (2, 17)])
 def test_classify_sample_guard_fires_before_enumeration(capsys, monkeypatch, q, max_m):
-    from ordcensus import polys, superelliptic
+    from ordcensus import superelliptic
 
     def no_work(*args):
-        raise AssertionError("monic polynomials enumerated before the guard")
-    monkeypatch.setattr(polys, "enumerate_monic", no_work)
-    monkeypatch.setattr(superelliptic, "_coeffs_at", no_work)
+        raise AssertionError("monic polynomials sieved before the guard")
+    # the sampler's one way to the monic polynomials of a degree
+    monkeypatch.setattr(superelliptic, "place_sieve", no_work)
     code, _, err = run(capsys, "classify", "--sample", "1", "--q", str(q),
                        "--max-m", str(max_m))
     assert code == 3
@@ -814,6 +814,16 @@ def test_output_file_and_outdir(tmp_path, capsys, monkeypatch):
     assert out == ""
     data = json.loads((tmp_path / "k5.json").read_text())
     assert data["pass"] is True
+
+
+@pytest.mark.parametrize("target", ["a_directory", "missing/k5.json"])
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys, target):
+    (tmp_path / "a_directory").mkdir()
+    code, out, err = run(capsys, "verify-kernel", "--n", "5",
+                         "--output", str(tmp_path / target))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write output file {tmp_path / target}: ")
+    assert "Traceback" not in err
 
 
 def test_usage_error_exit():

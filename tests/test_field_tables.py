@@ -11,21 +11,21 @@ from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_add, gf_mul, gf_pow_mod, gf_rem
 
 from ordcensus.errors import DomainError
-from ordcensus.fields import FieldSpec, embedding
+from ordcensus.fields import FieldSpec, digits, embedding, undigits
 
 SIZES = [(p, k) for p in (2, 3, 5, 7) for k in range(1, 7)]
 
 
 def to_gf(F, a):
     """Code -> sympy dense polynomial (highest degree first, stripped)."""
-    ds = list(reversed(F.digits(a)))
+    ds = list(reversed(digits(a, F.p, F.k)))
     while ds and ds[0] == 0:
         ds.pop(0)
     return ds
 
 
 def from_gf(F, f):
-    return F.undigits(reversed([0] * (F.k - len(f)) + list(f)))
+    return undigits(f[::-1], F.p)
 
 
 def gf_modulus(F):

@@ -3,10 +3,12 @@ import pickle
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from ordcensus.errors import DomainError, ResourceGuardError
-from ordcensus.fields import (FieldSpec, default_modulus, extension, from_log_derivative,
-                              is_irreducible_over, is_prime, log_derivative)
+from ordcensus.fields import (FieldSpec, default_modulus, digits, extension,
+                              from_log_derivative, is_irreducible_over, is_prime,
+                              log_derivative, undigits)
 
 
 def test_is_prime():
@@ -51,8 +53,8 @@ def test_default_modulus_f4():
 def test_f4_multiplication():
     # spec example: in F_4 with modulus t^2 + t + 1, t * t = t + 1
     F4 = FieldSpec(2, 2)
-    t = F4.undigits((0, 1))
-    t_plus_1 = F4.undigits((1, 1))
+    t = undigits((0, 1), 2)
+    t_plus_1 = undigits((1, 1), 2)
     assert F4.mul(t, t) == t_plus_1
 
 
@@ -139,3 +141,15 @@ def test_ben_or_rejects_repeated_and_equal_degree_factors(p):
                 assert not gf_irreducible_p(f, p, ZZ)
         f = irreducible(2 * half)
         assert is_irreducible_over(K, tuple(reversed(f))) is True
+
+
+@given(st.integers(2, 64).flatmap(lambda base: st.tuples(
+    st.just(base), st.lists(st.integers(0, base - 1), max_size=8))))
+def test_digits_round_trip(base_and_digits):
+    base, ds = base_and_digits
+    n = undigits(ds, base)
+    assert 0 <= n < base ** len(ds)
+    assert digits(n, base, len(ds)) == tuple(ds)
+    assert undigits(digits(n, base, len(ds)), base) == n
+    # digits above the width are dropped, as a code of a wider number
+    assert digits(n + base ** len(ds), base, len(ds)) == tuple(ds)

@@ -7,13 +7,12 @@ import pytest
 from ordcensus import _polyarith as pa
 from ordcensus import polys
 from ordcensus.errors import DomainError, InvariantViolation, ResourceGuardError
-from ordcensus.fields import FieldSpec, count_irreducibles, embedding, mobius
+from ordcensus.fields import FieldSpec, count_irreducibles, digits, embedding, mobius
 from ordcensus.polys import (MonicPoly, Place, enumerate_monic,
-                             factor, gcd_monic, is_irreducible,
-                             is_nth_power_free, is_squarefree,
+                             factor, gcd_monic, is_irreducible, is_squarefree,
                              local_to_global, monic_rank, mul_monic, omega,
                              place_sieve, places_of_degree, poly_one,
-                             poly_x, pow_monic, reconstruct)
+                             pow_monic, reconstruct)
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -83,8 +82,6 @@ def test_factor_and_squarefree():
     assert is_squarefree(f)
     g = MonicPoly.from_text(F2, "1,0,1")  # (x+1)^2
     assert not is_squarefree(g)
-    assert is_nth_power_free(g, 3)
-    assert not is_nth_power_free(g, 2)
 
 
 def test_factor_roundtrip_random():
@@ -247,7 +244,7 @@ def test_derivative_is_the_derivation_with_x_prime_1(field):
     rng = random.Random(field.q)
     assert pa.derivative(field, (0, 1)) == (1,)
     for _ in range(200):
-        f, g = (pa.trim(field, [rng.randrange(field.q) for _ in range(rng.randrange(10))])
+        f, g = (pa.trim([rng.randrange(field.q) for _ in range(rng.randrange(10))])
                 for _ in range(2))
         assert pa.derivative(field, pa.mul(field, f, g)) == pa.add(
             field, pa.mul(field, pa.derivative(field, f), g),
@@ -344,7 +341,7 @@ def test_factor_multiplicativity_random():
 
 
 def test_poly_helpers():
-    x = poly_x(F2)
+    x = MonicPoly(F2, (0,))
     assert mul_monic(x, x).to_text() == "0,0,1"
     assert gcd_monic(MonicPoly.from_text(F2, "0,1,1"), x) == x
 
@@ -362,8 +359,8 @@ def test_prime_field_arithmetic_matches_galoistools(p):
     K = FieldSpec(p)
     rng = random.Random(p)
     for _ in range(200):
-        a = pa.trim(K, [rng.randrange(p) for _ in range(rng.randrange(12))])
-        b = pa.trim(K, [rng.randrange(p) for _ in range(rng.randrange(1, 8))])
+        a = pa.trim([rng.randrange(p) for _ in range(rng.randrange(12))])
+        b = pa.trim([rng.randrange(p) for _ in range(rng.randrange(1, 8))])
         assert gf(pa.mul(K, a, b)) == gf_mul(gf(a), gf(b), p, ZZ)
         assert gf(pa.derivative(K, a)) == gf_diff(gf(a), p, ZZ)
         if b:
@@ -435,9 +432,9 @@ def test_places_are_minimal_polynomials(field, d_max):
             conj = [A.pow(a, q ** i) for i in range(d)]
             if len(set(conj)) < d:
                 continue  # a lies in a proper subfield
-            h = [A.one]  # prod (x - root), lowest degree first
+            h = [1]  # prod (x - root), lowest degree first
             for root in conj:
-                shifted = [A.zero] + h
+                shifted = [0] + h
                 for j, c in enumerate(h):
                     shifted[j] = A.sub(shifted[j], A.mul(root, c))
                 h = shifted
@@ -461,16 +458,27 @@ def test_places_of_degree_divide_nothing(monkeypatch):
 
 
 @pytest.mark.parametrize("field,d", [(F2, 8), (F3, 5), (F4, 4), (FieldSpec(3, 2), 3)])
-def test_sieves_do_not_depend_on_the_chunk(monkeypatch, field, d):
-    # tables this small fit one chunk; one base-p digit per chunk
-    # checks that the chunks come in position order
-    monkeypatch.setattr(polys, "_PLACES_CACHE", {})
-    monkeypatch.setattr(polys, "_SIEVE_CACHE", {})
-    whole = place_sieve(field, d), places_of_degree(field, d)
-    monkeypatch.setattr(polys, "_PLACES_CACHE", {})
-    monkeypatch.setattr(polys, "_SIEVE_CACHE", {})
-    monkeypatch.setattr(polys, "_CHUNK", field.p)
-    assert (place_sieve(field, d), places_of_degree(field, d)) == whole
+def test_position_codecs_match_their_loop_formulas(field, d):
+    # the loops these functions were written as before the digit codec
+    def position(coeffs, q):
+        pos = 0
+        for c in coeffs:
+            pos = pos * q + c
+        return pos
+
+    def coeffs_at(pos, q, d):
+        out = [0] * d
+        for j in range(d - 1, -1, -1):
+            pos, out[j] = divmod(pos, q)
+        return tuple(out)
+
+    q = field.q
+    for pos in range(q ** d):
+        cs = coeffs_at(pos, q, d)
+        assert polys._coeffs_at(pos, q, d) == cs
+        assert polys._position(cs, q) == pos
+        # a residue-field index: coefficients lowest power first, trimmed
+        assert pa.trim(digits(pos, q, d)) == pa.trim([pos // q ** m % q for m in range(d)])
 
 
 @pytest.mark.parametrize("p,width", [(2, 5), (3, 3), (5, 2)])

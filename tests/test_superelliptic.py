@@ -36,7 +36,6 @@ def test_cover_validation():
 def test_invariants():
     c = cover(F2, 3, "0,1", "1,1")  # f_1 = x, f_2 = x+1
     assert c.degrees == (1, 1)
-    assert c.weighted_degree == 3
     assert c.n_infinity == 0
     assert c.epsilon == 0
     assert c.branch_count == 2
