@@ -143,12 +143,14 @@ def evaluate(K, a, x):
 
 
 def pow_mod(K, a, e, m):
-    result = (1,)
-    a = mod(K, a, m)
-    while e:
-        if e & 1:
+    """a^e mod m, left to right: for e >= 1, bit_length(e) - 1 squarings and
+    popcount(e) - 1 products by a; (1,) for e = 0."""
+    if e == 0:
+        return (1,)
+    a = result = mod(K, a, m)
+    for bit in bin(e)[3:]:
+        result = mod(K, mul(K, result, result), m)
+        if bit == "1":
             result = mod(K, mul(K, result, a), m)
-        a = mod(K, mul(K, a, a), m)
-        e >>= 1
     return result
 

@@ -61,6 +61,11 @@ class ASCover(namedtuple("ASCover", "field branch infinity_part", defaults=(None
             _check_local_part(p, self.infinity_part)
         return self
 
+    def classify(self) -> dict:
+        """The fields ``classify`` prints after the cover's own."""
+        return {"kind": self.kind, "genus": genus(self), "m": m_invariant(self),
+                "ordinary": is_ordinary(self)}
+
 
 def _check_local_part(p: int, coeffs):
     d = len(coeffs)
@@ -297,6 +302,25 @@ def census_analytic(field: FieldSpec, m_max: int,
         b_series = series_multiply(ordinary_local(1), b_series, m_max)
     rows = {m: (a_series[m], b_series[m]) for m in range(2, m_max + 1)}
     return CensusTable(q, p, rows, "analytic")
+
+
+def census(field: FieldSpec, m_max: int, include_infinity: bool = False,
+           mode: str = "analytic") -> CensusTable:
+    """The census by ``mode``: "analytic", "enumerate", or "both", which runs
+    the two routes and returns the analytic table, or raises
+    InvariantViolation naming the first m where they differ."""
+    if mode not in ("analytic", "enumerate", "both"):
+        raise DomainError(f"census mode must be analytic, enumerate or both, got {mode!r}")
+    route = census_enumerated if mode == "enumerate" else census_analytic
+    table = route(field, m_max, include_infinity)
+    if mode == "both":
+        rows, other = table.rows, census_enumerated(field, m_max, include_infinity).rows
+        m = next((m for m in rows if rows[m] != other[m]), None)
+        if m is not None:
+            raise InvariantViolation(
+                f"analytic and enumerated censuses first disagree at m={m}: "
+                f"(a_m, b_m) = {rows[m]} analytic vs {other[m]} enumerated")
+    return table
 
 
 def empirical_probability(field: FieldSpec, m_max: int,

@@ -1,8 +1,16 @@
-"""Command-line interface.
+"""Command-line interface: each command parses its options, makes one
+library call and prints the result.
 
 Subcommands: constants, census (as|se), classify, oracle, verify-kernel,
-report-table1.  Exit codes: 0 success, 2 usage error, 3 resource guard
-exceeded, 4 invariant violation (oracle disagreement or route mismatch).
+report-table1.  Exit codes: 0 success, 1 stdout closed before the output was
+written, 2 usage error, 3 resource guard exceeded, 4 invariant violation
+(oracle disagreement or route mismatch).
+
+The logic lives in the module each command loads: ``dirichlet.constants_report``
+and ``table1_rows``; ``artin_schreier.census``, which picks and cross-checks
+the routes; ``superelliptic.census_se``, and ``sample_covers``, which checks,
+guards and draws; each cover's ``classify()``; ``OracleReport.to_dict()``.
+This module only converts --x-bound, reads and writes files and writes CSV.
 
 ``census as`` and ``census se`` each accept only the options they read, and
 ``classify`` takes exactly one of --cover and --sample, with --q, --n,
@@ -14,13 +22,9 @@ The environment variable ORDCENSUS_OUTDIR, when
 set, is prepended to relative --output paths.
 
 Each command imports the modules it runs inside its ``cmd_*`` function, and
-``json`` only where JSON is read or written, so that a short job does not
-pay for the rest of the package: ``--help`` loads only this module and
-``errors``, ``census as`` never loads the superelliptic code, ``census se``
-never loads the Artin-Schreier code, and only ``classify`` and ``oracle``
-load ``serialize``.  A cover loads only the module of its kind, so
-``classify --sample`` (superelliptic covers) never loads the Artin-Schreier
-code either.
+``json`` only where JSON is read or written: ``--help`` loads only this module
+and ``errors``, each census family only its own module, and a cover only the
+module of its kind, so that a short job does not pay for the rest.
 """
 
 from __future__ import annotations
@@ -32,24 +36,10 @@ import sys
 from .errors import DomainError, ResourceGuardError, InvariantViolation
 
 EXIT_OK = 0
+EXIT_PIPE = 1
 EXIT_USAGE = 2
 EXIT_GUARD = 3
 EXIT_INVARIANT = 4
-
-# classify --sample reads these when --q, --n, --max-m or --seed is not given
-SAMPLE_DEFAULTS = {"q": 2, "n": 3, "max_m": 4, "seed": 0}
-# a cover is charged (n-1)^2 + 400 steps of ~0.4 us to draw and classify: an upper
-# bound, as its eigenspace sums take (n-1)(k+1) steps for k non-constant parts
-MAX_SAMPLE_COST = 25 * 10 ** 6
-
-TABLE1 = {
-    # q: (phi(1), P(AS) modified family, CEZB)
-    2: (0.314148, 0.314148, 0.419422),
-    4: (0.593976, 0.514777, 0.737512),
-    8: (0.776577, 0.702617, 0.873264),
-    16: (0.882162, 0.833730, 0.937270),
-    32: (0.939367, 0.911820, 0.968720),
-}
 
 
 def _resolve_output(path: str | None):
@@ -80,20 +70,6 @@ def emit_json(data, output: str | None):
     emit(json.dumps(data, indent=2), output)
 
 
-def census_csv(rows: dict, m_values) -> str:
-    from .dirichlet import cumulative_ratios
-    lines = ["m,a_m,b_m,cumulative_ratio"]
-    for m, a, b, ratio in cumulative_ratios(rows, m_values):
-        lines.append(f"{m},{a},{b},{ratio:.6f}")
-    return "\n".join(lines)
-
-
-def census_json(rows: dict, m_values) -> list:
-    from .dirichlet import cumulative_ratios
-    return [{"m": m, "a_m": a, "b_m": b, "cumulative_ratio": round(ratio, 6)}
-            for m, a, b, ratio in cumulative_ratios(rows, m_values)]
-
-
 def _m_max_from_args(args) -> int:
     if args.x_bound is not None and args.max_m is not None:
         raise DomainError("give one of --max-m / --x-bound, not both")
@@ -114,57 +90,30 @@ def _m_max_from_args(args) -> int:
 
 
 def cmd_constants(args) -> int:
-    from . import dirichlet
-    from .fields import field_from_qp
-    q, p = args.q, args.p
-    field_from_qp(q, p)  # validates q = p^k
-    phi1 = dirichlet.phi_at_1(q)
-    psi = dirichlet.psi_p_at_1(p, q)
-    data = {
-        "q": q,
-        "p": p,
-        "phi1": float(phi1.value),
-        "psi_p1": float(psi.value),
-        "zeta2": float(dirichlet.zeta_affine(q, 2)),
-        "P_AS_unramified": float(dirichlet.ordinary_probability_as(q, p, False)),
-        "P_AS_modified": float(dirichlet.ordinary_probability_as(q, p, True)),
-        "cezb": float(dirichlet.cezb_constant(q)),
-        "truncation_degree": phi1.truncation_degree,
-        "error_bound": float(phi1.error_bound),
-    }
-    emit_json(data, args.output)
+    from .dirichlet import constants_report
+    emit_json(constants_report(args.q, args.p), args.output)
     return EXIT_OK
 
 
 def cmd_census(args) -> int:
+    from .dirichlet import cumulative_ratios
     from .fields import field_from_qp
     # the field first: --x-bound is converted with q >= 2
     field = field_from_qp(args.q, args.p if args.family == "as" else 2)
     m_max = _m_max_from_args(args)
     if args.family == "as":
-        from . import artin_schreier as asc
-        tables = []
-        if args.mode in ("analytic", "both"):
-            tables.append(asc.census_analytic(field, m_max, args.include_infinity))
-        if args.mode in ("enumerate", "both"):
-            tables.append(asc.census_enumerated(field, m_max, args.include_infinity))
-        rows = tables[0].rows
-        m_values = range(2, m_max + 1)
-        if len(tables) == 2:
-            other = tables[1].rows
-            m = next((m for m in m_values if rows[m] != other[m]), None)
-            if m is not None:
-                raise InvariantViolation(
-                    f"analytic and enumerated censuses first disagree at m={m}: "
-                    f"(a_m, b_m) = {rows[m]} analytic vs {other[m]} enumerated")
+        from .artin_schreier import census
+        rows = census(field, m_max, args.include_infinity, args.mode).rows
     else:
-        from . import superelliptic
-        rows = superelliptic.census_se(field, args.n, m_max)
-        m_values = range(0, m_max + 1)
+        from .superelliptic import census_se
+        rows = census_se(field, args.n, m_max)
+    steps = cumulative_ratios(rows, rows)  # the rows run through m in order
     if args.format == "csv":
-        emit(census_csv(rows, m_values), args.output)
+        emit("\n".join(["m,a_m,b_m,cumulative_ratio"] +
+                       [f"{m},{a},{b},{ratio:.6f}" for m, a, b, ratio in steps]), args.output)
     else:
-        emit_json(census_json(rows, m_values), args.output)
+        emit_json([{"m": m, "a_m": a, "b_m": b, "cumulative_ratio": round(ratio, 6)}
+                   for m, a, b, ratio in steps], args.output)
     return EXIT_OK
 
 
@@ -180,66 +129,24 @@ def _load_cover(path: str):
 
 
 def cmd_classify(args) -> int:
-    from .fields import field_from_qp, require_odd_prime
     from .serialize import cover_to_dict
+    given = {k: v for k in ("q", "n", "max_m", "seed") if (v := getattr(args, k)) is not None}
     if args.cover is not None:
-        if any(getattr(args, k) is not None for k in SAMPLE_DEFAULTS):
+        if given:
             raise DomainError("--q, --n, --max-m and --seed apply to --sample only")
         covers = [_load_cover(args.cover)]
     else:
-        if args.sample < 0:
-            raise DomainError("--sample must be >= 0")
-        import random
-        from . import superelliptic
-        q, n, max_m, seed = (d if getattr(args, k) is None else getattr(args, k)
-                             for k, d in SAMPLE_DEFAULTS.items())
-        rng = random.Random(seed)
-        field = field_from_qp(q, 2)
-        require_odd_prime(n)  # checked here too, as --sample 0 draws nothing
-        if max_m < 0:
-            raise DomainError("--max-m must be >= 0")
-        if args.sample * ((n - 1) ** 2 + 400) > MAX_SAMPLE_COST:
-            raise ResourceGuardError(f"classify --sample guarded at N ((n-1)^2 + 400) <= "
-                                     f"{MAX_SAMPLE_COST:,}, got N = {args.sample}, n = {n}")
-        covers = [superelliptic.random_se_cover(field, n, max_m, rng)
-                  for _ in range(args.sample)]
-    reports = []
-    for c in covers:
-        entry = cover_to_dict(c)
-        if c.kind == "artin-schreier":
-            from . import artin_schreier as asc
-            entry.update({"kind": "artin-schreier", "genus": asc.genus(c),
-                          "m": asc.m_invariant(c), "ordinary": asc.is_ordinary(c)})
-        else:
-            from . import superelliptic
-            d = superelliptic.eigen_degrees(c).d  # checked against genus_se
-            entry.update({"kind": "superelliptic", "genus": sum(d),
-                          "m": c.branch_count, "d_i": list(d),
-                          "a_number": superelliptic.a_number(c),
-                          "ordinary": superelliptic.is_ordinary_se(c)})
-            if (entry["a_number"] == 0) != entry["ordinary"]:
-                raise InvariantViolation(f"classification routes disagree on {entry}")
-        reports.append(entry)
+        from .superelliptic import sample_covers
+        covers = sample_covers(args.sample, **given)
+    reports = [{**cover_to_dict(c), **c.classify()} for c in covers]
     emit_json(reports[0] if args.cover is not None else reports, args.output)
     return EXIT_OK
 
 
 def cmd_oracle(args) -> int:
-    from . import oracle
-    cover = _load_cover(args.cover)
-    report = oracle.cross_validate(cover)
-    data = {
-        "kind": report.kind,
-        "genus": report.genus,
-        "N_k": list(report.counts),
-        "L": list(report.l_coeffs),
-        "p_rank": report.p_rank,
-        "ordinary_by_criterion": report.ordinary_by_criterion,
-        "agree": report.agree,
-    }
-    if not report.agree:
-        data["detail"] = report.detail
-    emit_json(data, args.output)
+    from .oracle import cross_validate
+    report = cross_validate(_load_cover(args.cover))
+    emit_json(report.to_dict(), args.output)
     if not report.agree:
         raise InvariantViolation(f"oracle disagreement: {report.detail}")
     return EXIT_OK
@@ -255,17 +162,8 @@ def cmd_verify_kernel(args) -> int:
 
 
 def cmd_report_table1(args) -> int:
-    from . import dirichlet
-    rows = []
-    for q, (phi_pub, pas_pub, cezb_pub) in TABLE1.items():
-        phi1 = float(dirichlet.phi_at_1(q).value)
-        pas = float(dirichlet.ordinary_probability_as(q, 2, True))
-        cezb = float(dirichlet.cezb_constant(q))
-        rows.append({"q": q,
-                     "phi1": round(phi1, 6), "phi1_dev": round(abs(phi1 - phi_pub), 6),
-                     "P_AS_modified": round(pas, 6),
-                     "P_AS_modified_dev": round(abs(pas - pas_pub), 6),
-                     "cezb": round(cezb, 6), "cezb_dev": round(abs(cezb - cezb_pub), 6)})
+    from .dirichlet import table1_rows
+    rows = table1_rows()
     if args.format == "csv":
         lines = [",".join(rows[0])] + [",".join(map(str, row.values())) for row in rows]
         emit("\n".join(lines), args.output)
@@ -343,7 +241,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader has gone: point stdout at devnull, as Python's notes on
+        # SIGPIPE do, so that the flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except ResourceGuardError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return EXIT_GUARD

@@ -4,7 +4,8 @@ truncated Euler products over places with rigorous tail bounds.
 All the limiting constants (phi(1), psi_p(1), the modified-family
 probability, the CEZB product, Phi_k/phi_k, L_{n-2}, kappa_n) live here,
 as does the one integer Euler-coefficient engine behind the exact censuses,
-``euler_coefficients``, Newton's identities of :mod:`fields` run both ways.
+``euler_coefficients``, Newton's identities of :mod:`fields` run both ways,
+and the rows that ``constants`` and ``report-table1`` print.
 
 Every float Euler product over places runs through ``euler_product``,
 grouped by degree: the degree-d local factor is raised to I_d, the number
@@ -262,3 +263,46 @@ def kappa_constant(n: int, q: int):
     phi = phi_k_at_1(q, n - 1).value
     with working_context():
         return Decimal(q) * phi / (Decimal(q).ln() * math.factorial(n - 2))
+
+
+# ---------------------------------------------------------------------------
+# Reports
+# ---------------------------------------------------------------------------
+
+TABLE1 = {
+    # q: (phi(1), P(AS) modified family, CEZB), as published
+    2: (0.314148, 0.314148, 0.419422),
+    4: (0.593976, 0.514777, 0.737512),
+    8: (0.776577, 0.702617, 0.873264),
+    16: (0.882162, 0.833730, 0.937270),
+    32: (0.939367, 0.911820, 0.968720),
+}
+
+
+def constants_report(q: int, p: int) -> dict:
+    """The limiting constants at q, a power of the prime p (else DomainError),
+    as floats, with the truncation degree and error bound of phi(1)."""
+    field_from_qp(q, p)
+    phi1 = phi_at_1(q)
+    return {"q": q, "p": p, "phi1": float(phi1.value),
+            "psi_p1": float(psi_p_at_1(p, q).value), "zeta2": float(zeta_affine(q, 2)),
+            "P_AS_unramified": float(ordinary_probability_as(q, p, False)),
+            "P_AS_modified": float(ordinary_probability_as(q, p, True)),
+            "cezb": float(cezb_constant(q)), "truncation_degree": phi1.truncation_degree,
+            "error_bound": float(phi1.error_bound)}
+
+
+def table1_rows() -> list:
+    """Table 1 recomputed: per q, phi(1), the modified-family P(AS) and the
+    CEZB constant to 6 places, each with its deviation from TABLE1."""
+    rows = []
+    for q, (phi_pub, pas_pub, cezb_pub) in TABLE1.items():
+        phi1 = float(phi_at_1(q).value)
+        pas = float(ordinary_probability_as(q, 2, True))
+        cezb = float(cezb_constant(q))
+        rows.append({"q": q,
+                     "phi1": round(phi1, 6), "phi1_dev": round(abs(phi1 - phi_pub), 6),
+                     "P_AS_modified": round(pas, 6),
+                     "P_AS_modified_dev": round(abs(pas - pas_pub), 6),
+                     "cezb": round(cezb, 6), "cezb_dev": round(abs(cezb - cezb_pub), 6)})
+    return rows

@@ -183,6 +183,15 @@ class OracleReport(namedtuple("OracleReport", "kind genus counts l_coeffs p_rank
 
     __slots__ = ()
 
+    def to_dict(self) -> dict:
+        """The report as ``oracle`` prints it; ``detail`` only on disagreement."""
+        data = {"kind": self.kind, "genus": self.genus, "N_k": list(self.counts),
+                "L": list(self.l_coeffs), "p_rank": self.p_rank,
+                "ordinary_by_criterion": self.ordinary_by_criterion, "agree": self.agree}
+        if not self.agree:
+            data["detail"] = self.detail
+        return data
+
 
 def _count_fn(c):
     """The sweep, genus, criterion and kind of a cover, importing only the

@@ -2,7 +2,7 @@
 characteristic 2: genus, eigenspace dimensions, a-number and the
 degree-symmetry ordinarity criterion, each read in O(n) from the nonzero
 degrees of the parts, the kernel verifier for the fractional-part matrix,
-and the census counting identities.
+the census counting identities and the seeded sampler of ``classify --sample``.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from collections import namedtuple
 from functools import cache
 
 from .errors import DomainError, ResourceGuardError, InvariantViolation
-from .fields import FieldSpec, power_exceeds, require_odd_prime
+from .fields import FieldSpec, field_from_qp, power_exceeds, require_odd_prime
 from .polys import MonicPoly, _coeffs_at, gcd_monic, is_squarefree, place_sieve
 
 
@@ -42,6 +42,18 @@ class SECover(namedtuple("SECover", "field n parts")):
             if gcd_monic(f, g).degree > 0:
                 raise DomainError("parts are not pairwise coprime")
         return self
+
+    def classify(self) -> dict:
+        """The fields ``classify`` prints after the cover's own; InvariantViolation
+        if the a-number and the degree criterion disagree on ordinarity."""
+        d = eigen_degrees(self).d  # checked against genus_se
+        out = {"kind": self.kind, "genus": sum(d), "m": self.branch_count, "d_i": list(d),
+               "a_number": a_number(self), "ordinary": is_ordinary_se(self)}
+        if (out["a_number"] == 0) != out["ordinary"]:
+            from .serialize import cover_to_dict
+            entry = {**cover_to_dict(self), **out}
+            raise InvariantViolation(f"classification routes disagree on {entry}")
+        return out
 
     @property
     def degrees(self) -> tuple:
@@ -435,6 +447,29 @@ def random_se_cover(field: FieldSpec, n: int, m: int, rng) -> SECover:
             return SECover(field, n, tuple(parts))
         except DomainError:
             continue
+
+
+# a sampled cover is charged (n-1)^2 + 400 steps of ~0.4 us to draw and classify:
+# an upper bound, as its eigenspace sums take (n-1)(k+1) steps for k non-constant parts
+MAX_SAMPLE_COST = 25 * 10 ** 6
+
+
+def sample_covers(count: int, q: int = 2, n: int = 3, max_m: int = 4, seed: int = 0) -> list:
+    """``count`` covers over F_q of degree sum ``max_m``, each drawn by
+    ``random_se_cover`` from one ``random.Random(seed)``.  The arguments are
+    checked, and the sample's cost guarded, before the first draw."""
+    if count < 0:
+        raise DomainError("--sample must be >= 0")
+    import random
+    field = field_from_qp(q, 2)
+    require_odd_prime(n)  # checked here too, as a sample of 0 draws nothing
+    if max_m < 0:
+        raise DomainError("--max-m must be >= 0")
+    if count * ((n - 1) ** 2 + 400) > MAX_SAMPLE_COST:
+        raise ResourceGuardError(f"classify --sample guarded at N ((n-1)^2 + 400) <= "
+                                 f"{MAX_SAMPLE_COST:,}, got N = {count}, n = {n}")
+    rng = random.Random(seed)
+    return [random_se_cover(field, n, max_m, rng) for _ in range(count)]
 
 
 def bdfl_ratio_report(field: FieldSpec, e1: int, e2: int) -> float:

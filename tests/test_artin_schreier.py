@@ -312,3 +312,32 @@ def test_enumerated_covers_round_trip_through_json():
         for m in range(2, m_max + 1):
             for c in asc.enumerate_covers(field, m, include_infinity=True):
                 assert cover_from_dict(cover_to_dict(c)) == c
+
+
+def test_census_modes_pick_their_routes_and_both_cross_checks(monkeypatch):
+    assert asc.census(F2, 8) == asc.census_analytic(F2, 8)
+    assert asc.census(F3, 6, True, "enumerate") == asc.census_enumerated(F3, 6, True)
+    assert asc.census(F3, 6, True, "both") == asc.census_analytic(F3, 6, True)
+    with pytest.raises(DomainError, match="census mode"):
+        asc.census(F2, 8, False, "enumerated")
+    enumerated = asc.census_enumerated
+
+    def off_by_one_at_6(field, m_max, include_infinity=False):
+        table = enumerated(field, m_max, include_infinity)
+        a, b = table.rows[6]
+        return table._replace(rows={**table.rows, 6: (a + 1, b)})
+
+    monkeypatch.setattr(asc, "census_enumerated", off_by_one_at_6)
+    with pytest.raises(InvariantViolation) as info:
+        asc.census(F2, 8, False, "both")
+    assert str(info.value) == ("analytic and enumerated censuses first disagree at m=6: "
+                               "(a_m, b_m) = (32, 20) analytic vs (33, 20) enumerated")
+    assert asc.census(F2, 8, False, "analytic") == asc.census_analytic(F2, 8)
+
+
+def test_classify_fields_in_order():
+    c = asc.ASCover(F2, ((X, (0, 0, 1)),), (1,))
+    assert list(c.classify().items()) == [("kind", "artin-schreier"), ("genus", 2),
+                                          ("m", 6), ("ordinary", False)]
+    assert asc.ASCover(F2, (simple_pole(X),), (1,)).classify() == \
+        {"kind": "artin-schreier", "genus": 1, "m": 4, "ordinary": True}

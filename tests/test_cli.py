@@ -913,3 +913,18 @@ def test_hostile_cover_json_exits_0_2_or_3(data):
             assert code in (0, 2, 3), (command, data, err.getvalue())
             assert "Traceback" not in err.getvalue()
             assert (code == 0) == (out.getvalue() != ""), (command, data)
+
+
+@pytest.mark.parametrize("argv", [
+    ("census", "as", "--q", "2", "--max-m", "400"),  # more than a pipe's buffer
+    ("constants", "--q", "3", "--p", "3"),           # written only at the flush
+])
+def test_a_closed_stdout_exits_1_without_a_traceback(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # no reader before the first byte is written
+    try:
+        proc = subprocess.run([sys.executable, "-m", "ordcensus.cli", *argv], env=_src_env(),
+                              stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, "")

@@ -233,3 +233,24 @@ def test_euler_products_carry_their_rounding(monkeypatch):
             assert ep.truncation_degree == ref.truncation_degree
             assert abs(ep.value - ref.value) <= Decimal("1e-25") * abs(ref.value), (q, p)
             assert abs(ep.error_bound - ref.error_bound) <= Decimal("1e-12") * ref.error_bound, (q, p)
+
+
+def test_reports_are_what_the_cli_prints(capsys):
+    """``table1_rows`` and ``constants_report`` are the rows ``report-table1
+    --format json`` and ``constants`` print, keys in the same order."""
+    import json
+    from ordcensus.cli import main
+
+    def printed(*argv):
+        assert main(list(argv)) == 0
+        return json.loads(capsys.readouterr().out)
+
+    rows = dd.table1_rows()
+    assert [q for q in dd.TABLE1] == [row["q"] for row in rows] == [2, 4, 8, 16, 32]
+    assert [list(row.items()) for row in rows] == \
+        [list(row.items()) for row in printed("report-table1", "--format", "json")]
+    for q, p in ((3, 3), (4, 2), (9, 3)):
+        report = dd.constants_report(q, p)
+        assert list(report.items()) == list(printed("constants", "--q", str(q), "--p", str(p)).items())
+    with pytest.raises(DomainError):
+        dd.constants_report(4, 3)

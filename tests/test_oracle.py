@@ -363,3 +363,13 @@ def test_orbit_sums_equal_the_plain_sweep():
         assert all(k % size == 0 for _, size in orbits)
         assert sum(size for _, size in orbits) == E.q
         assert len({x for x, _ in orbits}) == len(orbits)
+
+
+def test_report_to_dict_is_what_oracle_prints():
+    report = orc.cross_validate(as_cover((X, (0, 0, 1))))
+    assert list(report.to_dict().items()) == [
+        ("kind", "artin-schreier"), ("genus", 1), ("N_k", [3, 9]), ("L", [1, 0, 2]),
+        ("p_rank", 0), ("ordinary_by_criterion", False), ("agree", True)]
+    disagreeing = report._replace(agree=False, detail="why")
+    assert list(disagreeing.to_dict())[-2:] == ["agree", "detail"]
+    assert disagreeing.to_dict()["detail"] == "why"

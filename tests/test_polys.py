@@ -507,3 +507,43 @@ def test_place_sieve_names_a_polynomial_reached_twice(monkeypatch):
     monkeypatch.setattr(polys, "places_of_degree", lambda field, e: real(field, e) * 2)
     with pytest.raises(InvariantViolation, match="place sieve reached 0,0,1 twice"):
         place_sieve(F2, 2)
+
+
+@pytest.mark.parametrize("field", [FieldSpec(2), FieldSpec(3), FieldSpec(5), F4, FieldSpec(3, 2)])
+def test_pow_mod_matches_galoistools_with_the_fewest_products(field, monkeypatch):
+    """pow_mod against sympy's gf_pow_mod over F_p, and against repeated
+    products over F_q, at e = 0, 1, 2 and a random e, with
+    bit_length(e) + popcount(e) - 2 products for e >= 1: none by one, and no
+    squaring after the last bit."""
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_pow_mod
+
+    def gf(c):  # lowest degree first -> sympy's highest first
+        return list(reversed(c))
+
+    products = 0
+    mul = pa.mul
+
+    def counted(L, *args):
+        nonlocal products
+        products += L is K  # not the products of F_p[t] inside K's own arithmetic
+        return mul(L, *args)
+
+    K, q = field, field.q
+    rng = random.Random(q)
+    for _ in range(60):
+        m = tuple(rng.randrange(q) for _ in range(rng.randrange(1, 8))) + (1,)
+        a = pa.trim([rng.randrange(q) for _ in range(rng.randrange(10))])
+        for e in (0, 1, 2, rng.randrange(3, 10 ** 6 if K.k == 1 else 40)):
+            monkeypatch.setattr(pa, "mul", counted)
+            products = 0
+            got = pa.pow_mod(K, a, e, m)
+            monkeypatch.setattr(pa, "mul", mul)
+            assert products == (e.bit_length() + bin(e).count("1") - 2 if e else 0)
+            if K.k == 1:
+                assert gf(got) == gf_pow_mod(gf(a), e, gf(m), q, ZZ)
+            else:
+                expected = (1,)
+                for _ in range(e):
+                    expected = pa.mod(K, pa.mul(K, expected, a), m)
+                assert got == (expected if e else (1,))

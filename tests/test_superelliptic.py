@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ordcensus import superelliptic as se
-from ordcensus.errors import DomainError, ResourceGuardError
+from ordcensus.errors import DomainError, InvariantViolation, ResourceGuardError
 from ordcensus.fields import FieldSpec
 from ordcensus.polys import MonicPoly, mul_monic, poly_one
 
@@ -328,3 +328,43 @@ def test_sampler_guards_on_number_of_monics():
             se.random_se_cover(field, 3, m, random.Random(0))
         with pytest.raises(ResourceGuardError):
             next(se.enumerate_tuple_family(field, (m - 1, 1)))
+
+
+def test_classify_fields_in_order(monkeypatch):
+    c = cover(F2, 3, "0,1,1", "1")
+    assert list(c.classify().items()) == [
+        ("kind", "superelliptic"), ("genus", 1), ("m", 3), ("d_i", [0, 1]),
+        ("a_number", 1), ("ordinary", False)]
+    assert cover(F2, 3, "1,1,1", "0,1,1").classify()["ordinary"] is True
+    # the a-number and the degree criterion are checked against each other
+    monkeypatch.setattr(se, "a_number", lambda c: 0)
+    with pytest.raises(InvariantViolation) as info:
+        c.classify()
+    assert str(info.value) == (
+        "classification routes disagree on {'q': 2, 'n': 3, 'parts': ['0,1,1', '1'], "
+        "'kind': 'superelliptic', 'genus': 1, 'm': 3, 'd_i': [0, 1], 'a_number': 0, "
+        "'ordinary': False}")
+
+
+def test_sample_covers_checks_everything_before_the_first_draw(monkeypatch):
+    assert se.sample_covers(3, q=4, n=5, max_m=3, seed=7) == se.sample_covers(3, 4, 5, 3, 7)
+    assert len(se.sample_covers(2)) == 2
+
+    def no_draw(*args):
+        raise AssertionError("drew a cover before the checks")
+    monkeypatch.setattr(se, "random_se_cover", no_draw)
+    # each case breaks the checks from its own onwards, so the first check
+    # that fails is the one named
+    cases = [
+        ((-1, 3, 4, -1, 0), DomainError, "--sample must be >= 0"),
+        ((10 ** 9, 3, 4, -1, 0), DomainError, "q = 3 is not a power of p = 2"),
+        ((10 ** 9, 2, 4, -1, 0), DomainError, "odd prime"),
+        ((10 ** 9, 2, 3, -1, 0), DomainError, "--max-m must be >= 0"),
+        ((61882, 2, 3, 1, 0), ResourceGuardError, "classify --sample guarded at N"),
+    ]
+    for args, error, message in cases:
+        with pytest.raises(error, match=message):
+            se.sample_covers(*args)
+    assert se.sample_covers(0, 2, 3, 1) == []
+    with pytest.raises(AssertionError, match="before the checks"):
+        se.sample_covers(61881, 2, 3, 1)
