@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from bisect import bisect_right
 from collections import namedtuple
 
@@ -57,8 +58,10 @@ class ASCover(namedtuple("ASCover", "field branch infinity_part", defaults=(None
             raise DomainError("the branch data must list its places in sorted order")
         for place, coeffs in self.branch:
             _check_local_part(p, coeffs)
+            _check_indices(coeffs, place.norm)
         if self.infinity_part is not None:
             _check_local_part(p, self.infinity_part)
+            _check_indices(self.infinity_part, self.field.q)
         return self
 
     def classify(self) -> dict:
@@ -78,6 +81,13 @@ def _check_local_part(p: int, coeffs):
     for j in range(p, d + 1, p):
         if coeffs[j - 1] != 0:
             raise DomainError(f"coefficient of index {j} must vanish (index divisible by p)")
+
+
+def _check_indices(coeffs, size: int):
+    """Each coefficient of a nonempty local part names an element of a
+    residue field of ``size`` elements."""
+    if min(coeffs) < 0 or max(coeffs) >= size:
+        raise DomainError(f"local coefficient index out of range [0, {size}): {coeffs}")
 
 
 def genus(c: ASCover) -> int:
@@ -266,10 +276,23 @@ def census_enumerated(field: FieldSpec, m_max: int,
 # ~m^2 products of such integers: about m^3 log2 q bit operations.  At the
 # cost limit a census takes ~3 s at q = 2 and ~10 s at q = 3 on a 2-vCPU VM;
 # odd p is slower per operation, its series having no zero terms (35 s at
-# q = 101).  The bit limit keeps every coefficient below Python's limit of
-# 4,300 digits on printing an int: 14,000 bits are 4,215 digits.
+# q = 101).  The bit limit keeps every coefficient below Python's limit on
+# printing an int: under the default limit of 4,300 digits, 14,000 bits are
+# 4,215 digits, and the 85 digits left cover a_m / q^m (15 digits at q = 101,
+# m = 312).  Under another limit the bound keeps that margin.
 MAX_ANALYTIC_COST = 2 * 10 ** 10
 MAX_ANALYTIC_BITS = 14000
+
+
+def _max_analytic_bits() -> float:
+    """The bit bound under the interpreter's limit on printing an int:
+    MAX_ANALYTIC_BITS at the default 4,300 digits, moved by as many bits as
+    the limit moves digits.  No bound when there is no limit (0, or Python
+    3.10 before 3.10.7, which has neither it nor ``sys.get_int_max_str_digits``)."""
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not digits:
+        return math.inf
+    return MAX_ANALYTIC_BITS - math.ceil((4300 - digits) * math.log2(10))
 
 
 def census_analytic(field: FieldSpec, m_max: int,
@@ -280,10 +303,11 @@ def census_analytic(field: FieldSpec, m_max: int,
     from .dirichlet import euler_coefficients, series_multiply
     q, p = field.q, field.p
     log_q = math.log2(q)  # m_max may be too large for a float, so it is not converted
-    if m_max > MAX_ANALYTIC_BITS / log_q or m_max ** 3 > MAX_ANALYTIC_COST / log_q:
+    max_bits = _max_analytic_bits()
+    if m_max > max_bits / log_q or m_max ** 3 > MAX_ANALYTIC_COST / log_q:
         raise ResourceGuardError(
             f"analytic census guard exceeded at q = {q}, m_max = {m_max}: over "
-            f"{MAX_ANALYTIC_BITS} bits per coefficient or {MAX_ANALYTIC_COST:.0e} bit operations")
+            f"{max_bits} bits per coefficient or {MAX_ANALYTIC_COST:.0e} bit operations")
 
     def local(d):
         coeffs = [1] + [0] * (m_max // d)

@@ -239,11 +239,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        code = args.func(args)
-        sys.stdout.flush()  # so that a closed pipe raises here, not at exit
-        return code
+        try:
+            args = parser.parse_args(argv)  # --help prints, then raises SystemExit
+            return args.func(args)
+        finally:
+            sys.stdout.flush()  # so that a closed pipe raises here, not at exit
     except BrokenPipeError:
         # the reader has gone: point stdout at devnull, as Python's notes on
         # SIGPIPE do, so that the flush at exit does not raise again

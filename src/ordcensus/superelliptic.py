@@ -34,8 +34,11 @@ class SECover(namedtuple("SECover", "field n parts")):
             raise DomainError("n must be coprime to the characteristic")
         if len(self.parts) != self.n - 1:
             raise DomainError(f"expected {self.n - 1} parts")
+        q = self.field.q
         live = [f for f in self.parts if f.degree > 0]  # a constant part is 1
         for f in live:
+            if min(f.coeffs) < 0 or max(f.coeffs) >= q:
+                raise DomainError(f"part {f} has a coefficient outside [0, {q})")
             if not is_squarefree(f):
                 raise DomainError(f"part {f} is not squarefree")
         for f, g in itertools.combinations(live, 2):
@@ -268,9 +271,10 @@ def verify_kernel_lemma(n: int) -> bool:
         for row in a:
             if sum(ri * xi for ri, xi in zip(row, x)) != 0:
                 return False
-    if matrix_rank(a) != (n + 1) // 2:
+    basis = kernel_basis(a)
+    if dim - len(basis) != (n + 1) // 2:  # the rank, by rank-nullity
         return False
-    for v in kernel_basis(a):
+    for v in basis:
         for k in range(1, n):
             if v[k - 1] != v[n - k - 1]:
                 return False

@@ -116,6 +116,31 @@ def test_census_as_analytic_guard_fires_before_any_series(capsys, monkeypatch, q
         main(["census", "as", "--q", q, "--p", "2", "--max-m", edge])
 
 
+def test_analytic_bit_guard_reads_the_int_string_limit(capsys, monkeypatch):
+    """The bit guard keeps its margin below the interpreter's limit on
+    printing an int, and fires before any series work; with no limit only the
+    cost guard is left."""
+    from ordcensus import dirichlet
+
+    def no_work(*args):
+        raise AssertionError("Euler coefficients computed before the guard")
+    monkeypatch.setattr(dirichlet, "euler_coefficients", no_work)
+    default = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        code, out, err = run(capsys, "census", "as", "--q", "2", "--p", "2", "--max-m", "2500")
+        assert (code, out) == (3, "")
+        assert err.startswith("resource guard: analytic census guard exceeded at q = 2, "
+                              "m_max = 2500: over 1841 bits")
+        with pytest.raises(AssertionError, match="before the guard"):
+            main(["census", "as", "--q", "2", "--p", "2", "--max-m", "1841"])
+        sys.set_int_max_str_digits(0)
+        with pytest.raises(AssertionError, match="before the guard"):
+            main(["census", "as", "--q", "1048576", "--p", "2", "--max-m", "1000"])
+    finally:
+        sys.set_int_max_str_digits(default)
+
+
 def test_cover_place_past_the_sieve_guard_exits_3(capsys, monkeypatch, tmp_path):
     # x^4 + x^3 + x + 2 is irreducible over F_4096; trial division would
     # need the places of degree 2 (4096^2 > 2^22 positions), Ben-Or's test
@@ -632,7 +657,7 @@ def test_cover_of_a_degree_10_place_builds_no_residue_field(tmp_path, capsys, mo
     assert out == json.dumps(expected, indent=2) + "\n"
     code, out, err = run(capsys, "oracle", "--cover", str(path))
     assert (code, out) == (3, "")
-    assert err == "resource guard: oracle guarded at genus <= 6, got 9\n"
+    assert err == "resource guard: point-count sweep q^k = 4^18 exceeds 1048576\n"
 
 
 def test_oracle_sweeps_build_no_field_object(tmp_path, capsys, monkeypatch):
@@ -918,12 +943,17 @@ def test_hostile_cover_json_exits_0_2_or_3(data):
 @pytest.mark.parametrize("argv", [
     ("census", "as", "--q", "2", "--max-m", "400"),  # more than a pipe's buffer
     ("constants", "--q", "3", "--p", "3"),           # written only at the flush
+    ("--help",),                                     # argparse's own output
+    ("census", "as", "--help"),
 ])
 def test_a_closed_stdout_exits_1_without_a_traceback(argv):
     read_end, write_end = os.pipe()
     os.close(read_end)  # no reader before the first byte is written
+    # stdout buffered, as a pipe's is by default; unbuffered, argparse itself
+    # drops the failed write of --help and exits 0
+    env = {k: v for k, v in _src_env().items() if k != "PYTHONUNBUFFERED"}
     try:
-        proc = subprocess.run([sys.executable, "-m", "ordcensus.cli", *argv], env=_src_env(),
+        proc = subprocess.run([sys.executable, "-m", "ordcensus.cli", *argv], env=env,
                               stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60)
     finally:
         os.close(write_end)

@@ -191,16 +191,52 @@ def test_guard_fires_before_any_sweep(monkeypatch):
     monkeypatch.setattr(orc, "count_points_as", no_sweep)
     monkeypatch.setattr(orc, "count_points_se", no_sweep)
     F5 = FieldSpec(5)
-    # y^5 - y = x^4: genus 6 <= MAX_GENUS, but q^(2g) = 5^12 > MAX_Q
+    # y^5 - y = x^4: genus 6, and q^(2g) = 5^12 > MAX_Q
     wide = asc.ASCover(F5, (), (0, 0, 0, 1))
     assert asc.genus(wide) == 6
     with pytest.raises(ResourceGuardError):
         orc.cross_validate(wide)
-    # y^2 - y = x^15 over F_2: genus 7 > MAX_GENUS, although 2^14 <= MAX_Q
-    deep = asc.ASCover(F2, (), (1,) + (0,) * 13 + (1,))
-    assert asc.genus(deep) == 7
-    with pytest.raises(ResourceGuardError):
+    # y^2 - y = x^23 + x over F_2: genus 11, and 2^22 > MAX_Q
+    deep = asc.ASCover(F2, (), (1,) + (0,) * 21 + (1,))
+    assert asc.genus(deep) == 11
+    with pytest.raises(ResourceGuardError, match=r"2\^22"):
         orc.cross_validate(deep)
+    # y^3 - y = x^8 over F_3: genus 7, and 3^14 > MAX_Q
+    odd = asc.ASCover(FieldSpec(3), (), (0,) * 7 + (1,))
+    assert asc.genus(odd) == 7
+    with pytest.raises(ResourceGuardError, match=r"3\^14"):
+        orc.cross_validate(odd)
+
+
+def _random_local(rng, size, order):
+    """A normal-form local part over F_2: zero at even indices, top nonzero."""
+    return tuple(0 if j % 2 == 0 else rng.randrange(size) for j in range(1, order)) + (
+        rng.randrange(1, size),)
+
+
+def test_f2_covers_of_genus_7_to_9_cross_validate():
+    """Every cover over F_2 with 2^(2g) <= MAX_Q is swept: seeded AS covers of
+    genus 7-9, branched only at infinity or also at finite places of degree
+    1-3, whose p-rank is Deuring-Shafarevich's, and an n = 3 SE cover."""
+    rng = random.Random(7109)
+    covers = [asc.ASCover(F2, (), _random_local(rng, 2, 2 * g + 1)) for g in (7, 8)]
+    x2, x3 = places_of_degree(F2, 2)[0], places_of_degree(F2, 3)[0]
+    # m = 16 with every pole simple (ordinary); m = 20 with poles of order 3 at x, 9 at infinity
+    shapes = [((X, 1), (X1, 1), (x2, 1), (x3, 1), (None, 1)),
+              ((X, 3), (X1, 1), (x2, 1), (None, 9))]
+    for shape in shapes:
+        branch = tuple((pl, _random_local(rng, pl.norm, d)) for pl, d in shape if pl)
+        covers.append(asc.ASCover(F2, branch, _random_local(rng, 2, shape[-1][1])))
+    assert [asc.genus(c) for c in covers] == [7, 8, 7, 9]
+    reports = [orc.cross_validate(c) for c in covers]
+    for c, report in zip(covers, reports):
+        assert report.agree, (c, report.detail)
+        assert report.p_rank == asc.deuring_shafarevich_p_rank(c)
+    assert [report.p_rank for report in reports] == [0, 0, 7, 4]
+    c = se.random_se_cover(F2, 3, 9, random.Random(1))
+    report = orc.cross_validate(c)
+    assert c.degrees == (2, 7) and report.genus == 8
+    assert report.agree, (c, report.detail)
 
 
 def test_oracle_agreement_beyond_f2():

@@ -102,12 +102,19 @@ def _invalid_replacements():
         (orc.PointCounts(2, 1, (3, 5)), {"counts": (9,)}, InvariantViolation, "Weil bound"),
         (orc.LPolynomial(2, 1, (1, 0, 2)), {"coeffs": (1, 0, 3)}, InvariantViolation,
          "functional equation"),
+        # index 2 names no element of F_2, though it passes "top coefficient nonzero"
+        (asc.ASCover(F2, ((Place(x), (1,)),), (1,)), {"branch": ((Place(x), (2,)),)},
+         DomainError, "out of range"),
+        (asc.ASCover(F2, (), (1,)), {"infinity_part": (1, 0, 2)}, DomainError, "out of range"),
+        (se.SECover(F2, 3, (x, x1)), {"parts": (x, MonicPoly(F2, (3,)))}, DomainError,
+         "outside"),
     ]
 
 
 @pytest.mark.parametrize("record, change, error, message", _invalid_replacements(),
                          ids=["ASCover", "CensusTable", "SECover", "PointCounts",
-                              "LPolynomial"])
+                              "LPolynomial", "ASCover-local-index", "ASCover-infinity-index",
+                              "SECover-coefficient"])
 def test_replace_and_make_run_the_constructor_checks(record, change, error, message):
     fields = {**record._asdict(), **change}
     with pytest.raises(error, match=message) as built:

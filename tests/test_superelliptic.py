@@ -196,6 +196,15 @@ def test_kernel_lemma():
         se.verify_kernel_lemma(103)
 
 
+def test_kernel_lemma_eliminates_once(monkeypatch):
+    # the rank is read off the kernel basis, so one elimination serves both
+    calls = []
+    rref = se.rref
+    monkeypatch.setattr(se, "rref", lambda matrix: calls.append(1) or rref(matrix))
+    assert se.verify_kernel_lemma(13)
+    assert len(calls) == 1
+
+
 def test_kernel_lemma_details():
     # spec: n=5, A x^(1) = 0 with x^(1) = (1,-1,-1,1)
     a = se.fractional_part_matrix(5)
