@@ -29,6 +29,7 @@ import math
 import sys
 from bisect import bisect_right
 from collections import namedtuple
+from functools import cache
 
 from .errors import DomainError, ResourceGuardError, InvariantViolation
 from .fields import FieldSpec, power_exceeds
@@ -154,8 +155,11 @@ def _branch_assignments(field: FieldSpec, m: int):
     """All ways to pick places with multiplicities k_Q, sum deg*k = m.
 
     Each assignment lists its (Place, k_Q) pairs in Place order: the places
-    are taken in (degree, coefficients) order, and each node prepends its
-    place to pairs chosen from the places after it.
+    are taken in (degree, coefficients) order, and each node picks its first
+    place from those at or after ``start``, the last candidate first, then
+    its pole order, and prepends the pair to pairs chosen from the places
+    after it.  So the recursion is as deep as an assignment is long, however
+    many places there are.
     """
     from .polys import places_of_degree
     places = []
@@ -164,19 +168,16 @@ def _branch_assignments(field: FieldSpec, m: int):
     degrees = [pl.degree for pl in places]
     orders = admissible_pole_orders(field.p, m)  # increasing; each node takes a prefix
 
-    def rec(idx, remaining):
+    def rec(start, remaining):
         if remaining == 0:
             yield ()
             return
-        if idx == len(places):
-            return
-        pl, d = places[idx], degrees[idx]
-        if remaining < 2 * d:  # k >= 2, and no later place has a smaller degree
-            return
-        yield from rec(idx + 1, remaining)
-        for k in orders[:bisect_right(orders, remaining // d)]:
-            for rest in rec(idx + 1, remaining - d * k):
-                yield ((pl, k),) + rest
+        # k >= 2, so a candidate has degree at most remaining / 2
+        for idx in range(bisect_right(degrees, remaining // 2) - 1, start - 1, -1):
+            pl, d = places[idx], degrees[idx]
+            for k in orders[:bisect_right(orders, remaining // d)]:
+                for rest in rec(idx + 1, remaining - d * k):
+                    yield ((pl, k),) + rest
     yield from rec(0, m)
 
 
@@ -185,33 +186,34 @@ def _cover_families(field: FieldSpec, m: int, include_infinity: bool):
 
     Yields (assignment, inf_pool, local_pools): the (Place, k_Q) pairs in
     Place order, as ``_branch_assignments`` lists them, the choices of the
-    infinity part (``[None]`` when infinity is unramified) and, per assigned
-    place, its local parts of pole order k_Q - 1.  The covers of a family
-    are the products of the pools.  Local parts are tuples of residue-field
-    indices, so one pool, built and checked once per (residue-field size,
-    pole order), serves every place and infinity that share it.
+    infinity part (``(None,)`` when infinity is unramified) and, per
+    assigned place, its ``_pool`` of pole order k_Q - 1.  The covers of a
+    family are the products of the pools.
     """
     if m < 2:
         return
     p, q = field.p, field.q
-    pools = {}
-
-    def pool(norm, d_q):
-        if (norm, d_q) not in pools:
-            pools[norm, d_q] = list(_local_part_choices(p, range(norm), d_q))
-            for coeffs in pools[norm, d_q]:
-                _check_local_part(p, coeffs)
-        return pools[norm, d_q]
-
     inf_orders = [None]
     if include_infinity:
         inf_orders += admissible_pole_orders(p, m)
     for k_inf in inf_orders:
         rem = m - (k_inf or 0)
-        inf_pool = [None] if k_inf is None else pool(q, k_inf - 1)
+        inf_pool = (None,) if k_inf is None else _pool(p, q, k_inf - 1)
         for assignment in _branch_assignments(field, rem):
-            local_pools = [pool(pl.norm, k - 1) for pl, k in assignment]
+            local_pools = [_pool(p, pl.norm, k - 1) for pl, k in assignment]
             yield assignment, inf_pool, local_pools
+
+
+@cache
+def _pool(p: int, norm: int, d_q: int) -> tuple:
+    """The local parts of pole order d_q over a residue field of ``norm``
+    elements in characteristic p, each checked.  Local parts are tuples of
+    residue-field indices, so one pool serves every place, infinity and
+    census row that share it."""
+    pool = tuple(_local_part_choices(p, range(norm), d_q))
+    for coeffs in pool:
+        _check_local_part(p, coeffs)
+    return pool
 
 
 def enumerate_covers(field: FieldSpec, m: int, include_infinity: bool = False):

@@ -18,8 +18,6 @@ This module only converts --x-bound, reads and writes files and writes CSV.
 (exit 2).
 
 Outputs are deterministic for a fixed configuration (including --seed).
-The environment variable ORDCENSUS_OUTDIR, when
-set, is prepended to relative --output paths.
 
 Each command imports the modules it runs inside its ``cmd_*`` function, and
 ``json`` only where JSON is read or written: ``--help`` loads only this module
@@ -42,17 +40,7 @@ EXIT_GUARD = 3
 EXIT_INVARIANT = 4
 
 
-def _resolve_output(path: str | None):
-    if path is None:
-        return None
-    outdir = os.environ.get("ORDCENSUS_OUTDIR")
-    if outdir and not os.path.isabs(path):
-        return os.path.join(outdir, path)
-    return path
-
-
-def emit(text: str, output: str | None):
-    path = _resolve_output(output)
+def emit(text: str, path: str | None):
     if path is None:
         sys.stdout.write(text)
         if not text.endswith("\n"):

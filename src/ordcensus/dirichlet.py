@@ -29,7 +29,7 @@ import math
 from collections import namedtuple
 from functools import cache
 
-from .errors import DomainError, InvariantViolation
+from .errors import DomainError, InvariantViolation, ResourceGuardError
 from .fields import (count_irreducibles, field_from_qp, from_log_derivative, log_derivative,
                      require_odd_prime)
 
@@ -120,14 +120,14 @@ def _tail_bound(q: int, D: int, lead, decay):
     """Bound on sum_{d>D} I_d |log(local factor at degree d)|.
 
     Valid when |local - 1| <= lead * |Q|^{-decay} and that quantity is
-    <= 1/2 at degree D+1, so |log local| <= 2 lead |Q|^{-decay}.  Uses
-    I_d <= q^d / d and sums the geometric tail.
+    <= 1/2 at degree D+1, so |log local| <= 2 lead |Q|^{-decay}; None at a
+    D where it is not.  Uses I_d <= q^d / d and sums the geometric tail.
     """
     from decimal import Decimal
     with working_context():
         qm, decay = Decimal(q), Decimal(decay)
         if lead * qm ** (-decay * (D + 1)) > Decimal("0.5"):
-            raise DomainError("truncation degree too small for the tail bound")
+            return None
         x = qm ** (-(decay - 1) * (D + 1))
         return (2 * Decimal(lead) / (D + 1)) * x / (1 - qm ** (-(decay - 1)))
 
@@ -138,13 +138,16 @@ def euler_product(q: int, local, lead, decay=2,
 
     ``local`` maps the norm |Q| to the local factor.  ``lead`` and ``decay``
     give the bound |local(x) - 1| <= lead * x^{-decay} used for the tail.
+    With no D given, D is the first of 8, 12, 16, ... where the tail bound
+    holds and is at most 1e-8.
     """
     from decimal import Decimal
     if D is None:
         D = 8
-        while _tail_bound(q, D, lead, decay) > Decimal("1e-8"):
+        while (tail := _tail_bound(q, D, lead, decay)) is None or tail > Decimal("1e-8"):
             D += 4
-    tail = _tail_bound(q, D, lead, decay)
+    elif (tail := _tail_bound(q, D, lead, decay)) is None:
+        raise DomainError("truncation degree too small for the tail bound")
     with working_context(len(str(count_irreducibles(q, D)))):
         value = Decimal(1)
         for d in range(1, D + 1):
@@ -193,14 +196,24 @@ def _local_polynomial_product(q: int, poly: list, D: int | None = None) -> Euler
     return euler_product(q, local, lead=lead, D=D)
 
 
+# psi_p(1) for odd p evaluates a local factor of degree p, with coefficients
+# of about p bits, at each of the ~p / log2 q degrees its tail bound needs, to
+# ~p / 3 digits: at q = p, 0.34 s at p = 1009 and 3.8 s at p = 2039 on a
+# 2-vCPU VM under Python 3.11, growing as ~p^3.4.
+MAX_PSI_P = 2048
+
+
 def psi_p_at_1(p: int, q: int) -> EulerProductValue:
     """psi_p(1), for q a power of the prime p (else DomainError).  For p=2
-    this is 1/zeta(2) = 1 - 1/q exactly."""
+    this is 1/zeta(2) = 1 - 1/q exactly; above MAX_PSI_P it is refused
+    (ResourceGuardError) before any product is formed."""
     from decimal import Decimal
     field_from_qp(q, p)
     if p == 2:
         with working_context():
             return EulerProductValue(1 - 1 / Decimal(q), 0, Decimal(0))
+    if p > MAX_PSI_P:
+        raise ResourceGuardError(f"psi_p(1) guarded at p <= {MAX_PSI_P}, got p = {p}")
     # local factor (1 + (p-2)x - (p-1)x^2) (1-x)^{p-2} = (1 + (p-1)x) (1-x)^{p-1}
     return phi_k_at_1(q, p - 1)
 

@@ -45,7 +45,7 @@ from __future__ import annotations
 import itertools
 from array import array
 from collections import namedtuple
-from functools import reduce
+from functools import cache, reduce
 
 from . import _polyarith as pa
 from .errors import DomainError, InvariantViolation, ResourceGuardError
@@ -56,9 +56,15 @@ from .fields import (FieldSpec, count_irreducibles, digits, is_irreducible_over,
 class MonicPoly(namedtuple("MonicPoly", "field coeffs")):
     """An immutable monic polynomial over ``field``; ``coeffs`` holds the
     lower coefficients, low degree first, the leading 1 implicit.  Ordered
-    by (degree, coeffs)."""
+    by (degree, coeffs); each coefficient is a code in [0, q)."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
+
+    def __new__(cls, field: FieldSpec, coeffs: tuple):
+        if coeffs and (min(coeffs) < 0 or max(coeffs) >= field.q):
+            raise DomainError(f"coefficient outside [0, {field.q}) in {coeffs}")
+        return super().__new__(cls, field, coeffs)
 
     @property
     def degree(self) -> int:
@@ -154,9 +160,6 @@ def enumerate_monic(field: FieldSpec, d: int):
         yield MonicPoly(field, coeffs)
 
 
-_PLACES_CACHE: dict = {}
-
-
 def _place(poly: MonicPoly) -> Place:
     """A Place built without the irreducibility test of ``Place.__new__``.
 
@@ -166,19 +169,16 @@ def _place(poly: MonicPoly) -> Place:
     return tuple.__new__(Place, (poly,))
 
 
+@cache
 def places_of_degree(field: FieldSpec, d: int) -> tuple:
     """All places of degree d >= 1, sorted: the positions that
     ``place_sieve(field, d)`` never reaches, which it has counted against
     ``count_irreducibles``."""
-    key = (field, d)
-    if key not in _PLACES_CACHE:
-        _check_sieve(field, d, f"enumerating irreducibles of degree {d} over F_{field.q}")
-        q = field.q
-        first = (q ** d - 1) // (q - 1)
-        _PLACES_CACHE[key] = tuple(_place(MonicPoly(field, _coeffs_at(i, q, d)))
-                                   for i, r in enumerate(place_sieve(field, d)[0])
-                                   if r == first + i)
-    return _PLACES_CACHE[key]
+    _check_sieve(field, d, f"enumerating irreducibles of degree {d} over F_{field.q}")
+    q = field.q
+    first = (q ** d - 1) // (q - 1)
+    return tuple(_place(MonicPoly(field, _coeffs_at(i, q, d)))
+                 for i, r in enumerate(place_sieve(field, d)[0]) if r == first + i)
 
 
 def _factors(f: MonicPoly):
@@ -233,9 +233,6 @@ def is_squarefree(f: MonicPoly) -> bool:
     return pa.deg(pa.gcd(f.field, f.full, df)) == 0
 
 
-_SIEVE_CACHE: dict = {}
-
-
 def _position(coeffs, q: int) -> int:
     """Position in ``enumerate_monic`` order: the base-q number c_0 ... c_{d-1},
     c_0 most significant."""
@@ -286,6 +283,7 @@ def _times_place(place: MonicPoly, n: int) -> list:
     return linear_table(p, (place.degree + n) * K.k, rows, _position(place.coeffs, q))
 
 
+@cache
 def place_sieve(field: FieldSpec, d: int) -> tuple:
     """(least, places) for the monic polynomials of degree d >= 1, each
     indexed by position in ``enumerate_monic`` order.
@@ -300,9 +298,6 @@ def place_sieve(field: FieldSpec, d: int) -> tuple:
     never reached are the places, ``count_irreducibles(q, d)`` of them, or
     InvariantViolation; so is an entry reached twice.
     """
-    key = (field, d)
-    if key in _SIEVE_CACHE:
-        return _SIEVE_CACHE[key]
     _check_sieve(field, d, f"sieving monic polynomials of degree {d} over F_{field.q}")
     q = field.q
     least = array("q", [-1]) * q ** d
@@ -331,7 +326,6 @@ def place_sieve(field: FieldSpec, d: int) -> tuple:
         raise InvariantViolation(
             f"place sieve left {unhit} monic polynomials of degree {d} over F_{q} "
             f"unreached, expected {count_irreducibles(q, d)} places")
-    _SIEVE_CACHE[key] = least, places
     return least, places
 
 

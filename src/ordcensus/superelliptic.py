@@ -34,11 +34,10 @@ class SECover(namedtuple("SECover", "field n parts")):
             raise DomainError("n must be coprime to the characteristic")
         if len(self.parts) != self.n - 1:
             raise DomainError(f"expected {self.n - 1} parts")
-        q = self.field.q
+        if any(f.field is not self.field for f in self.parts):
+            raise DomainError(f"every part must be over F_{self.field.q}")
         live = [f for f in self.parts if f.degree > 0]  # a constant part is 1
         for f in live:
-            if min(f.coeffs) < 0 or max(f.coeffs) >= q:
-                raise DomainError(f"part {f} has a coefficient outside [0, {q})")
             if not is_squarefree(f):
                 raise DomainError(f"part {f} is not squarefree")
         for f, g in itertools.combinations(live, 2):
@@ -337,19 +336,18 @@ def enumerate_tuple_family(field: FieldSpec, e: tuple):
         yield tuple(MonicPoly(field, _coeffs_at(i, field.q, d)) for d, i in zip(e, positions))
 
 
-_TUPLE_FAMILY_CACHE: dict = {}
-
-
 def count_tuple_family(field: FieldSpec, e: tuple) -> int:
     """|F_{e_1, ..., e_r}|: squarefree pairwise-coprime tuples of given degrees.
 
     Permuting the parts maps F_e onto F_{sigma e}, so one enumeration of the
-    sorted degree tuple serves every order of e.
+    sorted degree tuple, ``_family_size``, serves every order of e.
     """
-    key = (field, tuple(sorted(e)))
-    if key not in _TUPLE_FAMILY_CACHE:
-        _TUPLE_FAMILY_CACHE[key] = sum(1 for _ in _tuple_family_positions(field, key[1]))
-    return _TUPLE_FAMILY_CACHE[key]
+    return _family_size(field, tuple(sorted(e)))
+
+
+@cache
+def _family_size(field: FieldSpec, sorted_e: tuple) -> int:
+    return sum(1 for _ in _tuple_family_positions(field, sorted_e))
 
 
 def degree_tuples(n: int, m: int):

@@ -134,7 +134,7 @@ def test_census_enumerated_builds_one_cover_per_family(monkeypatch):
     assert 0 < len(built) <= families
 
 
-def test_census_enumerated_checks_every_local_part(monkeypatch):
+def test_census_enumerated_checks_every_local_part(monkeypatch, cold_caches):
     choices = asc._local_part_choices
 
     def with_zero_top(p, elems, d_q):

@@ -38,6 +38,20 @@ def test_constants_json(capsys):
     assert data["q"] == 2 and data["p"] == 2
 
 
+def test_constants_past_the_first_tail_bound(capsys):
+    # psi_127(1)'s tail bound does not hold at the first truncation degree tried
+    code, out, err = run(capsys, "constants", "--q", "127", "--p", "127")
+    assert (code, err) == (0, "")
+    assert 0 < json.loads(out)["psi_p1"] < 1e-17
+
+
+def test_constants_psi_guard_exits_3(capsys):
+    # 2053 is the first prime past the bound
+    code, out, err = run(capsys, "constants", "--q", "2053", "--p", "2053")
+    assert (code, out) == (3, "")
+    assert "psi_p(1) guarded at p <= 2048, got p = 2053" in err
+
+
 def test_constants_bad_q(capsys):
     code, _, err = run(capsys, "constants", "--q", "6", "--p", "2")
     assert code == 2
@@ -56,7 +70,7 @@ def test_constants_takes_no_truncation_degree(capsys):
     (("constants", "--q", "2", "--p", "2"), 1),
     (("report-table1",), 5),
 ])
-def test_each_euler_product_is_evaluated_once(capsys, monkeypatch, argv, products):
+def test_each_euler_product_is_evaluated_once(capsys, monkeypatch, cold_caches, argv, products):
     from ordcensus import dirichlet
     calls = []
     euler_product = dirichlet.euler_product
@@ -65,7 +79,6 @@ def test_each_euler_product_is_evaluated_once(capsys, monkeypatch, argv, product
         calls.append(args[0])
         return euler_product(*args, **kwargs)
     monkeypatch.setattr(dirichlet, "euler_product", counted)
-    dirichlet.phi_at_1.cache_clear()
     code, _, _ = run(capsys, *argv)
     assert code == 0
     assert len(calls) == products
@@ -80,6 +93,19 @@ def test_census_as_both_modes(capsys):
     rows = {int(l.split(",")[0]): l.split(",") for l in lines[1:]}
     assert rows[2][1] == "2" and rows[2][2] == "2"
     assert rows[4][1] == "8" and rows[4][2] == "4"
+
+
+@pytest.mark.parametrize("q, p, mode", [(1024, 2, "both"), (2048, 2, "both"),
+                                         (1009, 1009, "enumerate")])
+def test_census_as_over_fields_of_many_places(capsys, q, p, mode):
+    # q places of degree 1 (q = 2048 is the enumeration edge, q^2 = 2^22):
+    # the family walk recurses per place it takes, not per place it skips.
+    # At m = 2 each cover has one simple pole, at one of q places, with
+    # q - 1 local parts, and is ordinary
+    code, out, err = run(capsys, "census", "as", "--q", str(q), "--p", str(p),
+                         "--max-m", "2", "--mode", mode)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == f"2,{q * (q - 1)},{q * (q - 1)},1.000000"
 
 
 def test_census_as_json(capsys):
@@ -169,11 +195,10 @@ def test_census_se(capsys):
     assert lines[2].startswith("1,4,4")
 
 
-def test_census_se_sieve_check_exits_4(capsys, monkeypatch):
+def test_census_se_sieve_check_exits_4(capsys, monkeypatch, cold_caches):
     from ordcensus import polys
     count = polys.count_irreducibles
     monkeypatch.setattr(polys, "count_irreducibles", lambda q, d: count(q, d) + 1)
-    monkeypatch.setattr(polys, "_SIEVE_CACHE", {})
     code, out, err = run(capsys, "census", "se", "--q", "2", "--n", "3", "--max-m", "4")
     assert code == 4
     assert "place sieve" in err
@@ -290,13 +315,13 @@ def test_a_huge_prime_is_refused_before_trial_division(tmp_path, argv):
     (("classify", "--sample", "1", "--n", "1009", "--max-m", "3"),
      ("classify", "--sample", "1", "--n", "1009", "--max-m", "0")),
 ])
-def test_degree_tuples_are_guarded_before_any_route(capsys, monkeypatch, argv, edge):
+def test_degree_tuples_are_guarded_before_any_route(capsys, monkeypatch, cold_caches, argv,
+                                                    edge):
     from ordcensus import superelliptic
 
     def no_work(*args):
         raise AssertionError("degree tuples listed before the guard")
     monkeypatch.setattr(superelliptic, "degree_tuples", no_work)
-    superelliptic._sample_tuples.cache_clear()
     code, out, err = run(capsys, *argv, "--q", "2")
     assert (code, out) == (3, "")
     assert "guarded at C(m+n-2, n-2) (n-1)^2 <= 50,000,000" in err
@@ -832,8 +857,11 @@ def test_benchmark_layer_rows_and_trace_hooks_reach_the_package(monkeypatch):
     assert [ext.from_index(n) for n in range(E.q)] == list(range(E.q))
 
 
-def test_output_file_and_outdir(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("ORDCENSUS_OUTDIR", str(tmp_path))
+def test_output_file(tmp_path, capsys, monkeypatch):
+    # a relative path is taken from the working directory; no environment
+    # variable (ORDCENSUS_OUTDIR once) moves it
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("ORDCENSUS_OUTDIR", str(tmp_path / "elsewhere"))
     code, out, _ = run(capsys, "verify-kernel", "--n", "5", "--output", "k5.json")
     assert code == 0
     assert out == ""

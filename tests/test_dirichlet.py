@@ -5,7 +5,7 @@ import pytest
 
 from ordcensus import dirichlet as dd
 from ordcensus.artin_schreier import admissible_pole_orders, count_local_parts
-from ordcensus.errors import DomainError, InvariantViolation
+from ordcensus.errors import DomainError, InvariantViolation, ResourceGuardError
 from ordcensus.fields import FieldSpec
 from ordcensus.polys import places_of_degree
 
@@ -181,6 +181,29 @@ def test_tail_bound_shrinks():
     b1 = dd._tail_bound(2, 20, 3, 2)
     b2 = dd._tail_bound(2, 40, 3, 2)
     assert b2 < b1 < Decimal("1e-4")
+
+
+def test_truncation_search_steps_past_degrees_where_the_tail_bound_fails():
+    # psi_127(1) has lead ~2^127, so its tail bound holds only from D = 11:
+    # the search goes on past 8 to the first D where it holds and is <= 1e-8
+    ep = dd.psi_p_at_1(127, 127)
+    assert ep.truncation_degree == 24
+    assert 0 < ep.value < 1 and 0 < ep.error_bound < ep.value * Decimal("1e-8")
+    # a D the caller gives is still refused where the bound fails
+    assert dd._tail_bound(127, 8, 2 ** 127, 2) is None
+    with pytest.raises(DomainError, match="truncation degree too small"):
+        dd.euler_product(127, lambda x: 1, lead=2 ** 127, D=8)
+
+
+def test_psi_p_is_refused_above_its_bound_before_any_product(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("series formed past the guard")
+    monkeypatch.setattr(dd, "series_multiply", no_work)
+    for p, q in ((2053, 2053), (1048573, 1048573)):  # the primes past 2048 and below 2^20
+        with pytest.raises(ResourceGuardError, match=f"p <= 2048, got p = {p}"):
+            dd.psi_p_at_1(p, q)
+    with pytest.raises(AssertionError, match="past the guard"):
+        dd.psi_p_at_1(2039, 2039)
 
 
 def test_local_polynomial_product_refuses_an_uncancelled_first_term():

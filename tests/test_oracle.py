@@ -172,13 +172,12 @@ def test_extension_is_the_shared_absolute_field():
                     assert embed[base.mul(a, b)] == E.mul(embed[a], embed[b])
 
 
-def test_cross_validate_reconstructs_f_once(monkeypatch):
+def test_cross_validate_reconstructs_f_once(monkeypatch, cold_caches):
     # N/D does not depend on k: one reconstruction serves all 2g sweeps
     calls = []
     reconstruct = orc.reconstruct
     monkeypatch.setattr(orc, "reconstruct",
                         lambda *args: calls.append(args) or reconstruct(*args))
-    orc._fraction.cache_clear()
     c = as_cover((X, (1,)), (X1, (1,)), (places_of_degree(F2, 2)[0], (1,)))
     report = orc.cross_validate(c)
     assert report.genus == 3 and report.agree

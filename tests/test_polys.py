@@ -1,6 +1,10 @@
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -101,9 +105,7 @@ def test_enumeration_guard():
         places_of_degree(FieldSpec(2, 12), 2)  # 4096^2 > 2^22
 
 
-def test_sieve_guards_fire_before_any_work(monkeypatch):
-    monkeypatch.setattr(polys, "_PLACES_CACHE", {})
-    monkeypatch.setattr(polys, "_SIEVE_CACHE", {})
+def test_sieve_guards_fire_before_any_work(monkeypatch, cold_caches):
 
     def refuse(*args):
         raise AssertionError("sieved past the guard")
@@ -251,6 +253,25 @@ def test_derivative_is_the_derivation_with_x_prime_1(field):
             pa.mul(field, f, pa.derivative(field, g)))
 
 
+def test_a_coefficient_outside_the_field_is_refused_not_looped_on():
+    # divmod_ left a coefficient 2 over F_2 unreduced, and gcd then cycled
+    # between (1,) and (2,) for ever; run apart, with a timeout, should it hang
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = ("from ordcensus.fields import FieldSpec\n"
+            "from ordcensus.polys import MonicPoly, is_squarefree\n"
+            "is_squarefree(MonicPoly(FieldSpec(2), (2,)))\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=30)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines()[-1] == (
+        "ordcensus.errors.DomainError: coefficient outside [0, 2) in (2,)")
+    for field, coeffs in ((F2, (2,)), (F2, (0, -1)), (F4, (1, 4))):
+        with pytest.raises(DomainError, match="outside"):
+            MonicPoly(field, coeffs)
+
+
 def test_squarefree_matches_factorization():
     for field in (F2, F3, F4):
         for d in range(0, 5):
@@ -259,10 +280,9 @@ def test_squarefree_matches_factorization():
 
 
 @pytest.mark.parametrize("field,d_max", [(F2, 10), (F3, 6), (F4, 5), (FieldSpec(3, 2), 3)])
-def test_place_sieve_matches_factor(monkeypatch, field, d_max):
+def test_place_sieve_matches_factor(cold_caches, field, d_max):
     # entry by entry: smallest place as factor's first, the places as the
     # ranks of factor's places on squarefree polynomials and () off them
-    monkeypatch.setattr(polys, "_SIEVE_CACHE", {})
     for d in range(1, d_max + 1):
         least, places = place_sieve(field, d)
         monics = list(enumerate_monic(field, d))
@@ -443,10 +463,8 @@ def test_places_are_minimal_polynomials(field, d_max):
         assert [pl.poly.coeffs for pl in places_of_degree(field, d)] == sorted(minimal)
 
 
-def test_places_of_degree_divide_nothing(monkeypatch):
+def test_places_of_degree_divide_nothing(monkeypatch, cold_caches):
     # cold caches: every place up to degree 8 comes from the sieve alone
-    monkeypatch.setattr(polys, "_PLACES_CACHE", {})
-    monkeypatch.setattr(polys, "_SIEVE_CACHE", {})
 
     def refuse(*args):
         raise AssertionError("places found by division")
@@ -500,9 +518,8 @@ def test_linear_table_is_digitwise_sum(p, width):
     assert linear_table(p, width, rows, base) == expected
 
 
-def test_place_sieve_names_a_polynomial_reached_twice(monkeypatch):
+def test_place_sieve_names_a_polynomial_reached_twice(monkeypatch, cold_caches):
     # each place listed twice: x * x is reached from both copies of x
-    monkeypatch.setattr(polys, "_SIEVE_CACHE", {})
     real = polys.places_of_degree
     monkeypatch.setattr(polys, "places_of_degree", lambda field, e: real(field, e) * 2)
     with pytest.raises(InvariantViolation, match="place sieve reached 0,0,1 twice"):

@@ -80,6 +80,8 @@ def test_validation_fires_on_construction():
         asc.ASCover(F2, ((x, (1,)), (x, (1,))))
     with pytest.raises(DomainError, match="not squarefree"):
         se.SECover(F2, 3, (MonicPoly(F2, (1, 0)), MonicPoly(F2, ())))  # (x+1)^2
+    with pytest.raises(DomainError, match="every part must be over F_4"):
+        se.SECover(FieldSpec(2, 2), 3, (MonicPoly(FieldSpec(3), (2,)), MonicPoly(F2, ())))
     with pytest.raises(DomainError, match="b <= a"):
         asc.CensusTable(2, 2, {2: (1, 2)}, "analytic")
     with pytest.raises(InvariantViolation, match="Weil bound"):
@@ -106,15 +108,15 @@ def _invalid_replacements():
         (asc.ASCover(F2, ((Place(x), (1,)),), (1,)), {"branch": ((Place(x), (2,)),)},
          DomainError, "out of range"),
         (asc.ASCover(F2, (), (1,)), {"infinity_part": (1, 0, 2)}, DomainError, "out of range"),
-        (se.SECover(F2, 3, (x, x1)), {"parts": (x, MonicPoly(F2, (3,)))}, DomainError,
-         "outside"),
+        # 3 names no element of F_2
+        (x, {"coeffs": (3,)}, DomainError, "outside"),
     ]
 
 
 @pytest.mark.parametrize("record, change, error, message", _invalid_replacements(),
                          ids=["ASCover", "CensusTable", "SECover", "PointCounts",
                               "LPolynomial", "ASCover-local-index", "ASCover-infinity-index",
-                              "SECover-coefficient"])
+                              "MonicPoly-coefficient"])
 def test_replace_and_make_run_the_constructor_checks(record, change, error, message):
     fields = {**record._asdict(), **change}
     with pytest.raises(error, match=message) as built:

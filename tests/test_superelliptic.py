@@ -301,8 +301,7 @@ def test_census_se_guard_fires_before_any_route(monkeypatch):
             se.census_se(field, 3, m_max)
 
 
-def test_tuple_families_enumerated_once_per_sorted_degree_tuple(monkeypatch):
-    monkeypatch.setattr(se, "_TUPLE_FAMILY_CACHE", {})
+def test_tuple_families_enumerated_once_per_sorted_degree_tuple(monkeypatch, cold_caches):
     calls = []
     family_positions = se._tuple_family_positions
 
