@@ -22,7 +22,8 @@ Outputs are deterministic for a fixed configuration (including --seed).
 Each command imports the modules it runs inside its ``cmd_*`` function, and
 ``json`` only where JSON is read or written: ``--help`` loads only this module
 and ``errors``, each census family only its own module, and a cover only the
-module of its kind, so that a short job does not pay for the rest.
+record module of its kind, ``ascover`` or ``secover``, never a census
+module, so that a short job does not pay for the rest.
 """
 
 from __future__ import annotations
@@ -160,8 +161,17 @@ def cmd_report_table1(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's own ``print_help`` drops an ``OSError`` of its write, so that
+    unbuffered ``--help`` into a closed pipe would exit 0; this one lets it
+    reach ``main``.  Subparsers are built with the parent's class."""
+
+    def print_help(self, file=None):
+        (file or sys.stdout).write(self.format_help())
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ordcensus",
         description="Censuses and limiting probabilities of ordinary cyclic "
                     "covers of the projective line over small finite fields.")

@@ -15,7 +15,8 @@ prod f_i(x)^i: a sweep evaluates at one x per orbit of x -> x^q, from
 Besides the field arithmetic, putting the local parts over one denominator
 is all the counting code shares with the combinatorial classification it
 checks; disagreement means a real bug.
-Each cover loads only the module of its own kind.
+Each cover loads only the record module of its own kind, ``ascover`` or
+``secover``, and never a census module.
 """
 
 from __future__ import annotations
@@ -190,13 +191,13 @@ class OracleReport(namedtuple("OracleReport", "kind genus counts l_coeffs p_rank
 
 def _count_fn(c):
     """The sweep, genus, criterion and kind of a cover, importing only the
-    module of its kind."""
+    record module of its kind."""
     kind = getattr(type(c), "kind", None)
     if kind == "artin-schreier":
-        from .artin_schreier import genus, is_ordinary
+        from .ascover import genus, is_ordinary
         return count_points_as, genus(c), is_ordinary(c), kind
     if kind == "superelliptic":
-        from .superelliptic import genus_se, is_ordinary_se
+        from .secover import genus_se, is_ordinary_se
         return count_points_se, genus_se(c), is_ordinary_se(c), kind
     raise DomainError(f"not a cover: {c!r}")
 
@@ -227,12 +228,12 @@ def cross_validate(c) -> OracleReport:
         problems.append(
             f"criterion says ordinary={ordinary} but p-rank is {rank} of genus {g}")
     if kind == "artin-schreier":
-        from .artin_schreier import deuring_shafarevich_p_rank
+        from .ascover import deuring_shafarevich_p_rank
         expected = deuring_shafarevich_p_rank(c)
         if rank != expected:
             problems.append(f"p-rank {rank} differs from Deuring-Shafarevich's {expected}")
     if kind == "superelliptic":
-        from .superelliptic import a_number
+        from .secover import a_number
         a = a_number(c)
         if (a == 0) != (rank == g):
             problems.append(f"a-number {a} inconsistent with p-rank {rank} of genus {g}")

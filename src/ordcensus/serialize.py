@@ -14,7 +14,8 @@ Superelliptic covers:
     {"q": 2, "n": 3, "parts": ["0,1", "1,1"]}
 with one polynomial text per f_i, i = 1..n-1 (constant parts written "1").
 
-Both directions import only the cover module of the data's kind.
+Both directions import only the record module of the data's kind, ``ascover``
+or ``secover``, and never a census module.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .polys import MonicPoly, Place
 
 
 def cover_to_dict(c) -> dict:
-    # a cover's class names its kind, so neither cover module is imported here
+    # a cover's class names its kind, so neither record module is imported here
     kind = getattr(type(c), "kind", None)
     if kind == "artin-schreier":
         branch = [{"place": place.poly.to_text(), "local": list(coeffs)}
@@ -60,12 +61,12 @@ def _list(value, key: str) -> list:
 def _cover_from_dict(data: dict):
     q = index(data["q"])
     if "n" in data:
-        from .superelliptic import SECover
+        from .secover import SECover
         field = field_from_qp(q, 2)
         parts = tuple(MonicPoly.from_text(field, t) for t in _list(data["parts"], "parts"))
         return SECover(field, index(data["n"]), parts)
     if "p" in data:
-        from .artin_schreier import ASCover
+        from .ascover import ASCover
         field = field_from_qp(q, index(data["p"]))
         branch = []
         for entry in _list(data.get("branch", []), "branch"):

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from ordcensus import artin_schreier as asc
+from ordcensus import ascover
 from ordcensus.errors import DomainError, InvariantViolation, ResourceGuardError
 from ordcensus.fields import FieldSpec
 from ordcensus.polys import MonicPoly, Place, places_of_degree
@@ -66,7 +67,7 @@ def test_genus_and_m():
 def test_genus_formula_fault_is_an_invariant_violation(monkeypatch):
     # raised, not asserted, so that it holds under python -O as well
     c = asc.ASCover(F2, (simple_pole(X),), None)
-    monkeypatch.setattr(asc, "m_invariant", lambda c: 1)
+    monkeypatch.setattr(ascover, "m_invariant", lambda c: 1)
     with pytest.raises(InvariantViolation, match="genus formula gave -1/2"):
         asc.genus(c)
 

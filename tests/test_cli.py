@@ -476,6 +476,7 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
         "report-table1": ("report-table1",),
         "classify": ("classify", "--sample", "2", "--q", "2", "--n", "3", "--max-m", "3"),
         "classify cover": ("classify", "--cover", "COVER"),
+        "classify se cover": ("classify", "--cover", str(se_cover)),
         "oracle": ("oracle", "--cover", "COVER"),
         "oracle se": ("oracle", "--cover", str(se_cover)),
         "verify-kernel": ("verify-kernel", "--n", "5"),
@@ -487,11 +488,17 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     assert not {"artin_schreier", "oracle", "serialize"} & loaded["census se"][0]
     assert "polys" not in loaded["constants"][0]
     assert "polys" not in loaded["report-table1"][0]
-    # a cover loads only the module of its kind
-    assert not {"superelliptic", "dirichlet"} & loaded["oracle"][0]
-    assert not {"superelliptic", "dirichlet"} & loaded["classify cover"][0]
-    assert "artin_schreier" not in loaded["oracle se"][0]
-    assert "artin_schreier" not in loaded["classify"][0]
+    # a cover loads only the record module of its kind, and no census module
+    for name in ("oracle", "classify cover"):
+        assert "ascover" in loaded[name][0], name
+        assert not ({"artin_schreier", "superelliptic", "secover", "dirichlet"}
+                    & loaded[name][0]), name
+    for name in ("oracle se", "classify se cover"):
+        assert "secover" in loaded[name][0], name
+        assert not {"artin_schreier", "superelliptic", "ascover"} & loaded[name][0], name
+    assert "secover" not in loaded["census as"][0]
+    assert "ascover" not in loaded["census se"][0]
+    assert not {"artin_schreier", "ascover"} & loaded["classify"][0]
     for name, (_, stdlib) in loaded.items():
         assert not {"dataclasses", "inspect"} & stdlib, name
         assert ("fractions" in stdlib) == (name == "verify-kernel"), name
@@ -704,13 +711,13 @@ def test_oracle_sweeps_build_no_field_object(tmp_path, capsys, monkeypatch):
 
 
 def test_oracle_disagreement_prints_its_report_and_exits_4(tmp_path, capsys, monkeypatch):
-    from ordcensus import artin_schreier
+    from ordcensus import ascover
     path = tmp_path / "cover.json"
     path.write_text(json.dumps({"q": 2, "p": 2,
                                 "branch": [{"place": "0,1", "local": [0, 0, 1]}],
                                 "infinity": None}))
-    is_ordinary = artin_schreier.is_ordinary
-    monkeypatch.setattr(artin_schreier, "is_ordinary", lambda c: not is_ordinary(c))
+    is_ordinary = ascover.is_ordinary
+    monkeypatch.setattr(ascover, "is_ordinary", lambda c: not is_ordinary(c))
     code, out, err = run(capsys, "oracle", "--cover", str(path))
     assert code == 4
     data = json.loads(out)
@@ -720,10 +727,10 @@ def test_oracle_disagreement_prints_its_report_and_exits_4(tmp_path, capsys, mon
 
 
 def test_classify_routes_disagreeing_exits_4(tmp_path, capsys, monkeypatch):
-    from ordcensus import superelliptic
+    from ordcensus import secover
     path = tmp_path / "cover.json"
     path.write_text(json.dumps({"q": 2, "n": 3, "parts": ["1,1,1", "0,1,1"]}))
-    monkeypatch.setattr(superelliptic, "a_number", lambda c: 1)
+    monkeypatch.setattr(secover, "a_number", lambda c: 1)
     code, out, err = run(capsys, "classify", "--cover", str(path))
     assert code == 4
     assert out == ""
@@ -975,14 +982,16 @@ def test_hostile_cover_json_exits_0_2_or_3(data):
     ("census", "as", "--help"),
 ])
 def test_a_closed_stdout_exits_1_without_a_traceback(argv):
-    read_end, write_end = os.pipe()
-    os.close(read_end)  # no reader before the first byte is written
-    # stdout buffered, as a pipe's is by default; unbuffered, argparse itself
-    # drops the failed write of --help and exits 0
+    # stdout buffered, as a pipe's is by default, and unbuffered, where
+    # argparse's own print_help would drop the failed write of --help and exit 0
     env = {k: v for k, v in _src_env().items() if k != "PYTHONUNBUFFERED"}
-    try:
-        proc = subprocess.run([sys.executable, "-m", "ordcensus.cli", *argv], env=env,
-                              stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60)
-    finally:
-        os.close(write_end)
-    assert (proc.returncode, proc.stderr) == (1, "")
+    for unbuffered in ({}, {"PYTHONUNBUFFERED": "1"}):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # no reader before the first byte is written
+        try:
+            proc = subprocess.run([sys.executable, "-m", "ordcensus.cli", *argv],
+                                  env={**env, **unbuffered}, stdout=write_end,
+                                  stderr=subprocess.PIPE, text=True, timeout=60)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, ""), unbuffered

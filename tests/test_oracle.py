@@ -7,6 +7,7 @@ import pytest
 
 from ordcensus import artin_schreier as asc
 from ordcensus import oracle as orc
+from ordcensus import secover
 from ordcensus import superelliptic as se
 from ordcensus._polyarith import evaluate
 from ordcensus.errors import DomainError, InvariantViolation, ResourceGuardError
@@ -135,7 +136,7 @@ def test_assert_agreement_passes():
 
 def test_assert_agreement_names_the_cover_as_json(monkeypatch):
     c = se_cover(F2, 3, "1,1,1", "0,1,1")  # ordinary, genus 2, a-number 0
-    monkeypatch.setattr(se, "a_number", lambda c: 1)
+    monkeypatch.setattr(secover, "a_number", lambda c: 1)
     r = orc.cross_validate(c)
     assert not r.agree
     assert r.detail == "a-number 1 inconsistent with p-rank 2 of genus 2"

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ordcensus import secover
 from ordcensus import superelliptic as se
 from ordcensus.errors import DomainError, InvariantViolation, ResourceGuardError
 from ordcensus.fields import FieldSpec
@@ -345,7 +346,7 @@ def test_classify_fields_in_order(monkeypatch):
         ("a_number", 1), ("ordinary", False)]
     assert cover(F2, 3, "1,1,1", "0,1,1").classify()["ordinary"] is True
     # the a-number and the degree criterion are checked against each other
-    monkeypatch.setattr(se, "a_number", lambda c: 0)
+    monkeypatch.setattr(secover, "a_number", lambda c: 0)
     with pytest.raises(InvariantViolation) as info:
         c.classify()
     assert str(info.value) == (
