@@ -7,6 +7,8 @@ compare with the literals; the field supplies ``add``, ``sub``, ``neg``,
 ``mul`` and ``inv``.  Over a prime field (``K.k == 1``) the codes are the
 residues mod p, and ``mul`` and ``divmod_`` do that arithmetic inline instead
 of calling the field's methods once per coefficient; the results are the same.
+Field set-up runs them: Ben-Or's test of each default modulus, the search
+for a primitive element and the table of its powers all compute over F_p.
 :mod:`polys` computes in a residue field F_q[t]/(Q) with these functions
 over F_q, reducing mod Q.  ``power_sums`` gives the traces of the powers of
 t in F_p[t]/(f) or F_q[t]/(Q) from the modulus alone: the field trace of

@@ -357,6 +357,8 @@ def linear_table(p: int, width: int, rows: list, base: int = 0) -> list:
     ``base`` and ``rows`` are codes: vectors of ``width`` base-p digits,
     added digit by digit mod p.  For p = 2 that is XOR, and the table doubles
     once per row; for odd p the table is built one output digit at a time.
+    The odd-p loop would list the p = 2 tables too, but slower, and the F_2
+    fields and place sieves are most of the traffic.
     """
     if p == 2:
         table = [base]
@@ -375,7 +377,6 @@ def linear_table(p: int, width: int, rows: list, base: int = 0) -> list:
     return table
 
 
-@cache
 def extension(base: FieldSpec, k: int) -> tuple:
     """F_{q^k} for q = |base|: the field FieldSpec(p, k k_base), and the
     images in it of the codes of ``base``."""
@@ -422,7 +423,6 @@ def is_irreducible_over(K: FieldSpec, f: tuple) -> bool:
     return True
 
 
-@cache
 def default_modulus(p: int, k: int) -> tuple:
     """Lexicographically smallest irreducible monic degree-k polynomial.
 

@@ -3,15 +3,15 @@ L-polynomial via Newton's identities and the functional equation, and the
 p-rank as the degree of L mod p.  Newton's identities are those of
 :mod:`fields`, which the Euler products of :mod:`dirichlet` also run.
 
-Each F_{q^k} swept is ``fields.extension``, the field ``FieldSpec(p, n)``
-of order q^k = p^n, and the cover's coefficients are lifted through its
-images of F_q.  An Artin-Schreier cover's f is put over one denominator,
-f = N/D, by ``polys.reconstruct``, which sums the cover's local parts as
-they are, residue-field indices, over F_q, once per cover; each sweep lifts
-N and D to its F_{q^k}.  As f has coefficients in F_q, f(x^q) = f(x)^q, so
-x and x^q give the same trace of f(x), and the same n-th-power status of
-prod f_i(x)^i: a sweep evaluates at one x per orbit of x -> x^q, from
-``fields.frobenius_orbits``, and counts it once per element of the orbit.
+Both counts run one walk, ``_orbit_values``, over F_{q^k} = ``fields.extension``,
+the field ``FieldSpec(p, n)`` of order p^n, with the cover's polynomials lifted
+through its images of F_q: the parts f_i of a superelliptic cover, or N and D of
+an Artin-Schreier cover's f = N/D, put over one denominator by ``polys.reconstruct``
+once per cover.  With coefficients in F_q, x and x^q give the same trace of f(x),
+n-th-power status of prod f_i(x)^i and zeros, so the walk evaluates at one x per
+orbit of ``fields.frobenius_orbits`` and each count applies its rule once per
+element.  The poles are orbits too: a place of degree d has its d roots, one
+orbit, in F_{q^k} exactly when d | k.
 Besides the field arithmetic, putting the local parts over one denominator
 is all the counting code shares with the combinatorial classification it
 checks; disagreement means a real bug.
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import cache
+from operator import mul
 from types import SimpleNamespace
 
 from .errors import DomainError, ResourceGuardError, InvariantViolation
@@ -91,58 +92,52 @@ def _fraction(c) -> tuple:
     return reconstruct(c.field, inf, c.branch)
 
 
-def count_points_as(c, k: int) -> int:
-    """Points over F_{q^k} of the smooth projective model of the ASCover
-    y^p - y = f: p for each x where Tr f(x) = 0, one evaluation per
-    Frobenius orbit weighted by its size."""
-    field = c.field
-    p = field.p
+def _orbit_values(field: FieldSpec, k: int, polys) -> tuple:
+    """The sweep over F_{q^k}, after ``_guard``: E = ``fields.extension(field, k)``
+    and an iterator of (orbit size, value of each of ``polys`` at x) for one x per
+    Frobenius orbit of E; ``polys`` are raw tuples over F_q, lifted to E once."""
     _guard(field, k)
     E, embed = extension(field, k)
-    num, den = ([embed[a] for a in f] for f in _fraction(c))
-    total = 0
+    # two lists: live (x, size) tuples would set off collections that walk E's tables
+    xs, sizes = [], []
     for x, size in frobenius_orbits(E, field.q):
-        dv = evaluate(E, den, x)
-        # D(x) = 0 at the poles, counted place by place below
-        if dv and E.trace(E.mul(evaluate(E, num, x), E.inv(dv))) == 0:
+        xs.append(x)
+        sizes.append(size)
+    lifted = ([embed[a] for a in f] for f in polys)
+    return E, zip(sizes, *([evaluate(E, f, x) for x in xs] for f in lifted))
+
+
+def count_points_as(c, k: int) -> int:
+    """Points over F_{q^k} of the smooth projective model of the ASCover
+    y^p - y = f, f = N/D: one above each pole, a root of D, where the cover
+    is totally ramified, and p above each other x with Tr f(x) = 0."""
+    p = c.field.p
+    E, walk = _orbit_values(c.field, k, _fraction(c))
+    total = 1 if c.infinity_part is not None else p
+    for size, nv, dv in walk:
+        if not dv:
+            total += size
+        elif E.trace(E.mul(nv, E.inv(dv))) == 0:
             total += p * size
-    # each pole place is totally ramified: one point per root in F_{q^k}
-    for pl, _ in c.branch:
-        if k % pl.degree == 0:
-            total += pl.degree
-    total += 1 if c.infinity_part is not None else p
     return total
 
 
 def count_points_se(c, k: int) -> int:
     """Points over F_{q^k} of the smooth projective model of the SECover
-    y^n = prod f_i^i: 1, 0 or n above each x, one evaluation per Frobenius
-    orbit weighted by its size."""
-    field = c.field
+    y^n = v = prod f_i^i: one above each root of v (totally ramified, as
+    gcd(n, i) = 1 for prime n), and above each other x one if n does not
+    divide q^k - 1, else n where n | log v(x) and none elsewhere."""
     n = c.n
-    _guard(field, k)
-    E, embed = extension(field, k)
-    # v = prod f_i(x)^i is an n-th power iff n | log v, when n | q^k - 1
+    exps = [i for i, f in enumerate(c.parts, 1) if f.degree]
+    E, walk = _orbit_values(c.field, k, [c.parts[i - 1].full for i in exps])
     split = (E.q - 1) % n == 0
-    parts = [([embed[a] for a in f.full], i) for i, f in enumerate(c.parts, 1) if f.degree]
-    total = 0
-    for x, size in frobenius_orbits(E, field.q):
-        log_v = 0
-        for raw, i in parts:
-            fv = evaluate(E, raw, x)
-            if fv == 0:
-                total += size  # totally ramified (gcd(n, i) = 1 for prime n)
-                break
-            log_v += i * E.log(fv)
-        else:
-            if not split:
-                total += size  # n-th power map is a bijection
-            elif log_v % n == 0:
-                total += n * size
-    if c.epsilon:
-        total += 1
-    else:
-        total += n if split else 1  # leading value 1 is always an n-th power
+    # above infinity: the leading value 1 is always an n-th power
+    total = 1 if c.epsilon or not split else n
+    for size, *values in walk:
+        if 0 in values or not split:
+            total += size
+        elif sum(map(mul, exps, map(E.log, values))) % n == 0:
+            total += n * size
     return total
 
 

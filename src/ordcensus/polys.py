@@ -133,6 +133,7 @@ class Place(namedtuple("Place", "poly")):
     compare as the one-tuples (poly,), so in the order of their polynomials."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def __new__(cls, poly: MonicPoly):
         if not is_irreducible(poly):

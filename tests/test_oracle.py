@@ -374,16 +374,19 @@ def plain_count(c, k):
 def test_orbit_sums_equal_the_plain_sweep():
     """count_points_as/se, one evaluation per Frobenius orbit, against the
     sweep over every element, for every k <= 2g, on seeded covers whose
-    coefficients leave F_2 (over F_4) and whose n-th powers split for some
-    k and not for others.  The orbit sizes divide k and sum to q^k."""
+    coefficients leave F_2 (over F_4 and F_8) or F_3 (over F_9, with Zech
+    addition and a non-identity embedding), and whose n-th powers split for
+    some k and not for others.  The orbit sizes divide k and sum to q^k."""
     rng = random.Random(2024)
     F3 = FieldSpec(3)
     covers = []
-    for field, ms in [(F2, (4, 6, 8, 10)), (F3, (3, 4, 5)), (F4, (4, 6, 8))]:
+    for field, ms in [(F2, (4, 6, 8, 10)), (F3, (3, 4, 5)), (F4, (4, 6, 8)),
+                      (FieldSpec(3, 2), (3, 4))]:
         for m in ms:
             covers += rng.sample(list(asc.enumerate_covers(field, m, True)), 2)
     for field, n, d_max, branches in [(F2, 3, 5, (3, 5)), (F2, 5, 4, (3, 4)),
-                                      (F4, 3, 4, (3, 4)), (F4, 5, 3, (3, 3))]:
+                                      (F4, 3, 4, (3, 4)), (F4, 5, 3, (3, 3)),
+                                      (FieldSpec(2, 3), 3, 3, (3, 4))]:
         pool = [c for d in range(d_max + 1) for c in se.enumerate_se_covers(field, n, d)
                 if branches[0] <= c.branch_count <= branches[1]]
         covers += rng.sample(pool, 2 if field is F2 else 1)

@@ -110,13 +110,15 @@ def _invalid_replacements():
         (asc.ASCover(F2, (), (1,)), {"infinity_part": (1, 0, 2)}, DomainError, "out of range"),
         # 3 names no element of F_2
         (x, {"coeffs": (3,)}, DomainError, "outside"),
+        # x^2 + 1 = (x + 1)^2
+        (Place(x), {"poly": MonicPoly(F2, (1, 0))}, DomainError, "not irreducible"),
     ]
 
 
 @pytest.mark.parametrize("record, change, error, message", _invalid_replacements(),
                          ids=["ASCover", "CensusTable", "SECover", "PointCounts",
                               "LPolynomial", "ASCover-local-index", "ASCover-infinity-index",
-                              "MonicPoly-coefficient"])
+                              "MonicPoly-coefficient", "Place"])
 def test_replace_and_make_run_the_constructor_checks(record, change, error, message):
     fields = {**record._asdict(), **change}
     with pytest.raises(error, match=message) as built:
