@@ -22,7 +22,7 @@ from functools import cache
 
 from .ascover import (ASCover, _check_local_part, deuring_shafarevich_p_rank,  # noqa: F401
                       genus, is_ordinary, m_invariant)
-from .errors import DomainError, ResourceGuardError, InvariantViolation
+from .errors import Checked, DomainError, ResourceGuardError, InvariantViolation
 from .fields import FieldSpec, power_exceeds
 
 
@@ -136,18 +136,15 @@ def enumerate_covers(field: FieldSpec, m: int, include_infinity: bool = False):
 # ---------------------------------------------------------------------------
 
 
-class CensusTable(namedtuple("CensusTable", "q p rows source")):
+class CensusTable(Checked, namedtuple("CensusTable", "q p rows source")):
     """``rows`` maps m -> (a_m, b_m); ``source`` is "enumerated" or "analytic"."""
 
     __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         for m, (a, b) in self.rows.items():
             if not (0 <= b <= a):
                 raise DomainError(f"census row m={m} violates 0 <= b <= a")
-        return self
 
     def cumulative_ratio(self, m_max: int) -> float:
         from .dirichlet import cumulative_ratios

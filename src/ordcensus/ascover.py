@@ -21,10 +21,10 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .errors import DomainError, InvariantViolation
+from .errors import Checked, DomainError, InvariantViolation
 
 
-class ASCover(namedtuple("ASCover", "field branch infinity_part", defaults=(None,))):
+class ASCover(Checked, namedtuple("ASCover", "field branch infinity_part", defaults=(None,))):
     """Branch data of an Artin-Schreier cover in partial-fraction normal form.
 
     ``branch`` is the sorted tuple of (Place, local part), one per place,
@@ -33,11 +33,9 @@ class ASCover(namedtuple("ASCover", "field branch infinity_part", defaults=(None
     """
 
     __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
     kind = "artin-schreier"
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         p = self.field.p
         if not self.branch and self.infinity_part is None:
             raise DomainError("branch data must be nonempty when infinity is unramified")
@@ -52,7 +50,6 @@ class ASCover(namedtuple("ASCover", "field branch infinity_part", defaults=(None
         if self.infinity_part is not None:
             _check_local_part(p, self.infinity_part)
             _check_indices(self.infinity_part, self.field.q)
-        return self
 
     def classify(self) -> dict:
         """The fields ``classify`` prints after the cover's own."""

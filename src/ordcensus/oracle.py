@@ -11,7 +11,8 @@ once per cover.  With coefficients in F_q, x and x^q give the same trace of f(x)
 n-th-power status of prod f_i(x)^i and zeros, so the walk evaluates at one x per
 orbit of ``fields.frobenius_orbits`` and each count applies its rule once per
 element.  The poles are orbits too: a place of degree d has its d roots, one
-orbit, in F_{q^k} exactly when d | k.
+orbit, in F_{q^k} exactly when d | k.  A superelliptic count walks only where
+n | q^k - 1; at any other k it is q^k + 1, read off with no field built.
 Besides the field arithmetic, putting the local parts over one denominator
 is all the counting code shares with the combinatorial classification it
 checks; disagreement means a real bug.
@@ -26,36 +27,31 @@ from functools import cache
 from operator import mul
 from types import SimpleNamespace
 
-from .errors import DomainError, ResourceGuardError, InvariantViolation
+from .errors import Checked, DomainError, ResourceGuardError, InvariantViolation
 from ._polyarith import evaluate
 from .fields import (MAX_Q, FieldSpec, extension, frobenius_orbits, from_log_derivative,
                      log_derivative, power_exceeds)
 from .polys import reconstruct
 
 
-class PointCounts(namedtuple("PointCounts", "q genus counts")):
+class PointCounts(Checked, namedtuple("PointCounts", "q genus counts")):
     """``counts`` is (N_1, ..., N_k_max)."""
 
     __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         for k, n_k in enumerate(self.counts, start=1):
             if abs(n_k - (self.q ** k + 1)) ** 2 > 4 * self.genus ** 2 * self.q ** k:
                 raise InvariantViolation(
                     f"Weil bound violated: N_{k} = {n_k}, q = {self.q}, g = {self.genus}")
-        return self
 
 
-class LPolynomial(namedtuple("LPolynomial", "q genus coeffs")):
+class LPolynomial(Checked, namedtuple("LPolynomial", "q genus coeffs")):
     """``coeffs`` is (a_0, ..., a_{2g}), exact integers with a_0 = 1."""
 
     __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         g, q = self.genus, self.q
         if len(self.coeffs) != 2 * g + 1 or self.coeffs[0] != 1:
             raise DomainError("L-polynomial must have a_0 = 1 and degree 2g")
@@ -64,7 +60,6 @@ class LPolynomial(namedtuple("LPolynomial", "q genus coeffs")):
                 raise InvariantViolation("functional equation fails")
         if sum(self.coeffs) <= 0:
             raise InvariantViolation("L(1) = #Jac must be positive")
-        return self
 
 
 def extension_field(field: FieldSpec, k: int) -> SimpleNamespace:
@@ -124,17 +119,20 @@ def count_points_as(c, k: int) -> int:
 
 def count_points_se(c, k: int) -> int:
     """Points over F_{q^k} of the smooth projective model of the SECover
-    y^n = v = prod f_i^i: one above each root of v (totally ramified, as
-    gcd(n, i) = 1 for prime n), and above each other x one if n does not
-    divide q^k - 1, else n where n | log v(x) and none elsewhere."""
-    n = c.n
+    y^n = v = prod f_i^i.  If n does not divide q^k - 1, y -> y^n permutes
+    F_{q^k}, so one point lies above each x and above infinity: N_k = q^k + 1,
+    with no field built.  Else one above each root of v (totally ramified, as
+    gcd(n, i) = 1 for prime n), n above each other x where n | log v(x), and
+    none elsewhere."""
+    n, q = c.n, c.field.q
+    if pow(q, k, n) != 1:
+        return q ** k + 1
     exps = [i for i, f in enumerate(c.parts, 1) if f.degree]
     E, walk = _orbit_values(c.field, k, [c.parts[i - 1].full for i in exps])
-    split = (E.q - 1) % n == 0
     # above infinity: the leading value 1 is always an n-th power
-    total = 1 if c.epsilon or not split else n
+    total = 1 if c.epsilon else n
     for size, *values in walk:
-        if 0 in values or not split:
+        if 0 in values:
             total += size
         elif sum(map(mul, exps, map(E.log, values))) % n == 0:
             total += n * size

@@ -48,23 +48,21 @@ from collections import namedtuple
 from functools import cache, reduce
 
 from . import _polyarith as pa
-from .errors import DomainError, InvariantViolation, ResourceGuardError
+from .errors import Checked, DomainError, InvariantViolation, ResourceGuardError
 from .fields import (FieldSpec, count_irreducibles, digits, is_irreducible_over,
                      linear_table, power_exceeds, undigits)
 
 
-class MonicPoly(namedtuple("MonicPoly", "field coeffs")):
+class MonicPoly(Checked, namedtuple("MonicPoly", "field coeffs")):
     """An immutable monic polynomial over ``field``; ``coeffs`` holds the
     lower coefficients, low degree first, the leading 1 implicit.  Ordered
     by (degree, coeffs); each coefficient is a code in [0, q)."""
 
     __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __new__(cls, field: FieldSpec, coeffs: tuple):
-        if coeffs and (min(coeffs) < 0 or max(coeffs) >= field.q):
-            raise DomainError(f"coefficient outside [0, {field.q}) in {coeffs}")
-        return super().__new__(cls, field, coeffs)
+    def _check(self):
+        if self.coeffs and (min(self.coeffs) < 0 or max(self.coeffs) >= self.field.q):
+            raise DomainError(f"coefficient outside [0, {self.field.q}) in {self.coeffs}")
 
     @property
     def degree(self) -> int:
@@ -128,17 +126,15 @@ def gcd_monic(a: MonicPoly, b: MonicPoly) -> MonicPoly:
     return MonicPoly(a.field, g[:-1])
 
 
-class Place(namedtuple("Place", "poly")):
+class Place(Checked, namedtuple("Place", "poly")):
     """A monic irreducible polynomial, the index of an Euler factor.  Places
     compare as the one-tuples (poly,), so in the order of their polynomials."""
 
     __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __new__(cls, poly: MonicPoly):
-        if not is_irreducible(poly):
-            raise DomainError(f"{poly} is not irreducible")
-        return super().__new__(cls, poly)
+    def _check(self):
+        if not is_irreducible(self.poly):
+            raise DomainError(f"{self.poly} is not irreducible")
 
     @property
     def field(self) -> FieldSpec:
@@ -162,7 +158,7 @@ def enumerate_monic(field: FieldSpec, d: int):
 
 
 def _place(poly: MonicPoly) -> Place:
-    """A Place built without the irreducibility test of ``Place.__new__``.
+    """A Place built without the irreducibility test of ``Place._check``.
 
     Precondition: ``poly`` is monic irreducible, proved so by the caller (the
     place sieve or the trial division of ``_factors``).

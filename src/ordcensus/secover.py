@@ -11,23 +11,21 @@ import itertools
 import math
 from collections import namedtuple
 
-from .errors import DomainError, InvariantViolation
+from .errors import Checked, DomainError, InvariantViolation
 from .fields import require_odd_prime
 from .polys import gcd_monic, is_squarefree
 
 
-class SECover(namedtuple("SECover", "field n parts")):
+class SECover(Checked, namedtuple("SECover", "field n parts")):
     """A cover y^n = prod f_i^i with squarefree pairwise-coprime monic parts.
 
     ``parts`` is (f_1, ..., f_{n-1}), a MonicPoly each (constant 1 allowed).
     """
 
     __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
     kind = "superelliptic"
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         require_odd_prime(self.n)
         if self.field.p == self.n:
             raise DomainError("n must be coprime to the characteristic")
@@ -42,7 +40,6 @@ class SECover(namedtuple("SECover", "field n parts")):
         for f, g in itertools.combinations(live, 2):
             if gcd_monic(f, g).degree > 0:
                 raise DomainError("parts are not pairwise coprime")
-        return self
 
     def classify(self) -> dict:
         """The fields ``classify`` prints after the cover's own; InvariantViolation

@@ -13,6 +13,7 @@ list of base-field representatives or null.
 Superelliptic covers:
     {"q": 2, "n": 3, "parts": ["0,1", "1,1"]}
 with one polynomial text per f_i, i = 1..n-1 (constant parts written "1").
+In both, q, p, n and every index are JSON integers, never true or false.
 
 Both directions import only the record module of the data's kind, ``ascover``
 or ``secover``, and never a census module.
@@ -42,14 +43,20 @@ def cover_to_dict(c) -> dict:
 
 def cover_from_dict(data: dict):
     """The cover the data describe.  Data of the wrong shape (a missing key,
-    a non-integer q, p, n or index, a branch or parts that is not a list, an
-    infinity coefficient outside [0, q)) raise DomainError."""
+    a q, p, n or index that is not a JSON integer, a branch or parts that is
+    not a list, an infinity coefficient outside [0, q)) raise DomainError."""
     try:
         return _cover_from_dict(data)
     except DomainError:
         raise
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise DomainError(f"bad cover data: {exc}") from exc
+
+
+def _int(value) -> int:
+    if isinstance(value, bool):
+        raise DomainError("bad cover data: a boolean is not an integer")
+    return index(value)
 
 
 def _list(value, key: str) -> list:
@@ -59,25 +66,25 @@ def _list(value, key: str) -> list:
 
 
 def _cover_from_dict(data: dict):
-    q = index(data["q"])
+    q = _int(data["q"])
     if "n" in data:
         from .secover import SECover
         field = field_from_qp(q, 2)
         parts = tuple(MonicPoly.from_text(field, t) for t in _list(data["parts"], "parts"))
-        return SECover(field, index(data["n"]), parts)
+        return SECover(field, _int(data["n"]), parts)
     if "p" in data:
         from .ascover import ASCover
-        field = field_from_qp(q, index(data["p"]))
+        field = field_from_qp(q, _int(data["p"]))
         branch = []
         for entry in _list(data.get("branch", []), "branch"):
             place = Place(MonicPoly.from_text(field, entry["place"]))
-            coeffs = tuple(index(i) for i in entry["local"])
+            coeffs = tuple(_int(i) for i in entry["local"])
             if any(i < 0 or i >= place.norm for i in coeffs):
                 raise DomainError(f"local coefficient index out of range for {entry}")
             branch.append((place, coeffs))
         branch.sort(key=lambda pc: pc[0])
         inf = data.get("infinity")
-        inf_part = tuple(index(c) for c in inf) if inf is not None else None
+        inf_part = tuple(_int(c) for c in inf) if inf is not None else None
         if inf_part is not None and any(c < 0 or c >= q for c in inf_part):
             raise DomainError(f"bad cover data: infinity coefficient out of range "
                               f"for q = {q} in {inf}")

@@ -208,6 +208,18 @@ def test_guard_fires_before_any_sweep(monkeypatch):
         orc.cross_validate(odd)
 
 
+def test_se_counts_build_no_field_where_y_to_the_n_permutes_it(monkeypatch):
+    # 3 | 2^k - 1 exactly for even k; at odd k, N_k = 2^k + 1 with no sweep
+    built = []
+    monkeypatch.setattr(orc, "extension",
+                        lambda field, k: built.append(k) or extension(field, k))
+    report = orc.cross_validate(se_cover(F2, 3, "1,1,1", "0,1,1"))
+    assert report.agree
+    ks = range(1, 2 * report.genus + 1)
+    assert built == [k for k in ks if k % 2 == 0]
+    assert [report.counts[k - 1] for k in ks if k % 2] == [2 ** k + 1 for k in ks if k % 2]
+
+
 def _random_local(rng, size, order):
     """A normal-form local part over F_2: zero at even indices, top nonzero."""
     return tuple(0 if j % 2 == 0 else rng.randrange(size) for j in range(1, order)) + (

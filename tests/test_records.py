@@ -17,13 +17,14 @@ F2 = FieldSpec(2)
 
 
 def _fresh_records():
-    """Two independently built copies of one record of each class."""
+    """Two independently built copies of one record of each hashable class."""
     def build():
         x = MonicPoly(F2, (0,))
         place = Place(MonicPoly(F2, (1,)))
         cover_as = asc.ASCover(F2, ((place, (1,)),), (1,))
         cover_se = se.SECover(F2, 3, (MonicPoly(F2, (0,)), MonicPoly(F2, (1,))))
-        return x, place, cover_as, cover_se
+        return (x, place, cover_as, cover_se, orc.PointCounts(2, 1, (3, 5)),
+                orc.LPolynomial(2, 1, (1, 0, 2)))
     return build(), build()
 
 
@@ -46,8 +47,8 @@ def test_records_survive_pickle_and_copy():
             assert type(twin) is type(record)
 
 
-@pytest.mark.parametrize("index, name", [(0, "coeffs"), (1, "poly"),
-                                         (2, "branch"), (3, "parts")])
+@pytest.mark.parametrize("index, name", [(0, "coeffs"), (1, "poly"), (2, "branch"),
+                                         (3, "parts"), (4, "counts"), (5, "coeffs")])
 def test_assigning_to_a_field_raises(index, name):
     record = _fresh_records()[0][index]
     with pytest.raises(AttributeError):
@@ -127,7 +128,13 @@ def test_replace_and_make_run_the_constructor_checks(record, change, error, mess
         record._replace(**change)
     with pytest.raises(error) as made:
         type(record)._make(fields.values())
-    for raised in (replaced, made):
+    # a record smuggled past the checks is refused when it is unpickled or copied
+    smuggled = tuple.__new__(type(record), fields.values())
+    with pytest.raises(error) as unpickled:
+        pickle.loads(pickle.dumps(smuggled))
+    with pytest.raises(error) as copied:
+        copy.copy(smuggled)
+    for raised in (replaced, made, unpickled, copied):
         assert type(raised.value) is type(built.value)
         assert str(raised.value) == str(built.value)
 
@@ -166,6 +173,12 @@ def test_l_polynomial_rejects_a_non_integral_newton_step():
     ({"q": 4, "p": 2.0, "branch": [{"place": "0,1", "local": [1]}]}, "bad cover data"),
     ({"q": "2", "p": 2, "branch": [{"place": "0,1", "local": [1]}]}, "bad cover data"),
     ({"q": 2.0, "n": 3, "parts": ["0,1", "1"]}, "bad cover data"),
+    # JSON true is not the integer 1
+    ({"q": 2, "p": 2, "branch": [], "infinity": [True]}, "bad cover data"),
+    ({"q": 2, "p": 2, "branch": [{"place": "0,1", "local": [True]}]}, "bad cover data"),
+    ({"q": True, "p": 2, "branch": [{"place": "0,1", "local": [1]}]}, "bad cover data"),
+    ({"q": 2, "p": True, "branch": [{"place": "0,1", "local": [1]}]}, "bad cover data"),
+    ({"q": 2, "n": True, "parts": []}, "bad cover data"),
 ])
 def test_cover_data_without_a_field_kind_or_in_range_index_is_refused(data, message):
     from ordcensus.serialize import cover_from_dict
