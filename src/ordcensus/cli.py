@@ -112,7 +112,7 @@ def _load_cover(path: str):
     try:
         with open(path, encoding="utf-8") as fh:  # JSON is UTF-8, whatever the locale
             data = json.load(fh)
-    except (OSError, ValueError) as exc:  # ValueError: bad JSON, UTF-8 or int size
+    except (OSError, ValueError, RecursionError) as exc:  # bad JSON, UTF-8, int size, nesting
         raise DomainError(f"cannot read cover file {path}: {exc}") from exc
     return cover_from_dict(data)
 

@@ -97,8 +97,6 @@ class MonicPoly(Checked, namedtuple("MonicPoly", "field coeffs")):
             raise DomainError(f"bad polynomial text {text!r}") from exc
         if not cs or cs[-1] != 1:
             raise DomainError(f"polynomial {text!r} is not monic (explicit leading 1 required)")
-        if any(c < 0 or c >= field.q for c in cs):
-            raise DomainError(f"coefficient out of range for q={field.q} in {text!r}")
         return MonicPoly(field, cs[:-1])
 
     def __str__(self):

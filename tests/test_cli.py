@@ -251,7 +251,8 @@ def test_malformed_cover_file_is_a_usage_error(capsys, tmp_path):
 @pytest.mark.parametrize("content", [
     b'{"q": 2, "p": 2, "infinity": [1], "note": "\xff"}',  # not UTF-8
     b'{"q": 2, "p": 2, "infinity": [1], "n": ' + b"1" * 5000 + b"}",  # over the int limit
-], ids=["not-utf-8", "huge-int"])
+    b"[" * 100000 + b"]" * 100000,  # deeper than json's recursion allows
+], ids=["not-utf-8", "huge-int", "nested"])
 def test_undecodable_cover_file_is_a_usage_error(capsys, tmp_path, content):
     cover = tmp_path / "cover.json"
     cover.write_bytes(content)

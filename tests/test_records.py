@@ -179,8 +179,44 @@ def test_l_polynomial_rejects_a_non_integral_newton_step():
     ({"q": True, "p": 2, "branch": [{"place": "0,1", "local": [1]}]}, "bad cover data"),
     ({"q": 2, "p": True, "branch": [{"place": "0,1", "local": [1]}]}, "bad cover data"),
     ({"q": 2, "n": True, "parts": []}, "bad cover data"),
+    # both kinds named: neither key is dropped
+    ({"q": 3, "p": 3, "n": 5, "parts": ["0,1", "1,1", "2,1", "1"]}, "not both"),
+    ({"q": 2, "p": 2, "n": 3, "parts": ["0,1", "1,1"]}, "not both"),
 ])
 def test_cover_data_without_a_field_kind_or_in_range_index_is_refused(data, message):
     from ordcensus.serialize import cover_from_dict
     with pytest.raises(DomainError, match=message):
         cover_from_dict(data)
+
+
+@pytest.mark.parametrize("data", [
+    {"q": 4, "p": 2, "branch": [{"place": "2,1,1", "local": [1]}], "infinity": [7]},
+    {"q": 4, "p": 2, "branch": [{"place": "1,1", "local": [4]}]},
+    {"q": 2, "n": 3, "parts": ["0,0,1", "1"]},
+    {"q": 2, "n": 3, "parts": ["0,1", "0,1,1"]},
+    {"q": 2, "n": 3, "parts": ["2,1", "1"]},
+    {"q": 2, "p": 2, "branch": [{"place": "1,0,1", "local": [1]}]},
+    {"q": 2, "p": 2, "branch": [], "infinity": [True]},
+    {"q": 2, "n": 3, "parts": "0,1"},
+    {"q": 2, "p": 2, "n": 3, "parts": ["0,1", "1,1"]},
+], ids=["infinity-range", "local-range", "not-squarefree", "not-coprime", "part-range",
+        "not-irreducible", "boolean", "not-a-list", "both-kinds"])
+def test_a_cover_data_fault_is_reported_as_bad_cover_data_once(data):
+    from ordcensus.serialize import cover_from_dict
+    with pytest.raises(DomainError) as info:
+        cover_from_dict(data)
+    assert str(info.value).count("bad cover data") == 1
+
+
+def test_cover_loading_leaves_index_ranges_to_the_record(monkeypatch):
+    # with the record's range check switched off, the loader refuses nothing itself
+    from ordcensus import ascover
+    from ordcensus.serialize import cover_from_dict
+    monkeypatch.setattr(ascover, "_check_indices", lambda coeffs, size: None)
+    cover = cover_from_dict({"q": 4, "p": 2, "branch": [{"place": "1,1", "local": [4]}]})
+    assert cover.branch[0][1] == (4,)
+
+
+def test_polynomial_text_leaves_coefficient_ranges_to_the_record(monkeypatch):
+    monkeypatch.setattr(MonicPoly, "_check", lambda self: None)
+    assert MonicPoly.from_text(F2, "2,1").coeffs == (2,)
