@@ -235,11 +235,14 @@ def cross_validate(c) -> OracleReport:
 
 
 def assert_agreement(c) -> OracleReport:
-    """cross_validate, raising InvariantViolation with the cover JSON on failure."""
-    report = cross_validate(c)
-    if not report.agree:
+    """cross_validate, raising InvariantViolation that ends in the cover JSON
+    when the routes disagree or one of cross_validate's own checks fails."""
+    try:
+        report = cross_validate(c)
+        if not report.agree:
+            raise InvariantViolation(f"oracle disagreement: {report.detail}")
+    except InvariantViolation as exc:
         import json
         from .serialize import cover_to_dict
-        raise InvariantViolation(f"oracle disagreement: {report.detail}; "
-                                 f"cover = {json.dumps(cover_to_dict(c))}")
+        raise InvariantViolation(f"{exc}; cover = {json.dumps(cover_to_dict(c))}") from exc
     return report

@@ -1,8 +1,10 @@
 """The superelliptic cover record, y^n = f_1 f_2^2 ... f_{n-1}^{n-1} over
 F_q of characteristic 2, and its invariants: genus, eigenspace dimensions,
 a-number and the degree-symmetry ordinarity criterion, each read in O(n)
-from the nonzero degrees of the parts.  Cover files, ``classify --cover``
-and the oracle load this module, not the censuses of :mod:`superelliptic`.
+from the nonzero degrees of the parts.  The record refuses fewer than two
+branch points, so each ``SECover`` is a curve and the invariants need not
+ask.  Cover files, ``classify --cover`` and the oracle load this module, not
+the censuses of :mod:`superelliptic`.
 """
 
 from __future__ import annotations
@@ -17,7 +19,9 @@ from .polys import gcd_monic, is_squarefree
 
 
 class SECover(Checked, namedtuple("SECover", "field n parts")):
-    """A cover y^n = prod f_i^i with squarefree pairwise-coprime monic parts.
+    """A cover y^n = prod f_i^i with squarefree pairwise-coprime monic parts,
+    not all 1: y^n = 1 has no branch point, and as n is prime any part of
+    positive degree gives at least two.
 
     ``parts`` is (f_1, ..., f_{n-1}), a MonicPoly each (constant 1 allowed).
     """
@@ -40,6 +44,8 @@ class SECover(Checked, namedtuple("SECover", "field n parts")):
         for f, g in itertools.combinations(live, 2):
             if gcd_monic(f, g).degree > 0:
                 raise DomainError("parts are not pairwise coprime")
+        if self.branch_count < 2:
+            raise DomainError("the equation does not define a curve (fewer than 2 branch points)")
 
     def classify(self) -> dict:
         """The fields ``classify`` prints after the cover's own; InvariantViolation
@@ -67,7 +73,8 @@ class SECover(Checked, namedtuple("SECover", "field n parts")):
 
     @property
     def branch_count(self) -> int:
-        """Number of branch points of the cover (the census invariant m)."""
+        """Number of branch points of the cover: sum deg f_i, plus 1 when
+        infinity ramifies.  ``census_se`` rows are indexed by sum deg f_i."""
         return sum(self.degrees) + self.epsilon
 
 
@@ -96,9 +103,7 @@ def genus_se(c: SECover) -> int:
     """Genus, computed from both ramification formulas and cross-checked."""
     n = c.n
     x = _branch_exponents(n, c.degrees)
-    m = sum(x.values())  # the branch count
-    if m < 2:
-        raise DomainError("the equation does not define a curve (fewer than 2 branch points)")
+    m = sum(x.values())  # the branch count, >= 2 by SECover's check
     # general form: -n+1 + (1/2) sum_j x_j (n - gcd(n, j))
     twice = -2 * (n - 1) + sum(xj * (n - math.gcd(n, j)) for j, xj in x.items())
     if twice % 2 != 0:
@@ -122,7 +127,7 @@ class EigenDegrees(namedtuple("EigenDegrees", "d")):
 def eigen_degrees(c: SECover) -> EigenDegrees:
     """Dimensions of the mu_n-eigenspaces of the regular differentials."""
     n = c.n
-    genus = genus_se(c)  # DomainError first if there are fewer than 2 branch points
+    genus = genus_se(c)
     out = []
     for s in _eigen_sums(n, c.degrees):
         total = s - n

@@ -1,6 +1,7 @@
 """Superelliptic covers y^n = f_1 f_2^2 ... f_{n-1}^{n-1} over F_q of
 characteristic 2: the kernel verifier for the fractional-part matrix, the
-census counting identities and the seeded sampler of ``classify --sample``.
+census counting identities and the seeded sampler of ``classify --sample``,
+which draws only degree tuples that ``SECover`` accepts as curves.
 The cover record ``SECover`` and its invariants are in :mod:`secover`, and
 are imported here.
 """
@@ -185,7 +186,10 @@ def degree_tuples(n: int, m: int):
 
 
 def enumerate_se_covers(field: FieldSpec, n: int, m: int):
-    """All SECover with sum deg(f_i) = m, in degree-tuple order."""
+    """All SECover with sum deg(f_i) = m, in degree-tuple order; none at
+    m = 0, where y^n = 1 is not a curve."""
+    if m == 0:
+        return
     for e in degree_tuples(n, m):
         for parts in enumerate_tuple_family(field, e):
             yield SECover(field, n, parts)
@@ -247,25 +251,30 @@ def ordinary_ratio_se(field: FieldSpec, n: int, m_max: int) -> list:
 
 @cache
 def _sample_tuples(field: FieldSpec, n: int, m: int) -> tuple:
-    """The degree tuples with sum m and a nonempty family, in order; any()
-    stops at a family's first member (a nonempty tuple of positions)."""
-    return tuple(e for e in degree_tuples(n, m) if any(_tuple_family_positions(field, e)))
-
-
-def random_se_cover(field: FieldSpec, n: int, m: int, rng) -> SECover:
-    """A uniformly-chosen degree tuple with sum m, then rejection-sampled
-    squarefree pairwise-coprime monic parts of those degrees.  The tuples
-    with a nonempty family, each kept at the first member of its family, are
-    listed once per (field, n, m)."""
+    """The degree tuples with sum m of the covers ``random_se_cover`` draws,
+    in order: not all 0 (y^n = 1 is not a curve) and with a nonempty family.
+    The arguments and the guards are checked first, once per (field, n, m)
+    like the list.  A family is empty or not with its sorted tuple, so each
+    sorted tuple is asked once, and any() stops at its first member."""
     require_odd_prime(n)
     if m < 0:
         raise DomainError("the degree sum m must be >= 0")
     _guard_monic_count(field, m, "random cover")
     _guard_tuple_count(n, m, "random cover")
-    tuples = _sample_tuples(field, n, m)
+
+    @cache
+    def nonempty(sorted_e):
+        return any(_tuple_family_positions(field, sorted_e))
+    tuples = tuple(e for e in degree_tuples(n, m) if any(e) and nonempty(tuple(sorted(e))))
     if not tuples:
         raise DomainError(f"no admissible degree tuples with sum {m}")
-    e = rng.choice(tuples)
+    return tuples
+
+
+def random_se_cover(field: FieldSpec, n: int, m: int, rng) -> SECover:
+    """A uniformly-chosen degree tuple of ``_sample_tuples``, then
+    rejection-sampled squarefree pairwise-coprime monic parts of those degrees."""
+    e = rng.choice(_sample_tuples(field, n, m))
     while True:
         parts = []
         for d in e:

@@ -248,6 +248,28 @@ def test_malformed_cover_file_is_a_usage_error(capsys, tmp_path):
         assert err.startswith("error: bad cover data")
 
 
+def test_a_cover_file_that_is_no_curve_is_bad_cover_data(capsys, tmp_path):
+    # y^3 = 1 has no branch point; SECover refuses it as it loads
+    cover = tmp_path / "cover.json"
+    cover.write_text(json.dumps({"q": 2, "n": 3, "parts": ["1", "1"]}))
+    for command in ("classify", "oracle"):
+        assert run(capsys, command, "--cover", str(cover)) == (
+            2, "", "error: bad cover data: the equation does not define a curve "
+                   "(fewer than 2 branch points)\n"), command
+
+
+def test_a_sample_of_degree_sum_0_is_refused_before_any_draw():
+    # the one degree tuple with sum 0 is y^n = 1, so there is none to draw from
+    argv = [sys.executable, "-m", "ordcensus.cli", "classify", "--max-m", "0", "--sample"]
+    proc = subprocess.run(argv + ["1"], env=_src_env(), capture_output=True, text=True,
+                          timeout=30)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "no admissible degree tuples with sum 0" in proc.stderr
+    proc = subprocess.run(argv + ["0"], env=_src_env(), capture_output=True, text=True,
+                          timeout=30)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
 @pytest.mark.parametrize("content", [
     b'{"q": 2, "p": 2, "infinity": [1], "note": "\xff"}',  # not UTF-8
     b'{"q": 2, "p": 2, "infinity": [1], "n": ' + b"1" * 5000 + b"}",  # over the int limit

@@ -146,6 +146,22 @@ def test_assert_agreement_names_the_cover_as_json(monkeypatch):
     assert cover_from_dict(json.loads(cover)) == c
 
 
+@pytest.mark.parametrize("extra, message", [(100, "Weil bound violated: N_1 = 103"),
+                                             (1, "a_2 is not an integer")])
+def test_assert_agreement_names_the_cover_when_a_check_inside_raises(monkeypatch, extra,
+                                                                     message):
+    # a wrong N_1 is refused by PointCounts or by the L-polynomial's Newton
+    # step, inside cross_validate, before the routes are compared
+    c = as_cover((X, (1,)), (X1, (1,)), infinity=(1,))  # genus 2
+    count = orc.count_points_as
+    monkeypatch.setattr(orc, "count_points_as", lambda c, k: count(c, k) + extra * (k == 1))
+    with pytest.raises(InvariantViolation, match=message) as exc:
+        orc.assert_agreement(c)
+    # the message ends in the cover's JSON, which replays to the same cover
+    cover = str(exc.value).split("; cover = ")[1]
+    assert cover_from_dict(json.loads(cover)) == c
+
+
 def test_resource_guards():
     big = asc.ASCover(F2, (), (1,))
     with pytest.raises(ResourceGuardError):

@@ -81,6 +81,8 @@ def test_validation_fires_on_construction():
         asc.ASCover(F2, ((x, (1,)), (x, (1,))))
     with pytest.raises(DomainError, match="not squarefree"):
         se.SECover(F2, 3, (MonicPoly(F2, (1, 0)), MonicPoly(F2, ())))  # (x+1)^2
+    with pytest.raises(DomainError, match="does not define a curve"):
+        se.SECover(F2, 3, (MonicPoly(F2, ()), MonicPoly(F2, ())))  # y^3 = 1
     with pytest.raises(DomainError, match="every part must be over F_4"):
         se.SECover(FieldSpec(2, 2), 3, (MonicPoly(FieldSpec(3), (2,)), MonicPoly(F2, ())))
     with pytest.raises(DomainError, match="b <= a"):
@@ -113,13 +115,16 @@ def _invalid_replacements():
         (x, {"coeffs": (3,)}, DomainError, "outside"),
         # x^2 + 1 = (x + 1)^2
         (Place(x), {"poly": MonicPoly(F2, (1, 0))}, DomainError, "not irreducible"),
+        # y^3 = 1 has no branch point
+        (se.SECover(F2, 3, (x, x1)), {"parts": (MonicPoly(F2, ()),) * 2}, DomainError,
+         "does not define a curve"),
     ]
 
 
 @pytest.mark.parametrize("record, change, error, message", _invalid_replacements(),
                          ids=["ASCover", "CensusTable", "SECover", "PointCounts",
                               "LPolynomial", "ASCover-local-index", "ASCover-infinity-index",
-                              "MonicPoly-coefficient", "Place"])
+                              "MonicPoly-coefficient", "Place", "SECover-no-curve"])
 def test_replace_and_make_run_the_constructor_checks(record, change, error, message):
     fields = {**record._asdict(), **change}
     with pytest.raises(error, match=message) as built:
@@ -199,8 +204,9 @@ def test_cover_data_without_a_field_kind_or_in_range_index_is_refused(data, mess
     {"q": 2, "p": 2, "branch": [], "infinity": [True]},
     {"q": 2, "n": 3, "parts": "0,1"},
     {"q": 2, "p": 2, "n": 3, "parts": ["0,1", "1,1"]},
+    {"q": 2, "n": 3, "parts": ["1", "1"]},
 ], ids=["infinity-range", "local-range", "not-squarefree", "not-coprime", "part-range",
-        "not-irreducible", "boolean", "not-a-list", "both-kinds"])
+        "not-irreducible", "boolean", "not-a-list", "both-kinds", "not-a-curve"])
 def test_a_cover_data_fault_is_reported_as_bad_cover_data_once(data):
     from ordcensus.serialize import cover_from_dict
     with pytest.raises(DomainError) as info:

@@ -54,8 +54,8 @@ def test_genus_examples():
     # spec: n=5, deg=(1,1,1,1), N=10, eps=0 -> m=4, g=4 (four coprime linears
     # need q >= 4)
     assert se.genus_se(cover(F4, 5, "0,1", "1,1", "2,1", "3,1")) == 4
-    with pytest.raises(DomainError):
-        se.genus_se(cover(F2, 3, "1", "1"))  # m = 0: no curve
+    with pytest.raises(DomainError, match="does not define a curve"):
+        cover(F2, 3, "1", "1")  # m = 0: no curve, refused before genus_se could see it
 
 
 def test_eigen_degrees_examples():
@@ -322,6 +322,37 @@ def test_tuple_family_count_is_symmetric():
         count = sum(1 for _ in se.enumerate_tuple_family(F2, e))
         assert se.count_tuple_family(F2, e) == count
         assert se.count_tuple_family(F2, tuple(reversed(e))) == count
+
+
+def test_no_route_builds_a_cover_the_record_refuses(cold_caches):
+    # every part constant, y^n = 1, is the one equation with sum deg f_i = m
+    # that is not a curve, and at m = 0 it is the only one
+    assert list(se.enumerate_se_covers(F2, 3, 0)) == []
+    with pytest.raises(DomainError, match="no admissible degree tuples with sum 0"):
+        se.random_se_cover(F2, 3, 0, random.Random(0))
+    for field, n, m_max in ((F2, 3, 6), (F4, 5, 3), (F2, 7, 4)):
+        for m in range(1, m_max + 1):
+            tuples = se._sample_tuples(field, n, m)
+            assert tuples == tuple(e for e in se.degree_tuples(n, m)
+                                   if any(se._tuple_family_positions(field, e)))
+            for e in tuples:
+                se.SECover(field, n, next(se.enumerate_tuple_family(field, e)))
+
+
+def test_sampler_checks_and_lists_once_per_sorted_degree_tuple(monkeypatch, cold_caches):
+    calls, guards = [], []
+    family_positions, guard = se._tuple_family_positions, se._guard_tuple_count
+
+    def recording(field, e):
+        calls.append(tuple(e))
+        return family_positions(field, e)
+    monkeypatch.setattr(se, "_tuple_family_positions", recording)
+    monkeypatch.setattr(se, "_guard_tuple_count", lambda *args: guards.append(guard(*args)))
+    draws = [se.random_se_cover(F2, 5, 6, random.Random(seed)) for seed in range(3)]
+    assert len({c.degrees for c in draws}) > 1
+    assert len(guards) == 1
+    assert len(calls) == len(set(calls))
+    assert set(calls) == {tuple(sorted(e)) for e in se.degree_tuples(5, 6)}
 
 
 def test_sampler_refuses_a_negative_degree_sum():
