@@ -1,7 +1,8 @@
 """Artin-Schreier covers y^p - y = f(x): the exact census by enumeration and
 by coefficient extraction from the Euler product of local zeta factors.  The
 cover record ``ASCover``, the encoding of its local parts and its
-invariants are in :mod:`ascover`, and are imported here.
+invariants are in :mod:`ascover`; this module imports only the record, the
+local-part check and the ordinarity test that its census uses.
 
 The enumeration route counts whole families: the covers sharing a branch
 assignment (places and pole orders) are the products of per-place pools of
@@ -20,8 +21,7 @@ from bisect import bisect_right
 from collections import namedtuple
 from functools import cache
 
-from .ascover import (ASCover, _check_local_part, deuring_shafarevich_p_rank,  # noqa: F401
-                      genus, is_ordinary, m_invariant)
+from .ascover import ASCover, _check_local_part, is_ordinary
 from .errors import Checked, DomainError, ResourceGuardError, InvariantViolation
 from .fields import FieldSpec, power_exceeds
 
@@ -136,8 +136,9 @@ def enumerate_covers(field: FieldSpec, m: int, include_infinity: bool = False):
 # ---------------------------------------------------------------------------
 
 
-class CensusTable(Checked, namedtuple("CensusTable", "q p rows source")):
-    """``rows`` maps m -> (a_m, b_m); ``source`` is "enumerated" or "analytic"."""
+class CensusTable(Checked, namedtuple("CensusTable", "rows")):
+    """``rows`` maps m -> (a_m, b_m), the number of covers with invariant m
+    and of those that are ordinary, each row checked for 0 <= b_m <= a_m."""
 
     __slots__ = ()
 
@@ -145,13 +146,6 @@ class CensusTable(Checked, namedtuple("CensusTable", "q p rows source")):
         for m, (a, b) in self.rows.items():
             if not (0 <= b <= a):
                 raise DomainError(f"census row m={m} violates 0 <= b <= a")
-
-    def cumulative_ratio(self, m_max: int) -> float:
-        from .dirichlet import cumulative_ratios
-        steps = list(cumulative_ratios(self.rows, sorted(m for m in self.rows if m <= m_max)))
-        if not steps:
-            raise DomainError("empty census: zero denominator")
-        return steps[-1][3]
 
 
 MAX_ENUM = 2 ** 22
@@ -173,7 +167,7 @@ def census_enumerated(field: FieldSpec, m_max: int,
             if is_ordinary(ASCover(field, branch, inf_pool[0])):
                 b += size
         rows[m] = (a, b)
-    return CensusTable(field.q, field.p, rows, "enumerated")
+    return CensusTable(rows)
 
 
 # The Euler coefficients have about m log2 q bits, and computing them takes
@@ -229,7 +223,7 @@ def census_analytic(field: FieldSpec, m_max: int,
         a_series = series_multiply(local(1), a_series, m_max)
         b_series = series_multiply(ordinary_local(1), b_series, m_max)
     rows = {m: (a_series[m], b_series[m]) for m in range(2, m_max + 1)}
-    return CensusTable(q, p, rows, "analytic")
+    return CensusTable(rows)
 
 
 def census(field: FieldSpec, m_max: int, include_infinity: bool = False,
@@ -253,11 +247,13 @@ def census(field: FieldSpec, m_max: int, include_infinity: bool = False,
 
 def empirical_probability(field: FieldSpec, m_max: int,
                           include_infinity: bool = False) -> float:
-    """Cumulative ordinary proportion sum b / sum a from the analytic census."""
+    """Cumulative ordinary proportion sum b / sum a over m = 2..m_max, from
+    the analytic census."""
+    from .dirichlet import cumulative_ratios
     if m_max < 2:
         raise DomainError("m_max must be >= 2")
-    table = census_analytic(field, m_max, include_infinity)
-    return table.cumulative_ratio(m_max)
+    rows = census_analytic(field, m_max, include_infinity).rows
+    return list(cumulative_ratios(rows, rows))[-1][3]  # the rows run through m in order
 
 
 def component_count(m: int, p: int) -> int:

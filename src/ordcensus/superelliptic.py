@@ -112,8 +112,8 @@ def verify_kernel_lemma(n: int) -> bool:
 # ---------------------------------------------------------------------------
 
 MAX_TUPLE_DEGREE = 16
-# census se --q 2 --n 11 --max-m 13, just under it, takes ~4.2 s on a 2-vCPU
-# Xeon VM under Python 3.11
+# census se --q 2 --n 11 --max-m 13, just under it, takes ~5.8 s on a 2-vCPU
+# Xeon VM under Python 3.11.7
 MAX_TUPLE_COST = 5 * 10 ** 7
 
 

@@ -46,21 +46,21 @@ def test_cover_refuses_places_out_of_order():
 def test_genus_and_m():
     # f = 1/x + 1/(x+1): two simple poles, m = 4, g = 1
     c = asc.ASCover(F2, (simple_pole(X), simple_pole(X1)), None)
-    assert asc.m_invariant(c) == 4
-    assert asc.genus(c) == 1
+    assert ascover.m_invariant(c) == 4
+    assert ascover.genus(c) == 1
     assert asc.is_ordinary(c)
     # f = 1/x^3: m = 4, g = 1, not ordinary
     c2 = asc.ASCover(F2, ((X, (0, 0, 1)),), None)
-    assert asc.m_invariant(c2) == 4
-    assert asc.genus(c2) == 1
+    assert ascover.m_invariant(c2) == 4
+    assert ascover.genus(c2) == 1
     assert not asc.is_ordinary(c2)
     # f = 1/x: genus 0
     c3 = asc.ASCover(F2, (simple_pole(X),), None)
-    assert asc.genus(c3) == 0
+    assert ascover.genus(c3) == 0
     # ramified at infinity only
     c4 = asc.ASCover(F2, (), (1,))
-    assert asc.m_invariant(c4) == 2
-    assert asc.genus(c4) == 0
+    assert ascover.m_invariant(c4) == 2
+    assert ascover.genus(c4) == 0
     assert asc.is_ordinary(c4)
 
 
@@ -69,7 +69,7 @@ def test_genus_formula_fault_is_an_invariant_violation(monkeypatch):
     c = asc.ASCover(F2, (simple_pole(X),), None)
     monkeypatch.setattr(ascover, "m_invariant", lambda c: 1)
     with pytest.raises(InvariantViolation, match="genus formula gave -1/2"):
-        asc.genus(c)
+        ascover.genus(c)
 
 
 def test_admissible_pole_orders():
@@ -97,7 +97,7 @@ def test_enumeration_unique_and_sized():
     for m in (2, 4, 6):
         covers = list(asc.enumerate_covers(F2, m, include_infinity=True))
         assert len(set(covers)) == len(covers)
-        assert all(asc.m_invariant(c) == m for c in covers)
+        assert all(ascover.m_invariant(c) == m for c in covers)
 
 
 def test_census_enum_matches_analytic_small():
@@ -180,14 +180,19 @@ def test_census_guard():
 
 def test_census_table_validation():
     with pytest.raises(DomainError):
-        asc.CensusTable(2, 2, {2: (1, 2)}, "enumerated")  # b > a
+        asc.CensusTable({2: (1, 2)})  # b > a
 
 
 def test_cumulative_ratio():
-    table = asc.census_analytic(F2, 6)
-    assert table.cumulative_ratio(2) == 1.0
-    r = table.cumulative_ratio(6)
+    from ordcensus.dirichlet import cumulative_ratios
+    assert asc.empirical_probability(F2, 2) == 1.0
+    r = asc.empirical_probability(F2, 6)
     assert 0 < r < 1
+    with pytest.raises(DomainError, match="m_max must be >= 2"):
+        asc.empirical_probability(F2, 1)
+    # the proportion over m = 2..6 is the census's last cumulative ratio
+    rows = asc.census_analytic(F2, 6).rows
+    assert [ratio for *_, ratio in cumulative_ratios(rows, rows)][-1] == r
 
 
 def test_empirical_probability_converges():
@@ -222,8 +227,8 @@ def test_m_invariant_genus_relation():
     for field, m_max in ((F2, 6), (F3, 5)):
         for m in range(2, m_max + 1):
             for c in asc.enumerate_covers(field, m, include_infinity=True):
-                assert asc.m_invariant(c) == m
-                assert 2 * asc.genus(c) == (field.p - 1) * (m - 2)
+                assert ascover.m_invariant(c) == m
+                assert 2 * ascover.genus(c) == (field.p - 1) * (m - 2)
 
 
 def test_component_count_growth():

@@ -384,7 +384,7 @@ def test_census_both_names_first_differing_row(capsys, monkeypatch):
     def off_by_one_at_6(field, m_max, include_infinity=False):
         table = enumerated(field, m_max, include_infinity)
         a, b = table.rows[6]
-        return asc.CensusTable(table.q, table.p, {**table.rows, 6: (a + 1, b)}, table.source)
+        return asc.CensusTable({**table.rows, 6: (a + 1, b)})
 
     monkeypatch.setattr(asc, "census_enumerated", off_by_one_at_6)
     code, out, err = run(capsys, "census", "as", "--q", "2", "--p", "2",

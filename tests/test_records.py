@@ -86,7 +86,7 @@ def test_validation_fires_on_construction():
     with pytest.raises(DomainError, match="every part must be over F_4"):
         se.SECover(FieldSpec(2, 2), 3, (MonicPoly(FieldSpec(3), (2,)), MonicPoly(F2, ())))
     with pytest.raises(DomainError, match="b <= a"):
-        asc.CensusTable(2, 2, {2: (1, 2)}, "analytic")
+        asc.CensusTable({2: (1, 2)})
     with pytest.raises(InvariantViolation, match="Weil bound"):
         orc.PointCounts(2, 1, (9,))
     with pytest.raises(InvariantViolation, match="functional equation"):
@@ -101,7 +101,7 @@ def _invalid_replacements():
     x, x1 = MonicPoly(F2, (0,)), MonicPoly(F2, (1,))
     return [
         (asc.ASCover(F2, ((Place(x), (1,)),)), {"branch": ()}, DomainError, "nonempty"),
-        (asc.CensusTable(2, 2, {2: (1, 1)}, "analytic"), {"rows": {2: (1, 2)}},
+        (asc.CensusTable({2: (1, 1)}), {"rows": {2: (1, 2)}},
          DomainError, "b <= a"),
         (se.SECover(F2, 3, (x, x1)), {"parts": (x, x)}, DomainError, "pairwise coprime"),
         (orc.PointCounts(2, 1, (3, 5)), {"counts": (9,)}, InvariantViolation, "Weil bound"),

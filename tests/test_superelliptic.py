@@ -1,3 +1,5 @@
+import json
+import math
 import random
 from fractions import Fraction
 
@@ -9,6 +11,7 @@ from ordcensus import superelliptic as se
 from ordcensus.errors import DomainError, InvariantViolation, ResourceGuardError
 from ordcensus.fields import FieldSpec
 from ordcensus.polys import MonicPoly, mul_monic, poly_one
+from ordcensus.serialize import cover_from_dict
 
 F2 = FieldSpec(2)
 F4 = FieldSpec(2, 2)
@@ -132,6 +135,16 @@ def dense_eigen_degrees(n, degs):
     return tuple(out)
 
 
+def dense_genus(n, degs):
+    """The general ramification formula -(n-1) + (1/2) sum_j x_j (n - gcd(n, j))
+    over every j: the reference for (n-1)(m-2)/2."""
+    n_inf = (-sum(i * d for i, d in enumerate(degs, start=1))) % n
+    x = [degs[j - 1] + (1 if j == n_inf else 0) for j in range(1, n)]
+    twice = -2 * (n - 1) + sum(xj * (n - math.gcd(n, j)) for j, xj in enumerate(x, start=1))
+    assert twice % 2 == 0
+    return twice // 2
+
+
 def dense_ordinary(n, degs):
     n_inf = (-sum(i * d for i, d in enumerate(degs, start=1))) % n
     x = [degs[j - 1] + (1 if j == n_inf else 0) for j in range(1, n)]
@@ -174,6 +187,8 @@ def sparse_covers(draw):
 @settings(max_examples=50, deadline=None, derandomize=True)
 @given(sparse_covers())
 def test_sparse_degree_rules_equal_the_dense_formulas(c):
+    assert se.genus_se(c) == dense_genus(c.n, c.degrees)
+    assert 0 <= se.a_number(c) <= se.genus_se(c)
     assert se.eigen_degrees(c).d == dense_eigen_degrees(c.n, c.degrees)
     assert se.ordinary_degree_tuple(c.n, c.degrees) == dense_ordinary(c.n, c.degrees)
     assert se.degree_symmetry_criterion(c.n, c.degrees) == dense_symmetry(c.n, c.degrees)
@@ -381,9 +396,11 @@ def test_classify_fields_in_order(monkeypatch):
     with pytest.raises(InvariantViolation) as info:
         c.classify()
     assert str(info.value) == (
-        "classification routes disagree on {'q': 2, 'n': 3, 'parts': ['0,1,1', '1'], "
-        "'kind': 'superelliptic', 'genus': 1, 'm': 3, 'd_i': [0, 1], 'a_number': 0, "
-        "'ordinary': False}")
+        "classification routes disagree on {'kind': 'superelliptic', 'genus': 1, 'm': 3, "
+        "'d_i': [0, 1], 'a_number': 0, 'ordinary': False}; "
+        'cover = {"q": 2, "n": 3, "parts": ["0,1,1", "1"]}')
+    # the cover after "; cover = " loads back as the same cover
+    assert cover_from_dict(json.loads(str(info.value).split("; cover = ")[1])) == c
 
 
 def test_sample_covers_checks_everything_before_the_first_draw(monkeypatch):
