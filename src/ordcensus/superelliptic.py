@@ -1,5 +1,6 @@
 """Superelliptic covers y^n = f_1 f_2^2 ... f_{n-1}^{n-1} over F_q of
-characteristic 2: the kernel verifier for the fractional-part matrix, the
+characteristic 2: the kernel verifier for the fractional-part matrix, which
+checks two facts of the lemma and derives the third from them, the
 census counting identities and the seeded sampler of ``classify --sample``,
 which draws only degree tuples that ``SECover`` accepts as curves.
 The cover record ``SECover`` and its invariants are in :mod:`secover`, and
@@ -24,51 +25,24 @@ from .secover import (SECover, a_number, degree_symmetry_criterion, eigen_degree
 # ---------------------------------------------------------------------------
 
 
-def rref(matrix):
-    """Reduced row echelon form over Fraction; returns (rref, pivot columns)."""
+def matrix_rank(matrix) -> int:
+    """Rank over Fraction by forward elimination: a pivot per column, and
+    only the rows below it cleared."""
     from fractions import Fraction
-    m = [row[:] for row in matrix]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if m[i][c] != 0), None)
+    m = [[Fraction(x) for x in row] for row in matrix]
+    rank = 0
+    for c in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(rank, len(m)) if m[i][c] != 0), None)
         if pivot is None:
             continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, pivots
-
-
-def matrix_rank(matrix) -> int:
-    return len(rref(matrix)[1])
-
-
-def kernel_basis(matrix):
-    """Basis of the right kernel over Fraction, scaled to integer vectors."""
-    from fractions import Fraction
-    red, pivots = rref(matrix)
-    cols = len(matrix[0])
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * cols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
-        denom = math.lcm(*[x.denominator for x in v])
-        basis.append([int(x * denom) for x in v])
-    return basis
+        m[rank], m[pivot] = m[pivot], m[rank]
+        top = m[rank]
+        for i in range(rank + 1, len(m)):
+            if m[i][c] != 0:
+                f = m[i][c] / top[c]
+                m[i] = [x - f * y for x, y in zip(m[i], top)]
+        rank += 1
+    return rank
 
 
 def fractional_part_matrix(n: int):
@@ -78,33 +52,23 @@ def fractional_part_matrix(n: int):
 
 
 def verify_kernel_lemma(n: int) -> bool:
-    """Check the explicit kernel of the fractional-part matrix.
+    """Check the explicit kernel of the fractional-part matrix A.
 
-    (i) the stated vectors x^(k) are killed by A, (ii) rank(A) = (n+1)/2,
-    (iii) every kernel basis vector v satisfies v_k = v_{n-k}.
+    (i) A kills x^(k) = e_k + e_{n-k} - e_{(n-1)/2} - e_{(n+1)/2} for
+    k = 1..(n-3)/2, and (ii) rank(A) = (n+1)/2.  Then (iii), every kernel
+    vector v has v_k = v_{n-k}, follows: the x^(k) are independent, as only
+    x^(k) is nonzero at k, and there are (n-3)/2 = (n-1) - rank(A) of them,
+    the kernel's dimension, so they span it, and each is symmetric.
     """
     require_odd_prime(n)
     if n > 101:
         raise ResourceGuardError("kernel verification guarded at n <= 101")
     a = fractional_part_matrix(n)
-    dim = n - 1
-    for k in range(1, (n - 3) // 2 + 1):
-        x = [0] * dim
-        x[k - 1] += 1
-        x[n - k - 1] += 1
-        x[(n - 1) // 2 - 1] -= 1
-        x[(n + 1) // 2 - 1] -= 1
-        for row in a:
-            if sum(ri * xi for ri, xi in zip(row, x)) != 0:
-                return False
-    basis = kernel_basis(a)
-    if dim - len(basis) != (n + 1) // 2:  # the rank, by rank-nullity
-        return False
-    for v in basis:
-        for k in range(1, n):
-            if v[k - 1] != v[n - k - 1]:
-                return False
-    return True
+    h = (n - 1) // 2  # e_h and e_{h+1} sit at indices h - 1 and h
+    for k in range(1, h):
+        if any(row[k - 1] + row[n - k - 1] != row[h - 1] + row[h] for row in a):
+            return False
+    return matrix_rank(a) == (n + 1) // 2
 
 
 # ---------------------------------------------------------------------------

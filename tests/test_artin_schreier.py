@@ -248,6 +248,8 @@ def test_component_count():
     assert asc.component_count(7, 5) == 3   # 2+5, 3+4, 2+2+3
     with pytest.raises(DomainError):
         asc.component_count(4, 2)
+    with pytest.raises(DomainError, match="m must be >= 0"):
+        asc.component_count(-1, 3)
 
 
 def test_branch_assignments_same_as_per_node_orders():

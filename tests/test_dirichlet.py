@@ -84,6 +84,8 @@ def test_zeta_affine_truncated_matches_closed_form():
         for s in (2, 3):
             ep = dd.zeta_affine_truncated(q, s, 25)
             assert abs(ep.value - dd.zeta_affine(q, s)) <= ep.error_bound + Decimal("1e-20")
+    with pytest.raises(DomainError, match="pole at s = 1"):
+        dd.zeta_affine_truncated(2, 1, 8)
 
 
 def test_phi_at_1_table():
@@ -141,6 +143,8 @@ def test_phi_k():
     assert abs(ep.value - Decimal("0.5")) <= ep.error_bound + Decimal("1e-20")
     for k in (2, 4, 6):
         assert 0 < float(dd.phi_k_at_1(2, k).value) < 1
+    with pytest.raises(DomainError, match="k must be >= 0"):
+        dd.phi_k_at_1(2, -1)
 
 
 def test_l_constant():

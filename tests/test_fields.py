@@ -95,6 +95,8 @@ def test_bad_modulus_rejected():
         FieldSpec(4)  # not prime
     with pytest.raises(DomainError):
         FieldSpec(2, 21)  # q > 2^20
+    with pytest.raises(DomainError, match="extension degree must be >= 1"):
+        FieldSpec(2, 0)
 
 
 def test_one_field_object_per_order():

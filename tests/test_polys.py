@@ -41,10 +41,14 @@ def test_text_format():
 def test_enumerate_monic_order():
     quads = list(enumerate_monic(F2, 2))
     assert [f.coeffs for f in quads] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    with pytest.raises(DomainError, match="degree must be >= 0"):
+        list(enumerate_monic(F2, -1))
 
 
 def test_mobius():
     assert [mobius(n) for n in range(1, 11)] == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1]
+    with pytest.raises(DomainError, match="mobius is defined for n >= 1"):
+        mobius(0)
 
 
 @pytest.mark.parametrize("q,expected", [
@@ -53,6 +57,8 @@ def test_mobius():
 ])
 def test_count_irreducibles(q, expected):
     assert [count_irreducibles(q, d) for d in range(1, len(expected) + 1)] == expected
+    with pytest.raises(DomainError, match="degree must be >= 1"):
+        count_irreducibles(q, 0)
 
 
 def test_irreducibles_match_count():
@@ -115,6 +121,8 @@ def test_sieve_guards_fire_before_any_work(monkeypatch, cold_caches):
         places_of_degree(F2, 23)
     with pytest.raises(ResourceGuardError, match="degree 23 over F_2"):
         place_sieve(F2, 23)
+    with pytest.raises(DomainError, match="the place sieves need degree >= 1"):
+        place_sieve(F2, 0)
 
 
 # The tests below check the arithmetic of local parts, which runs over
@@ -386,6 +394,8 @@ def test_prime_field_arithmetic_matches_galoistools(p):
         if b:
             q, r = pa.divmod_(K, a, b)
             assert [gf(q), gf(r)] == list(gf_div(gf(a), gf(b), p, ZZ))
+    with pytest.raises(DomainError, match="division by the zero polynomial"):
+        pa.divmod_(K, (1,), ())
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])

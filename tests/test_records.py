@@ -118,13 +118,17 @@ def _invalid_replacements():
         # y^3 = 1 has no branch point
         (se.SECover(F2, 3, (x, x1)), {"parts": (MonicPoly(F2, ()),) * 2}, DomainError,
          "does not define a curve"),
+        # y^3 = f over F_3 is purely inseparable: no Kummer cover
+        (se.SECover(F2, 3, (x, x1)), {"field": FieldSpec(3)}, DomainError,
+         "n must be coprime to the characteristic"),
     ]
 
 
 @pytest.mark.parametrize("record, change, error, message", _invalid_replacements(),
                          ids=["ASCover", "CensusTable", "SECover", "PointCounts",
                               "LPolynomial", "ASCover-local-index", "ASCover-infinity-index",
-                              "MonicPoly-coefficient", "Place", "SECover-no-curve"])
+                              "MonicPoly-coefficient", "Place", "SECover-no-curve",
+                              "SECover-characteristic"])
 def test_replace_and_make_run_the_constructor_checks(record, change, error, message):
     fields = {**record._asdict(), **change}
     with pytest.raises(error, match=message) as built:

@@ -88,6 +88,8 @@ def test_a_number_examples():
     assert se.a_number(cover(F2, 3, "1,1,1", "0,1,1")) == 0
     # spec: n=3, deg=(2,0), n_inf=2 -> a > 0
     assert se.a_number(cover(F2, 3, "1,1,1", "1")) > 0
+    with pytest.raises(DomainError, match="specific to characteristic 2"):
+        se.a_number(cover(FieldSpec(5), 3, "0,1", "1,1"))
     # genus-0 cover -> a = 0
     assert se.a_number(cover(F2, 3, "0,1", "1")) == 0
 
@@ -213,12 +215,21 @@ def test_kernel_lemma():
 
 
 def test_kernel_lemma_eliminates_once(monkeypatch):
-    # the rank is read off the kernel basis, so one elimination serves both
+    # (i) reads the matrix entries, and the rank comes from one elimination
     calls = []
-    rref = se.rref
-    monkeypatch.setattr(se, "rref", lambda matrix: calls.append(1) or rref(matrix))
+    rank = se.matrix_rank
+    monkeypatch.setattr(se, "matrix_rank", lambda matrix: calls.append(1) or rank(matrix))
     assert se.verify_kernel_lemma(13)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("matrix", [
+    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],  # A x^(1) != 0
+    [[0] * 4] * 4,  # A x^(1) = 0, but rank 0, not 3
+], ids=["kernel-vector", "rank"])
+def test_kernel_lemma_fails_on_a_wrong_matrix(monkeypatch, matrix):
+    monkeypatch.setattr(se, "fractional_part_matrix", lambda n: matrix)
+    assert se.verify_kernel_lemma(5) is False
 
 
 def test_kernel_lemma_details():
@@ -228,9 +239,56 @@ def test_kernel_lemma_details():
     assert all(sum(Fraction(r) * xi for r, xi in zip(row, x)) == 0 for row in a)
     # spec: n=3 -> rank 2, trivial kernel; n=7 -> rank 4, kernel dim 2
     assert se.matrix_rank(se.fractional_part_matrix(3)) == 2
-    assert se.kernel_basis(se.fractional_part_matrix(3)) == []
+    assert 3 - 1 - se.matrix_rank(se.fractional_part_matrix(3)) == 0
     assert se.matrix_rank(se.fractional_part_matrix(7)) == 4
-    assert len(se.kernel_basis(se.fractional_part_matrix(7))) == 2
+    assert 7 - 1 - se.matrix_rank(se.fractional_part_matrix(7)) == 2
+
+
+@st.composite
+def _rational_matrices(draw):
+    """0-6 rows of 0-6 rational columns: independent rows, zero rows and
+    rows that are combinations of earlier rows, in a drawn order."""
+    cols = draw(st.integers(0, 6))
+    entry = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(["free", "zero", "combination"]), max_size=6)):
+        if kind == "free" or (kind == "combination" and not rows):
+            rows.append(draw(st.lists(entry, min_size=cols, max_size=cols)))
+        elif kind == "zero":
+            rows.append([Fraction(0)] * cols)
+        else:
+            coeffs = draw(st.lists(entry, min_size=len(rows), max_size=len(rows)))
+            rows.append([sum((c * row[j] for c, row in zip(coeffs, rows)), Fraction(0))
+                         for j in range(cols)])
+    return cols, draw(st.permutations(rows))
+
+
+def _sympy_matrix(rows, cols):
+    import sympy
+    return sympy.Matrix(len(rows), cols, [x for row in rows for x in row])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_rational_matrices())
+def test_matrix_rank_matches_sympy(shape):
+    # sympy's rank shares no code with the forward elimination
+    cols, rows = shape
+    assert se.matrix_rank(rows) == _sympy_matrix(rows, cols).rank()
+
+
+def test_matrix_rank_of_the_fractional_part_matrix_matches_sympy():
+    for n in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+        a = se.fractional_part_matrix(n)
+        assert se.matrix_rank(a) == _sympy_matrix(a, n - 1).rank(), n
+
+
+def test_kernel_is_symmetric_by_sympy():
+    # the statement verify_kernel_lemma derives from (i) and (ii), computed apart
+    for n in (3, 5, 7, 11, 13):
+        kernel = _sympy_matrix(se.fractional_part_matrix(n), n - 1).nullspace()
+        assert len(kernel) == (n - 3) // 2, n
+        for v in kernel:
+            assert all(v[k - 1] == v[n - k - 1] for k in range(1, n)), n
 
 
 def test_count_tuple_family_examples():
