@@ -48,12 +48,6 @@ def sub(K, a, b):
     return add(K, a, neg(K, b))
 
 
-def scale(K, a, s):
-    if s == 0:
-        return ()
-    return tuple(K.mul(x, s) for x in a)
-
-
 def mul(K, a, b):
     if not a or not b:
         return ()
@@ -109,7 +103,8 @@ def monic(K, a):
         return ()
     if a[-1] == 1:
         return a
-    return scale(K, a, K.inv(a[-1]))
+    s = K.inv(a[-1])
+    return tuple(K.mul(x, s) for x in a)
 
 
 def gcd(K, a, b):

@@ -1,15 +1,15 @@
 """Artin-Schreier covers y^p - y = f(x): the exact census by enumeration and
 by coefficient extraction from the Euler product of local zeta factors.  The
 cover record ``ASCover``, the encoding of its local parts and its
-invariants are in :mod:`ascover`; this module imports only the record, the
-local-part check and the ordinarity test that its census uses.
+invariants are in :mod:`ascover`; this module imports only the record and
+the local-part check.
 
 The enumeration route counts whole families: the covers sharing a branch
 assignment (places and pole orders) are the products of per-place pools of
-local parts, and ordinarity reads only the pole orders, so each family adds
-the product of its pool sizes.  A pool depends only on |Q| and the pole
-order, and ``enumerate_covers`` expands the families cover by cover from the
-same pools, so no residue field is built.
+local parts, so each family adds the product of its pool sizes to a(m), and
+to b(m) if m = 2r for its r branch points (every pole simple).  A pool needs
+only |Q| and the pole order, so no residue field is built, and
+``enumerate_covers``, the one builder of covers here, expands the same pools.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from bisect import bisect_right
 from collections import namedtuple
 from functools import cache
 
-from .ascover import ASCover, _check_local_part, is_ordinary
+from .ascover import ASCover, _check_local_part
 from .errors import Checked, DomainError, ResourceGuardError, InvariantViolation
 from .fields import FieldSpec, power_exceeds
 
@@ -162,9 +162,10 @@ def census_enumerated(field: FieldSpec, m_max: int,
         for assignment, inf_pool, local_pools in _cover_families(field, m, include_infinity):
             size = len(inf_pool) * math.prod(len(pool) for pool in local_pools)
             a += size
-            # ordinarity reads only the pole orders, which the family shares
-            branch = tuple((pl, pool[0]) for (pl, _), pool in zip(assignment, local_pools))
-            if is_ordinary(ASCover(field, branch, inf_pool[0])):
+            # r branch points: m - 2r = sum deg Q (d_Q - 1) + (d_inf - 1) >= 0, zero iff
+            # every pole is simple (``ascover.is_ordinary``), i.e. p-rank = genus
+            r = sum(pl.degree for pl, _ in assignment) + (inf_pool[0] is not None)
+            if m == 2 * r:
                 b += size
         rows[m] = (a, b)
     return CensusTable(rows)
@@ -253,7 +254,7 @@ def empirical_probability(field: FieldSpec, m_max: int,
     if m_max < 2:
         raise DomainError("m_max must be >= 2")
     rows = census_analytic(field, m_max, include_infinity).rows
-    return list(cumulative_ratios(rows, rows))[-1][3]  # the rows run through m in order
+    return list(cumulative_ratios(rows))[-1][3]
 
 
 def component_count(m: int, p: int) -> int:

@@ -96,7 +96,7 @@ def cmd_census(args) -> int:
     else:
         from .superelliptic import census_se
         rows = census_se(field, args.n, m_max)
-    steps = cumulative_ratios(rows, rows)  # the rows run through m in order
+    steps = cumulative_ratios(rows)
     if args.format == "csv":
         emit("\n".join(["m,a_m,b_m,cumulative_ratio"] +
                        [f"{m},{a},{b},{ratio:.6f}" for m, a, b, ratio in steps]), args.output)

@@ -72,12 +72,11 @@ def euler_coefficients(q: int, local, M: int) -> list:
     return from_log_derivative(w, M, "c")
 
 
-def cumulative_ratios(rows: dict, m_values):
-    """(m, a_m, b_m, sum b / sum a over the m' up to m) for each m in
-    ``m_values``, where rows maps m -> (a_m, b_m)."""
+def cumulative_ratios(rows: dict):
+    """(m, a_m, b_m, sum b / sum a over the m' up to m) for each m of
+    ``rows``, which maps m -> (a_m, b_m) in increasing m."""
     a_total = b_total = 0
-    for m in m_values:
-        a, b = rows[m]
+    for m, (a, b) in rows.items():
         a_total += a
         b_total += b
         if a_total == 0:

@@ -27,7 +27,7 @@ p^k, with the modulus ``default_modulus(p, k)``, built once and shared by
 every caller (pickling or copying it gives back the same object).  A subfield
 F_q is a table of images in it: the oracle's F_{q^k} is ``extension``, that
 field and the images of F_q, and ``frobenius_orbits`` lists one element of
-each orbit of x -> x^q on it, with the orbit's size.
+each orbit of x -> x^q on it and, in a second list, the orbits' sizes.
 The residue field F_q[t]/(h) of a place has no object here; :mod:`polys`
 computes in it over F_q, its elements polynomials in t reduced mod h.
 
@@ -384,13 +384,13 @@ def extension(base: FieldSpec, k: int) -> tuple:
     return E, embedding(base, E)
 
 
-def frobenius_orbits(E: FieldSpec, q: int):
-    """(x, orbit size) for one x in each orbit of x -> x^q on E = F_{q^k}:
-    0 once, then a representative g^j of each orbit on E*, whose logs walk
-    j -> j q mod (|E| - 1), visited indices marked in a bytearray.  The sizes
-    divide k and sum to |E|; for k = 1 every element is its own orbit, as
-    j q = j mod (q - 1)."""
-    yield 0, 1
+def frobenius_orbits(E: FieldSpec, q: int) -> tuple:
+    """(xs, sizes): one x in each orbit of x -> x^q on E = F_{q^k}, and the
+    orbit's size, in two lists: 0 first, then a representative g^j of each
+    orbit on E*, whose logs walk j -> j q mod (|E| - 1), visited indices
+    marked in a bytearray.  The sizes divide k and sum to |E|; for k = 1
+    every element is its own orbit, as j q = j mod (q - 1)."""
+    xs, sizes = [0], [1]
     n = E.q - 1
     seen = bytearray(n)
     j = 0
@@ -401,8 +401,10 @@ def frobenius_orbits(E: FieldSpec, q: int):
             seen[i] = 1
             size += 1
             i = i * q % n
-        yield E.exp(j), size
+        xs.append(E.exp(j))
+        sizes.append(size)
         j = seen.find(0, j + 1)
+    return xs, sizes
 
 
 def is_irreducible_over(K: FieldSpec, f: tuple) -> bool:

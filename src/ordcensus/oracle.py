@@ -9,10 +9,11 @@ through its images of F_q: the parts f_i of a superelliptic cover, or N and D of
 an Artin-Schreier cover's f = N/D, put over one denominator by ``polys.reconstruct``
 once per cover.  With coefficients in F_q, x and x^q give the same trace of f(x),
 n-th-power status of prod f_i(x)^i and zeros, so the walk evaluates at one x per
-orbit of ``fields.frobenius_orbits`` and each count applies its rule once per
-element.  The poles are orbits too: a place of degree d has its d roots, one
-orbit, in F_{q^k} exactly when d | k.  A superelliptic count walks only where
-n | q^k - 1; at any other k it is q^k + 1, read off with no field built.
+orbit, as ``fields.frobenius_orbits`` lists them with their sizes, and each count
+applies its rule once per element.  The poles are orbits too: a place of degree
+d has its d roots, one orbit, in F_{q^k} exactly when d | k.  A superelliptic
+count walks only where n | q^k - 1; at any other k it is q^k + 1, read off with
+no field built.
 Besides the field arithmetic, putting the local parts over one denominator
 is all the counting code shares with the combinatorial classification it
 checks; disagreement means a real bug.
@@ -93,11 +94,7 @@ def _orbit_values(field: FieldSpec, k: int, polys) -> tuple:
     Frobenius orbit of E; ``polys`` are raw tuples over F_q, lifted to E once."""
     _guard(field, k)
     E, embed = extension(field, k)
-    # two lists: live (x, size) tuples would set off collections that walk E's tables
-    xs, sizes = [], []
-    for x, size in frobenius_orbits(E, field.q):
-        xs.append(x)
-        sizes.append(size)
+    xs, sizes = frobenius_orbits(E, field.q)
     lifted = ([embed[a] for a in f] for f in polys)
     return E, zip(sizes, *([evaluate(E, f, x) for x in xs] for f in lifted))
 

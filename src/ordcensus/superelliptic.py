@@ -209,8 +209,7 @@ def ordinary_ratio_se(field: FieldSpec, n: int, m_max: int) -> list:
     """Cumulative ordinary proportion [(m, sum b / sum a)] for m = 2..m_max."""
     from .dirichlet import cumulative_ratios
     rows = census_se(field, n, m_max)
-    return [(m, ratio) for m, _, _, ratio in cumulative_ratios(rows, range(m_max + 1))
-            if m >= 2]
+    return [(m, ratio) for m, _, _, ratio in cumulative_ratios(rows) if m >= 2]
 
 
 @cache
@@ -284,21 +283,16 @@ def bdfl_ratio_report(field: FieldSpec, e1: int, e2: int) -> float:
         return float(count * z2 ** 2 / (l1 * q ** (e1 + e2)))
 
 
-def tuple_weight_sum(q: int, r: int, m_max: int) -> int:
-    """sum over tuples (e_1..e_r) with sum <= m_max of q^{sum e_i}."""
-    return sum(math.comb(m + r - 1, r - 1) * q ** m for m in range(m_max + 1))
-
-
 def growth_bound_holds(q: int, r: int, x_log_max: int, margin: float = 1.1) -> bool:
     """Check sum_{q^{e_1+..+e_r}<X} q^{sum e} <= margin * D_r * X * log_q(X)^{r-1}.
 
-    D_r = (2r)^{r-1}/(r-1)!; X runs over powers q^j, j = r..x_log_max.
+    D_r = (2r)^{r-1}/(r-1)!; X runs over powers q^j, j = r..x_log_max.  Each
+    j adds the C(m + r - 1, r - 1) tuples of sum m = j - 1, weight q^m each.
     """
     d_r = (2 * r) ** (r - 1) / math.factorial(r - 1)
-    for j in range(r, x_log_max + 1):
-        x = q ** j  # strict inequality q^m < X means m <= j-1
-        lhs = tuple_weight_sum(q, r, j - 1)
-        rhs = margin * d_r * x * j ** (r - 1)
-        if lhs > rhs:
+    lhs = 0
+    for j in range(1, x_log_max + 1):
+        lhs += math.comb(j + r - 2, r - 1) * q ** (j - 1)
+        if j >= r and lhs > margin * d_r * q ** j * j ** (r - 1):
             return False
     return True

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -48,12 +49,12 @@ def test_genus_and_m():
     c = asc.ASCover(F2, (simple_pole(X), simple_pole(X1)), None)
     assert ascover.m_invariant(c) == 4
     assert ascover.genus(c) == 1
-    assert asc.is_ordinary(c)
+    assert ascover.is_ordinary(c)
     # f = 1/x^3: m = 4, g = 1, not ordinary
     c2 = asc.ASCover(F2, ((X, (0, 0, 1)),), None)
     assert ascover.m_invariant(c2) == 4
     assert ascover.genus(c2) == 1
-    assert not asc.is_ordinary(c2)
+    assert not ascover.is_ordinary(c2)
     # f = 1/x: genus 0
     c3 = asc.ASCover(F2, (simple_pole(X),), None)
     assert ascover.genus(c3) == 0
@@ -61,7 +62,7 @@ def test_genus_and_m():
     c4 = asc.ASCover(F2, (), (1,))
     assert ascover.m_invariant(c4) == 2
     assert ascover.genus(c4) == 0
-    assert asc.is_ordinary(c4)
+    assert ascover.is_ordinary(c4)
 
 
 def test_genus_formula_fault_is_an_invariant_violation(monkeypatch):
@@ -90,7 +91,7 @@ def test_enumerate_m2():
     # spec example: p=2, q=2, m=2 -> exactly 2 covers, both simple poles
     covers = list(asc.enumerate_covers(F2, 2))
     assert len(covers) == 2
-    assert all(asc.is_ordinary(c) for c in covers)
+    assert all(ascover.is_ordinary(c) for c in covers)
 
 
 def test_enumeration_unique_and_sized():
@@ -115,24 +116,49 @@ def test_census_enumerated_counts_every_cover():
             rows = {}
             for m in range(2, m_max + 1):
                 covers = list(asc.enumerate_covers(field, m, include_inf))
-                rows[m] = (len(covers), sum(map(asc.is_ordinary, covers)))
+                rows[m] = (len(covers), sum(map(ascover.is_ordinary, covers)))
             assert asc.census_enumerated(field, m_max, include_inf).rows == rows
 
 
-def test_census_enumerated_builds_one_cover_per_family(monkeypatch):
-    field, m_max = FieldSpec(2, 2), 6
-    families = sum(1 for m in range(2, m_max + 1)
-                   for _ in asc._cover_families(field, m, True))
+def test_census_enumerated_builds_no_cover(monkeypatch):
+    # every construction of the record runs its check, whatever name it is built by
     built = []
+    check = ascover.ASCover._check
+    monkeypatch.setattr(ascover.ASCover, "_check", lambda c: built.append(c) or check(c))
+    table = asc.census_enumerated(FieldSpec(2, 2), 6, include_infinity=True)
+    assert built == []
+    assert sum(b for _, b in table.rows.values()) > 0
+    next(asc.enumerate_covers(F2, 2))
+    assert len(built) == 1  # the patch sees a cover that is built
 
-    class CountingCover(asc.ASCover):
-        def __new__(cls, *args, **kwargs):
-            built.append(args)
-            return super().__new__(cls, *args, **kwargs)
 
-    monkeypatch.setattr(asc, "ASCover", CountingCover)
-    asc.census_enumerated(field, m_max, include_infinity=True)
-    assert 0 < len(built) <= families
+def test_census_rule_is_the_records_rule():
+    # a family counts as ordinary iff m = 2r, r its geometric branch points;
+    # each cover enumerate_covers yields for it is ordinary iff so by the record
+    def order(part):
+        return None if part is None else len(part) + 1
+
+    for field, m_max in ((F2, 8), (F3, 6), (FieldSpec(2, 2), 5)):
+        for include_inf in (False, True):
+            for m in range(2, m_max + 1):
+                by_rule = {}
+                for assignment, inf_pool, local_pools in asc._cover_families(
+                        field, m, include_inf):
+                    r = sum(pl.degree for pl, _ in assignment) + (inf_pool[0] is not None)
+                    size = len(inf_pool) * math.prod(map(len, local_pools))
+                    by_rule[tuple(assignment), order(inf_pool[0])] = (size, {m == 2 * r})
+                by_record = {}
+                for c in asc.enumerate_covers(field, m, include_inf):
+                    key = tuple((pl, order(lc)) for pl, lc in c.branch), order(c.infinity_part)
+                    size, ordinary = by_record.get(key, (0, set()))
+                    by_record[key] = (size + 1, ordinary | {ascover.is_ordinary(c)})
+                assert by_record == by_rule, (field, m, include_inf)
+
+
+def test_no_cover_below_m_2():
+    # m = 2 is the least invariant: m = 0 and m = 1 have no family
+    assert list(asc.enumerate_covers(F2, 0)) == []
+    assert list(asc.enumerate_covers(F2, 1, include_infinity=True)) == []
 
 
 def test_census_enumerated_checks_every_local_part(monkeypatch, cold_caches):
@@ -192,7 +218,7 @@ def test_cumulative_ratio():
         asc.empirical_probability(F2, 1)
     # the proportion over m = 2..6 is the census's last cumulative ratio
     rows = asc.census_analytic(F2, 6).rows
-    assert [ratio for *_, ratio in cumulative_ratios(rows, rows)][-1] == r
+    assert [ratio for *_, ratio in cumulative_ratios(rows)][-1] == r
 
 
 def test_empirical_probability_converges():

@@ -65,10 +65,10 @@ def test_euler_coefficients_refuse_what_is_not_an_integer_series():
 
 def test_cumulative_ratios():
     rows = {0: (1, 1), 1: (2, 0), 2: (1, 1)}
-    assert list(dd.cumulative_ratios(rows, range(3))) == [
+    assert list(dd.cumulative_ratios(rows)) == [
         (0, 1, 1, 1.0), (1, 2, 0, 1 / 3), (2, 1, 1, 0.5)]
     with pytest.raises(DomainError):
-        list(dd.cumulative_ratios({2: (0, 0)}, [2]))
+        list(dd.cumulative_ratios({2: (0, 0)}))
 
 
 def test_zeta_affine():

@@ -340,6 +340,14 @@ def test_growth_bound():
         assert se.growth_bound_holds(2, r, 30)
 
 
+@pytest.mark.parametrize("r, tightest", [(2, 0.24167), (3, 0.026914), (4, 0.0023918)])
+def test_growth_bound_fails_below_its_tightest_margin(r, tightest):
+    # at q = 2, X <= 2^30 the sum over X's tuples reaches this share of
+    # D_r X log_q(X)^(r-1) at some X, so the bound holds just above it only
+    assert not se.growth_bound_holds(2, r, 30, margin=tightest * 0.99)
+    assert se.growth_bound_holds(2, r, 30, margin=tightest * 1.01)
+
+
 def test_bdfl_ratio_report():
     # |F_{0,0}| zeta(2)^2 / L_1: a fixed positive number, no hard tolerance
     v = se.bdfl_ratio_report(F2, 0, 0)
