@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .errors import Checked, DomainError, InvariantViolation
+from .errors import Checked, DomainError
 
 
 class ASCover(Checked, namedtuple("ASCover", "field branch infinity_part", defaults=(None,))):
@@ -78,12 +78,11 @@ def _check_indices(coeffs, size: int):
 
 
 def genus(c: ASCover) -> int:
-    p = c.field.p
-    total = -2 + m_invariant(c)
-    g2 = (p - 1) * total
-    if g2 % 2 or g2 < 0:
-        raise InvariantViolation(f"Artin-Schreier genus formula gave {g2}/2")
-    return g2 // 2
+    """Genus (p - 1)(m - 2)/2, m = ``m_invariant``.  Each pole adds
+    deg Q (d_Q + 1) >= 2 to m, and ``ASCover`` refuses a cover with none, so
+    m >= 2.  The product is even: at p = 2 every pole order is odd, not being
+    a multiple of p, so each term of m is even, and for odd p, p - 1 is."""
+    return (c.field.p - 1) * (m_invariant(c) - 2) // 2
 
 
 def m_invariant(c: ASCover) -> int:

@@ -2,7 +2,7 @@
 truncated Euler products over places with rigorous tail bounds.
 
 All the limiting constants (phi(1), psi_p(1), the modified-family
-probability, the CEZB product, Phi_k/phi_k, L_{n-2}, kappa_n) live here,
+probability, the CEZB product, phi_k and kappa_n) live here,
 as does the one integer Euler-coefficient engine behind the exact censuses,
 ``euler_coefficients``, Newton's identities of :mod:`fields` run both ways,
 and the rows that ``constants`` and ``report-table1`` print.
@@ -164,16 +164,6 @@ def zeta_affine(q: int, s):
         return 1 / (1 - Decimal(q) ** (1 - s))
 
 
-def zeta_affine_truncated(q: int, s, D: int) -> EulerProductValue:
-    """Truncated Euler product for zeta_affine, with its tail bound."""
-    from decimal import Decimal
-    if s <= 1:
-        raise DomainError("zeta_affine has a pole at s = 1 and diverges for s < 1")
-    s = Decimal(s)
-    # |log local| = |log(1 - |Q|^{-s})| <= 2 |Q|^{-s}: lead 1, decay s
-    return euler_product(q, lambda x: 1 / (1 - x ** -s), lead=1, decay=s, D=D)
-
-
 @cache
 def phi_at_1(q: int, D: int | None = None) -> EulerProductValue:
     """The p=2 constant: prod over places of 1 - 2|Q|^{-2} + |Q|^{-3}; cached."""
@@ -252,20 +242,6 @@ def phi_k_at_1(q: int, k: int) -> EulerProductValue:
         return EulerProductValue(Decimal(1), 0, Decimal(0))
     poly = series_multiply([1, k], [(-1) ** j * math.comb(k, j) for j in range(k + 1)], k + 1)
     return _local_polynomial_product(q, poly)
-
-
-def l_constant(n: int, q: int) -> EulerProductValue:
-    """L_{n-2} = prod_{j=1}^{n-2} prod_Q (1 - j/((|Q|+1)(|Q|+j)))."""
-    require_odd_prime(n)
-
-    def local(x):
-        acc = 1
-        for j in range(1, n - 1):
-            acc *= 1 - j / ((x + 1) * (x + j))
-        return acc
-
-    lead = (n - 1) ** 2  # sum_j j/|Q|^2 <= (n-2)(n-1)/2 |Q|^{-2}, with margin
-    return euler_product(q, local, lead=lead)
 
 
 def kappa_constant(n: int, q: int):

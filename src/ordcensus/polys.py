@@ -1,4 +1,4 @@
-"""Monic polynomials over F_q: enumeration, irreducibles, factorization,
+"""Monic polynomials over F_q: the place sieve, irreducibility and
 squarefree tests, and local parts put over one denominator.
 
 A :class:`MonicPoly` stores only its lower coefficients (lowest degree
@@ -9,8 +9,8 @@ general polynomials are needed.
 
 The places (monic irreducibles) of one degree, and the places of every
 squarefree monic of that degree, come from one sieve on positions
-(``enumerate_monic`` order, read as base-p digits), where multiplication by
-a place P is an affine map over F_p whose table ``_times_place`` lists with
+(``_position``, read as base-p digits), where multiplication by a
+place P is an affine map over F_p whose table ``_times_place`` lists with
 ``fields.linear_table``; no product is multiplied out, and there is no
 division, gcd or irreducibility test.  ``place_sieve`` multiplies each place
 P only into the cofactors whose smallest place is at least P, so each
@@ -18,10 +18,8 @@ reducible polynomial is reached once, from its smallest place, and it
 records that place and the places of every squarefree monic;
 ``places_of_degree`` lists the positions it never reaches.
 
-Trial division only factors single polynomials: ``_factors`` divides by the
-places of each degree up to half of what remains, and ``factor`` reads its
-output.  Places these routines find are built without a second test;
-``Place(poly)`` called from outside checks its polynomial by Ben-Or's test,
+The places the sieve finds are built without a second test; ``Place(poly)``
+called from outside checks its polynomial by Ben-Or's test,
 ``is_irreducible``, and raises ``DomainError`` on a reducible one.
 
 Local parts at a place Q are computed over its residue field F_q[t]/(Q)
@@ -42,7 +40,6 @@ lowest degree first, with the leading 1 written explicitly.  Over F_2,
 
 from __future__ import annotations
 
-import itertools
 from array import array
 from collections import namedtuple
 from functools import cache, reduce
@@ -147,19 +144,10 @@ class Place(Checked, namedtuple("Place", "poly")):
         return self.poly.field.q ** self.poly.degree
 
 
-def enumerate_monic(field: FieldSpec, d: int):
-    """All monic polynomials of degree d, lexicographic on (c_0, ..., c_{d-1})."""
-    if d < 0:
-        raise DomainError("degree must be >= 0")
-    for coeffs in itertools.product(field.elements(), repeat=d):
-        yield MonicPoly(field, coeffs)
-
-
 def _place(poly: MonicPoly) -> Place:
     """A Place built without the irreducibility test of ``Place._check``.
 
-    Precondition: ``poly`` is monic irreducible, proved so by the caller (the
-    place sieve or the trial division of ``_factors``).
+    Precondition: ``poly`` is monic irreducible, proved so by the caller.
     """
     return tuple.__new__(Place, (poly,))
 
@@ -176,45 +164,9 @@ def places_of_degree(field: FieldSpec, d: int) -> tuple:
                  for i, r in enumerate(place_sieve(field, d)[0]) if r == first + i)
 
 
-def _factors(f: MonicPoly):
-    """Trial division: yields (Place, multiplicity), lowest degree first.
-
-    f is divided by the places of degree d while 2d <= the degree of what
-    remains; the cofactor left then has no factor of degree <= half its own,
-    so it is irreducible, and it comes last.
-    """
-    K = f.field
-    rem = f.full
-    d = 1
-    while 2 * d <= pa.deg(rem):
-        for place in places_of_degree(K, d):
-            mult = 0
-            while True:
-                q, r = pa.divmod_(K, rem, place.poly.full)
-                if r != ():
-                    break
-                rem = q
-                mult += 1
-            if mult:
-                yield place, mult
-        d += 1
-    if pa.deg(rem) > 0:
-        yield _place(MonicPoly(K, rem[:-1])), 1
-
-
 def is_irreducible(f: MonicPoly) -> bool:
     """Ben-Or's test, ``fields.is_irreducible_over``; degree 0 is not a place."""
     return f.degree > 0 and is_irreducible_over(f.field, f.full)
-
-
-def factor(f: MonicPoly) -> tuple:
-    """Factorization into (Place, multiplicity), sorted by place."""
-    return tuple(sorted(_factors(f)))
-
-
-def omega(f: MonicPoly) -> int:
-    """Number of distinct irreducible factors."""
-    return len(factor(f))
 
 
 def is_squarefree(f: MonicPoly) -> bool:
@@ -229,8 +181,8 @@ def is_squarefree(f: MonicPoly) -> bool:
 
 
 def _position(coeffs, q: int) -> int:
-    """Position in ``enumerate_monic`` order: the base-q number c_0 ... c_{d-1},
-    c_0 most significant."""
+    """Position among the monic polynomials of degree d: the base-q number
+    c_0 ... c_{d-1}, c_0 most significant, so lexicographic on the coefficients."""
     return undigits(coeffs[::-1], q)
 
 
@@ -259,7 +211,7 @@ def _check_sieve(field: FieldSpec, d: int, what: str):
 
 def _times_place(place: MonicPoly, n: int) -> list:
     """The positions of place*C for the monic C of degree n, in
-    ``enumerate_monic`` order.
+    ``_position`` order.
 
     A code's base-p digits are its coordinates, so C's position, read in
     base p, lists the coordinates of its coefficients c_j, and place*C =
@@ -281,7 +233,7 @@ def _times_place(place: MonicPoly, n: int) -> list:
 @cache
 def place_sieve(field: FieldSpec, d: int) -> tuple:
     """(least, places) for the monic polynomials of degree d >= 1, each
-    indexed by position in ``enumerate_monic`` order.
+    indexed by ``_position``.
 
     ``least[i]`` is the ``monic_rank`` of the i-th polynomial's smallest
     place; ``places[i]`` is the increasing tuple of the ranks of its places

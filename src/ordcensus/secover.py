@@ -2,9 +2,11 @@
 F_q of characteristic 2, and its invariants: genus, eigenspace dimensions,
 a-number and the degree-symmetry ordinarity criterion, each read in O(n)
 from the nonzero degrees of the parts.  The record refuses fewer than two
-branch points, so each ``SECover`` is a curve and the invariants need not
-ask.  Cover files, ``classify --cover`` and the oracle load this module, not
-the censuses of :mod:`superelliptic`.
+branch points, so each ``SECover`` is a curve.  ``genus_se`` and
+``eigen_degrees`` are closed formulas that check nothing; their docstrings
+prove that every record gives integers that agree.  Cover files,
+``classify --cover`` and the oracle load this module, not the censuses of
+:mod:`superelliptic`.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ class SECover(Checked, namedtuple("SECover", "field n parts")):
     def classify(self) -> dict:
         """The fields ``classify`` prints after the cover's own; InvariantViolation
         if the a-number and the degree criterion disagree on ordinarity."""
-        d = eigen_degrees(self).d  # checked against genus_se
+        d = eigen_degrees(self).d  # sums to genus_se
         out = {"kind": self.kind, "genus": sum(d), "m": self.branch_count, "d_i": list(d),
                "a_number": a_number(self), "ordinary": is_ordinary_se(self)}
         if (out["a_number"] == 0) != out["ordinary"]:
@@ -116,20 +118,19 @@ class EigenDegrees(namedtuple("EigenDegrees", "d")):
 
 
 def eigen_degrees(c: SECover) -> EigenDegrees:
-    """Dimensions of the mu_n-eigenspaces of the regular differentials."""
+    """Dimensions d_i = s_i/n - 1 of the mu_n-eigenspaces of the regular
+    differentials, s_i the ``_eigen_sums`` over the ``_branch_exponents`` x_j,
+    which sum to m = ``branch_count``.  The d_i are non-negative integers that
+    sum to ``genus_se``:
+
+    - n | s_i, as s_i = sum_j x_j (ij mod n) = i sum_j j x_j = 0 mod n;
+    - s_i > 0, as each of the m >= 2 branch points adds (ij mod n) >= 1, n
+      being prime;
+    - sum_i (ij mod n) = n(n - 1)/2 for each j, i -> ij permuting the units
+      mod n, so the d_i sum to (n - 1) m/2 - (n - 1) = (n - 1)(m - 2)/2.
+    """
     n = c.n
-    genus = genus_se(c)
-    out = []
-    for s in _eigen_sums(n, c.degrees):
-        total = s - n
-        if total % n:
-            raise InvariantViolation(f"eigenspace dimension is not an integer: {total}/{n}")
-        if total < 0:
-            raise InvariantViolation(f"negative eigenspace dimension: {total // n}")
-        out.append(total // n)
-    if sum(out) != genus:
-        raise InvariantViolation("eigenspace dimensions do not sum to the genus")
-    return EigenDegrees(tuple(out))
+    return EigenDegrees(tuple(s // n - 1 for s in _eigen_sums(n, c.degrees)))
 
 
 def sigma_permutation(n: int, p: int) -> dict:
@@ -146,7 +147,7 @@ def a_number(c: SECover) -> int:
     if c.field.p != 2:
         raise DomainError("the a-number formula here is specific to characteristic 2")
     d = eigen_degrees(c).d
-    g = sum(d)  # eigen_degrees checks it against genus_se
+    g = sum(d)  # genus_se, by eigen_degrees
     sigma = sigma_permutation(c.n, 2)
     return g - sum(min(d[i - 1], d[sigma[i] - 1]) for i in range(1, c.n))
 

@@ -3,8 +3,9 @@ characteristic 2: the kernel verifier for the fractional-part matrix, which
 checks two facts of the lemma and derives the third from them, the
 census counting identities and the seeded sampler of ``classify --sample``,
 which draws only degree tuples that ``SECover`` accepts as curves.
-The cover record ``SECover`` and its invariants are in :mod:`secover`, and
-are imported here.
+The cover record ``SECover`` and its invariants are in :mod:`secover`;
+this module imports those it calls and those the acceptance tests read
+from it.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from functools import cache
 from .errors import DomainError, ResourceGuardError, InvariantViolation
 from .fields import FieldSpec, field_from_qp, power_exceeds, require_odd_prime
 from .polys import MonicPoly, _coeffs_at, place_sieve
-from .secover import (SECover, a_number, degree_symmetry_criterion, eigen_degrees,  # noqa: F401
-                      genus_se, is_ordinary_se, ordinary_degree_tuple, sigma_permutation)
+from .secover import (SECover, a_number, eigen_degrees, genus_se,  # noqa: F401
+                      is_ordinary_se, ordinary_degree_tuple)
 
 
 # ---------------------------------------------------------------------------
@@ -270,17 +271,6 @@ def sample_covers(count: int, q: int = 2, n: int = 3, max_m: int = 4, seed: int 
                                  f"{MAX_SAMPLE_COST:,}, got N = {count}, n = {n}")
     rng = random.Random(seed)
     return [random_se_cover(field, n, max_m, rng) for _ in range(count)]
-
-
-def bdfl_ratio_report(field: FieldSpec, e1: int, e2: int) -> float:
-    """|F_{e1,e2}| zeta(2)^2 / (L_1 q^{e1+e2}): near 1 for large q (report only)."""
-    from .dirichlet import l_constant, working_context, zeta_affine
-    q = field.q
-    count = count_tuple_family(field, (e1, e2))
-    with working_context():
-        z2 = zeta_affine(q, 2)
-        l1 = l_constant(3, q).value
-        return float(count * z2 ** 2 / (l1 * q ** (e1 + e2)))
 
 
 def growth_bound_holds(q: int, r: int, x_log_max: int, margin: float = 1.1) -> bool:

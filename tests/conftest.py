@@ -2,6 +2,7 @@
 
 import importlib
 import pkgutil
+import signal
 
 import pytest
 
@@ -34,3 +35,27 @@ def cold_caches():
     yield
     for fn in memos:
         fn.cache_clear()
+
+
+# Far above the slowest test (about 3 s), so that only a hang reaches it.
+TEST_TIME_LIMIT_S = 120
+
+
+@pytest.fixture(autouse=True)
+def time_limit():
+    """Fail a test that runs past TEST_TIME_LIMIT_S instead of letting it hang
+    the suite: a SIGALRM timer raises TimeoutError in the test's thread.  Where the
+    platform has no SIGALRM, tests run without a limit."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeoutError(f"test ran past {TEST_TIME_LIMIT_S} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, TEST_TIME_LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

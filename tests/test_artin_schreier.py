@@ -65,14 +65,6 @@ def test_genus_and_m():
     assert ascover.is_ordinary(c4)
 
 
-def test_genus_formula_fault_is_an_invariant_violation(monkeypatch):
-    # raised, not asserted, so that it holds under python -O as well
-    c = asc.ASCover(F2, (simple_pole(X),), None)
-    monkeypatch.setattr(ascover, "m_invariant", lambda c: 1)
-    with pytest.raises(InvariantViolation, match="genus formula gave -1/2"):
-        ascover.genus(c)
-
-
 def test_admissible_pole_orders():
     assert asc.admissible_pole_orders(2, 8) == [2, 4, 6, 8]
     assert asc.admissible_pole_orders(3, 8) == [2, 3, 5, 6, 8]

@@ -109,11 +109,16 @@ def test_census_as_over_fields_of_many_places(capsys, q, p, mode):
 
 
 def test_census_as_json(capsys):
-    code, out, _ = run(capsys, "census", "as", "--q", "2", "--p", "2",
-                       "--max-m", "4", "--format", "json")
+    args = ("census", "as", "--q", "2", "--p", "2", "--max-m", "8")
+    code, out, _ = run(capsys, *args, "--format", "json")
     assert code == 0
     data = json.loads(out)
     assert data[0] == {"m": 2, "a_m": 2, "b_m": 2, "cumulative_ratio": 1.0}
+    # each ratio is the CSV's, to 6 places: at m = 6 it is 26/42 = 0.6190476...
+    _, csv, _ = run(capsys, *args)
+    assert [row["cumulative_ratio"] for row in data] == [
+        float(line.split(",")[3]) for line in csv.splitlines()[1:]]
+    assert data[4] == {"m": 6, "a_m": 32, "b_m": 20, "cumulative_ratio": 0.619048}
 
 
 def test_census_guard_exit_code(capsys):

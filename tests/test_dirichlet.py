@@ -4,10 +4,11 @@ from fractions import Fraction
 import pytest
 
 from ordcensus import dirichlet as dd
-from ordcensus.artin_schreier import admissible_pole_orders, count_local_parts
+from ordcensus.artin_schreier import admissible_pole_orders, census_analytic, count_local_parts
 from ordcensus.errors import DomainError, InvariantViolation, ResourceGuardError
-from ordcensus.fields import FieldSpec
+from ordcensus.fields import FieldSpec, field_from_qp
 from ordcensus.polys import places_of_degree
+from reference import zeta_affine_truncated
 
 TABLE1_PHI = {2: 0.314148, 4: 0.593976, 8: 0.776577, 16: 0.882162, 32: 0.939367}
 TABLE1_PAS = {2: 0.314148, 4: 0.514777, 8: 0.702617, 16: 0.833730, 32: 0.911820}
@@ -82,10 +83,10 @@ def test_zeta_affine():
 def test_zeta_affine_truncated_matches_closed_form():
     for q in (2, 3, 4):
         for s in (2, 3):
-            ep = dd.zeta_affine_truncated(q, s, 25)
+            ep = zeta_affine_truncated(q, s, 25)
             assert abs(ep.value - dd.zeta_affine(q, s)) <= ep.error_bound + Decimal("1e-20")
     with pytest.raises(DomainError, match="pole at s = 1"):
-        dd.zeta_affine_truncated(2, 1, 8)
+        zeta_affine_truncated(2, 1, 8)
 
 
 def test_phi_at_1_table():
@@ -131,6 +132,30 @@ def test_ordinary_probability_as_table():
     assert dd.ordinary_probability_as(3, 3, include_infinity=False) == 0
 
 
+def test_census_with_infinity_converges_to_the_plus_form():
+    # with L = phi(1) zeta(2), the census of the covers ramified at infinity
+    # or not converges to L (q^2 + q - 1)/(q^2 + q): at infinity the ordinary
+    # covers have the local factor 1 + (q - 1)u^2, at u = 1/q
+    census_limits = {2: (120, 0.523581), 4: (80, 0.752367), 8: (60, 0.875190),
+                     16: (50, 0.937513)}
+    for q, (m, want) in census_limits.items():
+        L = dd.phi_at_1(q).value * dd.zeta_affine(q, 2)
+        a, b = census_analytic(field_from_qp(q, 2), m, include_infinity=True).rows[m]
+        assert round(b / a, 6) == want
+        assert abs(b / a - float(L * (q * q + q - 1) / (q * q + q))) < 1e-6
+
+
+def test_table1_modified_column_is_the_minus_form():
+    # Table 1's "P(AS) modified" column, like ordinary_probability_as(q, 2,
+    # True), is L (q^2 - q + 1)/(q^2 + q): the census's ordinary infinity
+    # term with a minus sign, which no family of covers can have
+    for q, (_, published, _) in dd.TABLE1.items():
+        L = dd.phi_at_1(q).value * dd.zeta_affine(q, 2)
+        minus_form = float(L * (q * q - q + 1) / (q * q + q))
+        assert abs(float(dd.ordinary_probability_as(q, 2, True)) - minus_form) < 1e-12
+        assert abs(published - minus_form) < 1e-6
+
+
 def test_cezb_table():
     for q, want in TABLE1_CEZB.items():
         assert abs(float(dd.cezb_constant(q)) - want) < 1e-5
@@ -147,15 +172,6 @@ def test_phi_k():
         dd.phi_k_at_1(2, -1)
 
 
-def test_l_constant():
-    for n, q in ((3, 2), (3, 8), (5, 2)):
-        ep = dd.l_constant(n, q)
-        assert 0 < float(ep.value) < 1
-        assert ep.error_bound < 1e-8
-    with pytest.raises(DomainError):
-        dd.l_constant(4, 2)
-
-
 def test_kappa_constant():
     for n, q in ((3, 2), (5, 2), (3, 4)):
         assert float(dd.kappa_constant(n, q)) > 0
@@ -163,22 +179,14 @@ def test_kappa_constant():
         dd.kappa_constant(9, 2)
 
 
-def test_kappa_and_l_keep_their_floats():
-    # the floats of the 30-digit mpmath evaluation these constants replaced:
-    # no CLI output carries kappa_n or L_{n-2}
+def test_kappa_keeps_its_floats():
+    # the floats of the 30-digit mpmath evaluation this constant replaced:
+    # no CLI output carries kappa_n
     assert {(n, q): float(dd.kappa_constant(n, q))
             for n, q in ((3, 2), (5, 2), (3, 4), (7, 3), (5, 9))} == {
         (3, 2): 0.5231781053799122, (5, 2): 0.006766135436196392,
         (3, 4): 1.3422170610138426, (7, 3): 0.00017373891182995155,
         (5, 9): 0.25388328829377266}
-    got = {(n, q): dd.l_constant(n, q) for n, q in ((3, 2), (3, 8), (5, 2), (7, 4), (5, 9))}
-    assert {k: (float(ep.value), ep.truncation_degree, float(ep.error_bound))
-            for k, ep in got.items()} == {
-        (3, 2): (0.7252788571690697, 28, 7.453446321875289e-10),
-        (3, 8): (0.8987832261079753, 8, 6.802749857140725e-09),
-        (5, 2): (0.22511652979516544, 28, 9.253786771784765e-10),
-        (7, 4): (0.1290618827093009, 16, 4.242290996798885e-11),
-        (5, 9): (0.5956997167871506, 12, 6.489838946512701e-13)}
 
 
 def test_tail_bound_shrinks():
@@ -229,7 +237,7 @@ def test_zeta_truncation_bound_sweep():
         for s in (1.5, 2, 3):
             exact = dd.zeta_affine(q, s)
             for D in range(4, 15):
-                ep = dd.zeta_affine_truncated(q, s, D)
+                ep = zeta_affine_truncated(q, s, D)
                 assert abs(ep.value - exact) <= ep.error_bound + Decimal("1e-20")
 
 

@@ -127,7 +127,7 @@ def test_cross_validate_spec_examples():
 def test_cross_validate_n7_counterexample():
     # y^7 = x^3 (x+1)^6 is ordinary despite failing plain degree symmetry
     c = se_cover(F2, 7, "1", "1", "0,1", "1", "1", "1,1")
-    assert not se.degree_symmetry_criterion(7, c.degrees)
+    assert not secover.degree_symmetry_criterion(7, c.degrees)
     r = orc.cross_validate(c)
     assert r.agree
     assert r.p_rank == r.genus == 3

@@ -12,11 +12,10 @@ from ordcensus import _polyarith as pa
 from ordcensus import polys
 from ordcensus.errors import DomainError, InvariantViolation, ResourceGuardError
 from ordcensus.fields import FieldSpec, count_irreducibles, digits, embedding, mobius
-from ordcensus.polys import (MonicPoly, Place, enumerate_monic,
-                             factor, gcd_monic, is_irreducible, is_squarefree,
-                             local_to_global, monic_rank, mul_monic, omega,
-                             place_sieve, places_of_degree, poly_one,
-                             pow_monic, reconstruct)
+from ordcensus.polys import (MonicPoly, Place, gcd_monic, is_irreducible, is_squarefree,
+                             local_to_global, monic_rank, mul_monic, place_sieve,
+                             places_of_degree, poly_one, pow_monic, reconstruct)
+from reference import enumerate_monic, factor, omega
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)

@@ -73,14 +73,28 @@ def test_eigen_degrees_examples():
     assert se.eigen_degrees(cover(F2, 3, "1", "0,1")).d == (0, 0)
 
 
+def test_eigen_sums_need_no_checks():
+    # eigen_degrees reads d_i = s_i/n - 1 unchecked: on every degree tuple
+    # with a branch point, n | s_i, s_i > 0 and the d_i sum to the genus
+    tuples = 0
+    for n, m_max in ((3, 16), (5, 9), (7, 7), (11, 5), (13, 4)):
+        for m in range(1, m_max + 1):
+            for e in se.degree_tuples(n, m):
+                s = secover._eigen_sums(n, e)
+                assert all(si % n == 0 and si > 0 for si in s), (n, e)
+                assert sum(si // n - 1 for si in s) == dense_genus(n, e), (n, e)
+                tuples += 1
+    assert tuples == 7402
+
+
 def test_sigma_permutation():
-    assert se.sigma_permutation(3, 2) == {1: 2, 2: 1}
-    assert se.sigma_permutation(5, 2) == {1: 3, 2: 1, 3: 4, 4: 2}
+    assert secover.sigma_permutation(3, 2) == {1: 2, 2: 1}
+    assert secover.sigma_permutation(5, 2) == {1: 3, 2: 1, 3: 4, 4: 2}
     # involution iff p^2 = 1 mod n
-    sigma7 = se.sigma_permutation(7, 2)
+    sigma7 = secover.sigma_permutation(7, 2)
     assert sigma7[sigma7[1]] != 1  # ord_7(2) = 3, not an involution
     with pytest.raises(DomainError):
-        se.sigma_permutation(9, 3)
+        secover.sigma_permutation(9, 3)
 
 
 def test_a_number_examples():
@@ -110,19 +124,19 @@ def test_symmetry_vs_orbit_criterion():
         for m in range(0, 9):
             for e in se.degree_tuples(n, m):
                 assert (se.ordinary_degree_tuple(n, e)
-                        == se.degree_symmetry_criterion(n, e))
+                        == secover.degree_symmetry_criterion(n, e))
     # for n = 7 symmetry is strictly stronger: implication plus a witness
     witness_found = False
     for m in range(0, 5):
         for e in se.degree_tuples(7, m):
-            if se.degree_symmetry_criterion(7, e):
+            if secover.degree_symmetry_criterion(7, e):
                 assert se.ordinary_degree_tuple(7, e)
             elif se.ordinary_degree_tuple(7, e):
                 witness_found = True
     assert witness_found
     # the explicit counterexample: y^7 = x^3 (x+1)^6
     assert se.ordinary_degree_tuple(7, (0, 0, 1, 0, 0, 1))
-    assert not se.degree_symmetry_criterion(7, (0, 0, 1, 0, 0, 1))
+    assert not secover.degree_symmetry_criterion(7, (0, 0, 1, 0, 0, 1))
 
 
 def dense_eigen_degrees(n, degs):
@@ -151,7 +165,7 @@ def dense_ordinary(n, degs):
     n_inf = (-sum(i * d for i, d in enumerate(degs, start=1))) % n
     x = [degs[j - 1] + (1 if j == n_inf else 0) for j in range(1, n)]
     d = [sum(xj * ((i * j) % n) for j, xj in enumerate(x, start=1)) for i in range(1, n)]
-    sigma = se.sigma_permutation(n, 2)
+    sigma = secover.sigma_permutation(n, 2)
     return all(d[i - 1] == d[sigma[i] - 1] for i in range(1, n))
 
 
@@ -193,7 +207,7 @@ def test_sparse_degree_rules_equal_the_dense_formulas(c):
     assert 0 <= se.a_number(c) <= se.genus_se(c)
     assert se.eigen_degrees(c).d == dense_eigen_degrees(c.n, c.degrees)
     assert se.ordinary_degree_tuple(c.n, c.degrees) == dense_ordinary(c.n, c.degrees)
-    assert se.degree_symmetry_criterion(c.n, c.degrees) == dense_symmetry(c.n, c.degrees)
+    assert secover.degree_symmetry_criterion(c.n, c.degrees) == dense_symmetry(c.n, c.degrees)
 
 
 def test_two_route_agreement_random():
@@ -312,7 +326,7 @@ def test_census_examples():
 
 def test_omega_identity():
     # ordered factorizations of squarefree H into n-1 coprime parts = (n-1)^omega(H)
-    from ordcensus.polys import omega
+    from reference import omega
     for n in (3, 5):
         for m in range(1, 6):
             for (h,) in se.enumerate_tuple_family(F2, (m,)):
@@ -338,6 +352,9 @@ def test_ordinary_ratio_decreasing():
 def test_growth_bound():
     for r in (2, 3, 4):
         assert se.growth_bound_holds(2, r, 30)
+    # at X = q^2 the sum is 1 + 2 * 2 = 5 > 0.15 * D_2 X log_q(X) = 4.8, and
+    # 4 without its j = 1 term
+    assert not se.growth_bound_holds(2, 2, 2, margin=0.15)
 
 
 @pytest.mark.parametrize("r, tightest", [(2, 0.24167), (3, 0.026914), (4, 0.0023918)])
@@ -348,24 +365,6 @@ def test_growth_bound_fails_below_its_tightest_margin(r, tightest):
     assert se.growth_bound_holds(2, r, 30, margin=tightest * 1.01)
 
 
-def test_bdfl_ratio_report():
-    # |F_{0,0}| zeta(2)^2 / L_1: a fixed positive number, no hard tolerance
-    v = se.bdfl_ratio_report(F2, 0, 0)
-    assert v > 0
-    # balanced moderate degrees drift toward 1
-    v2 = se.bdfl_ratio_report(F2, 3, 3)
-    assert 0.2 < v2 < 5
-
-
-def test_bdfl_ratio_report_keeps_its_floats():
-    # the floats of the 30-digit mpmath evaluation this report replaced
-    F8 = FieldSpec(2, 3)
-    assert [se.bdfl_ratio_report(F, e1, e2) for F, e1, e2 in
-            ((F2, 0, 0), (F2, 3, 3), (F4, 2, 1), (F4, 2, 2), (F8, 1, 1))] == [
-        5.515120095480131, 0.8617375149187705, 1.2092171737026511, 0.9069128802769884,
-        1.2715603825920152]
-
-
 def test_random_cover_determinism():
     a = se.random_se_cover(F2, 3, 4, random.Random(7))
     b = se.random_se_cover(F2, 3, 4, random.Random(7))
@@ -373,6 +372,10 @@ def test_random_cover_determinism():
 
 
 def test_census_se_guard_fires_before_any_route(monkeypatch):
+    # the tuple guard at its edge: n = 3, m = 4 costs C(5, 1) 2^2 = 20 steps
+    monkeypatch.setattr(se, "MAX_TUPLE_COST", 20)
+    assert se.census_se(F2, 3, 4)[4] == (30, 2)
+
     def no_work(*args):
         raise AssertionError("census route ran before the guard")
     monkeypatch.setattr(se, "census_a_euler", no_work)
@@ -381,6 +384,9 @@ def test_census_se_guard_fires_before_any_route(monkeypatch):
     for field, m_max in ((F2, se.MAX_TUPLE_DEGREE + 1), (F4, 9)):
         with pytest.raises(ResourceGuardError):
             se.census_se(field, 3, m_max)
+    monkeypatch.setattr(se, "MAX_TUPLE_COST", 19)
+    with pytest.raises(ResourceGuardError, match="<= 19, got 20 at n = 3, m = 4"):
+        se.census_se(F2, 3, 4)
 
 
 def test_tuple_families_enumerated_once_per_sorted_degree_tuple(monkeypatch, cold_caches):
